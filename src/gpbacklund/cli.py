@@ -190,13 +190,10 @@ def cmd_wavefunction(cfg: ExperimentConfig, out_dir: Path,
     seed = _build_seed(cfg, (cfg.grid.x_min, cfg.grid.x_max))
     p = cfg.params
     with _stage("wavefunction"):
-        if isinstance(seed, ClosedFormSolution):
-            rs = np.asarray(seed.value(xs))
-            thetas = np.asarray(phase(p, xs))
-        else:
-            rs = seed.eval_with_derivative(xs)[0]
-            thetas = np.asarray(phase(p, xs, r_source=seed,
-                                      x_ref=cfg.grid.x_min))
+        rs = seed.eval_with_derivative(xs)[0]
+        # anchors: the closed form's domain starts at 0, where its phase
+        # vanishes; an integrated seed's starts at grid.x_min
+        thetas = phase(p, xs, r_source=seed, x_ref=seed.domain[0])
     rows = []
     for x, r, th in zip(xs, rs, thetas):
         for t in t_samples:

@@ -13,6 +13,7 @@ Unknown keys and duplicates are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,33 +21,40 @@ from .errors import ConfigError
 from .gp import GPParams
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not finite")
+    return value
+
+
 def _parse_float_list(text: str) -> list[float]:
     text = text.strip()
     if not text:
         return []
-    return [float(tok) for tok in text.split(",")]
+    return [_finite_float(tok) for tok in text.split(",")]
 
 
 _SCHEMA: dict[str, tuple] = {
     # key: (converter, default)
     "params.n": (int, 1),
-    "params.eta": (float, 0.0),
-    "params.b": (float, -1.0),
-    "params.c": (float, 1.0),
-    "params.v": (float, 1.0),
-    "params.mu": (float, 0.0),
-    "params.theta0": (float, 0.0),
-    "grid.x_min": (float, 0.5),
-    "grid.x_max": (float, 5.0),
+    "params.eta": (_finite_float, 0.0),
+    "params.b": (_finite_float, -1.0),
+    "params.c": (_finite_float, 1.0),
+    "params.v": (_finite_float, 1.0),
+    "params.mu": (_finite_float, 0.0),
+    "params.theta0": (_finite_float, 0.0),
+    "grid.x_min": (_finite_float, 0.5),
+    "grid.x_max": (_finite_float, 5.0),
     "grid.points": (int, 401),
     "k_schedule": (_parse_float_list, []),
     "seed.kind": (str, "closed_form"),
-    "seed.x0": (float, None),
-    "seed.r0": (float, None),
-    "seed.rp0": (float, 0.0),
-    "tolerances.ode_abs": (float, 1e-10),
-    "tolerances.ode_rel": (float, 1e-10),
-    "tolerances.residual_pass": (float, 1e-5),
+    "seed.x0": (_finite_float, None),
+    "seed.r0": (_finite_float, None),
+    "seed.rp0": (_finite_float, 0.0),
+    "tolerances.ode_abs": (_finite_float, 1e-10),
+    "tolerances.ode_rel": (_finite_float, 1e-10),
+    "tolerances.residual_pass": (_finite_float, 1e-5),
     "outputs.solution_csv": (str, "solution.csv"),
     "outputs.wave_csv": (str, "wave.csv"),
     "outputs.report_json": (str, "report.json"),

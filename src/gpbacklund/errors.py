@@ -69,9 +69,5 @@ class NegativeJacobian(NumericalError):
     """f'(x) <= 0 where a positive Jacobian is required."""
 
 
-class QuadratureFailure(NumericalError):
-    """Adaptive quadrature did not reach the requested accuracy."""
-
-
 class ConstraintViolated(UserWarning):
     """Closed-form amplitude requested with b*v^6 + c^2 != 0."""

@@ -37,7 +37,7 @@ class PolyG:
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 1:
             raise ValueError("n must be a positive integer")
-        if self.eta < 0.0:
+        if not self.eta >= 0.0:
             raise ValueError("eta must be nonnegative")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "eta", float(self.eta))
@@ -64,7 +64,7 @@ class PolyG:
 
     def inverse(self, y):
         """Unique positive root of G(x) = y for y > 0."""
-        if np.any(np.asarray(y) <= 0.0):
+        if (np.asarray(y) <= 0.0).any():
             raise DomainError("G(x) = y has a positive root only for y > 0")
         if self.eta == 0.0:
             u = y
@@ -147,11 +147,6 @@ class Mobius:
                          domain=domain)
 
 
-def apply_mobius(m: Mobius, w):
-    """(a w + b)/(c w + d); raises Pole near c w + d = 0."""
-    return m(w)
-
-
 @dataclass(frozen=True)
 class ShiftMap:
     """Pointwise solution f(x) of G(f(x)) = G(x) + K, f > 0.
@@ -180,21 +175,11 @@ class ShiftMap:
         if self.g.eta > 0.0 and np.any(1.0 + 4.0 * self.g.eta * t <= 0.0):
             raise NoRealRoot(
                 f"discriminant 1 + 4*eta*(G(x)+K) <= 0 for K={self.K}")
-        if np.any(t <= 0.0):
-            raise DomainError(
-                f"G(x) + K <= 0 for K={self.K}: no positive root")
         return t
 
     def f(self, x):
         t = self._target(x)
-        if self.g.eta == 0.0:
-            u = t
-        else:
-            # conjugate form of the quadratic root: stable as eta -> 0
-            u = 2.0 * t / (1.0 + np.sqrt(1.0 + 4.0 * self.g.eta * t))
-        val = u if self.g.n == 1 else u ** (1.0 / self.g.n)
-        for _ in range(2):
-            val = val - (self.g.value(val) - t) / self.g.prime(val)
+        val = self.g.inverse(t)
         resid = np.abs(self.g.value(val) - t)
         if np.any(resid > _ROOT_RTOL * np.maximum(1.0, np.abs(t))):
             raise NumericalError(

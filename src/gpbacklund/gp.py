@@ -20,15 +20,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .calculus import schwarzian
-from .errors import ConstraintViolated, DomainError, QuadratureFailure
+from .errors import ConstraintViolated, DomainError, NonFinite
 from .functional import PolyG
-from .ode import DenseSolution, SecondOrderODE
+from .ode import SecondOrderODE
 
 _X_FLOOR = 1e-8
 _CONSTRAINT_RTOL = 1e-10
+# 8-point Gauss-Legendre rule on [-1, 1] for the phase integral
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class GPParams:
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 1:
             raise ValueError("n must be a positive integer")
-        if self.eta < 0.0:
+        if not self.eta >= 0.0:
             raise ValueError("eta must be nonnegative")
         if not self.v > 0.0:
             raise ValueError("v must be positive")
@@ -200,14 +201,16 @@ def closed_form_residual(p: GPParams, xs) -> np.ndarray:
     return sol.second_derivative(xs) - ode.rhs(xs, sol.value(xs))
 
 
-def phase(p: GPParams, x, r_source=None, x_ref: Optional[float] = None,
-          quad_tol: float = 1e-10):
+def phase(p: GPParams, x, r_source=None, x_ref: Optional[float] = None):
     """Phase theta(x) from r^2 theta' = c.
 
     For the closed form (``r_source`` omitted) the antiderivative is
     c G(x) / (n v^2), anchored so the phase vanishes at the origin unless
-    ``x_ref`` overrides the reference point. Numerical sources are handled
-    by adaptive quadrature of c / r(s)^2 from an explicit ``x_ref``.
+    ``x_ref`` overrides the reference point. Numerical sources expose their
+    interpolation nodes ``xs`` and ``eval_with_derivative``; c / r^2 is
+    integrated from an explicit ``x_ref`` in one cumulative pass, with an
+    8-point Gauss-Legendre rule on every interval between consecutive
+    query points, nodes and ``x_ref``.
     """
     if r_source is None or isinstance(r_source, ClosedFormSolution):
         scale = p.c / (p.n * p.v * p.v)
@@ -218,25 +221,22 @@ def phase(p: GPParams, x, r_source=None, x_ref: Optional[float] = None,
 
     if x_ref is None:
         raise ValueError("x_ref is required for numerically sampled amplitudes")
-
-    def integrand(s: float) -> float:
-        r = r_source.evaluate(s)[0] if isinstance(r_source, DenseSolution) \
-            else float(r_source.eval_with_derivative(np.array([s]))[0][0])
-        return p.c / (r * r)
-
-    def one(xi: float) -> float:
-        if p.c == 0.0:
-            return p.theta0
-        val, abserr = quad(integrand, x_ref, xi, epsabs=quad_tol,
-                           epsrel=quad_tol, limit=200)
-        if not math.isfinite(val) or abserr > 1e-6 * max(1.0, abs(val)):
-            raise QuadratureFailure(
-                f"phase integral on [{x_ref}, {xi}] reported error {abserr:.3e}")
-        return p.theta0 + val
-
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return one(float(x))
-    return np.array([one(float(xi)) for xi in np.asarray(x, dtype=float)])
+    xq = np.asarray(x, dtype=float)
+    ends = np.append(xq, x_ref)
+    nodes = np.asarray(r_source.xs)
+    inside = (nodes > ends.min()) & (nodes < ends.max())
+    knots = np.unique(np.concatenate([ends, nodes[inside]]))
+    mid = 0.5 * (knots[1:] + knots[:-1])
+    half = 0.5 * (knots[1:] - knots[:-1])
+    pts = mid[:, None] + half[:, None] * _GL_NODES
+    r = r_source.eval_with_derivative(pts.ravel())[0].reshape(pts.shape)
+    segments = half * ((p.c / (r * r)) @ _GL_WEIGHTS)
+    cum = np.concatenate([[0.0], np.cumsum(segments)])
+    if not np.all(np.isfinite(cum)):
+        raise NonFinite(f"phase integral from x_ref={x_ref} is not finite")
+    theta = p.theta0 + (cum[np.searchsorted(knots, xq)]
+                        - cum[np.searchsorted(knots, x_ref)])
+    return float(theta) if xq.ndim == 0 else theta
 
 
 @dataclass(frozen=True)
@@ -258,14 +258,10 @@ def wavefunction(p: GPParams, r_source, x: float, t: float,
     """psi(x, t) = r(x) exp(i(theta(x) - mu t)) assembled from r and theta."""
     if r_source is None:
         r_source = ClosedFormSolution(p)
-    if isinstance(r_source, ClosedFormSolution):
-        r = float(r_source.value(x))
-        th = float(phase(p, x, x_ref=x_ref))
-    else:
-        r = float(r_source.evaluate(x)[0]) if isinstance(r_source, DenseSolution) \
-            else float(r_source.eval_with_derivative(np.array([x]))[0][0])
-        ref = x_ref if x_ref is not None else r_source.domain[0]
-        th = float(phase(p, x, r_source=r_source, x_ref=ref))
+    r = float(r_source.eval_with_derivative(np.array([x]))[0][0])
+    # the closed form's domain starts at 0, where its phase is anchored
+    ref = x_ref if x_ref is not None else r_source.domain[0]
+    th = float(phase(p, x, r_source=r_source, x_ref=ref))
     angle = th - p.mu * t
     return WaveSample(x=float(x), t=float(t),
                       re=r * math.cos(angle), im=r * math.sin(angle))

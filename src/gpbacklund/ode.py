@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import (AmplitudeCollapse, BlowUp, GridTooSmall, NonFinite,
                      NonUniform, OutOfRange, StepSizeUnderflow)
@@ -87,17 +86,14 @@ class _HermiteGrid:
     def __init__(self, grid: SolutionGrid) -> None:
         if len(grid) < 2:
             raise GridTooSmall("interpolation needs at least two samples")
-        self._spline = CubicHermiteSpline(grid.xs, grid.rs, grid.rps)
+        self.xs, self.rs, self.rps = grid.xs, grid.rs, grid.rps
         self.domain = grid.domain
         self.meta = dict(grid.meta)
 
     def eval_with_derivative(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        lo, hi = self.domain
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if np.any(xs < lo - slack) or np.any(xs > hi + slack):
-            raise OutOfRange(f"requested points outside [{lo}, {hi}]")
-        return self._spline(xs), self._spline.derivative()(xs)
+        idx, h, s = _locate(self.xs, np.asarray(xs, dtype=float))
+        return _hermite3(s, h, self.rs[idx], self.rps[idx],
+                         self.rs[idx + 1], self.rps[idx + 1])
 
 
 # Dormand-Prince 5(4) tableau.
@@ -137,16 +133,7 @@ class DenseSolution:
     def evaluate(self, x):
         """(r, r') at x; scalar in, scalar out."""
         scalar = np.isscalar(x) or np.ndim(x) == 0
-        xq = np.atleast_1d(np.asarray(x, dtype=float))
-        lo, hi = self.domain
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if np.any(xq < lo - slack) or np.any(xq > hi + slack):
-            raise OutOfRange(f"requested points outside [{lo}, {hi}]")
-        xq = np.clip(xq, lo, hi)
-        idx = np.clip(np.searchsorted(self.xs, xq, side="right") - 1,
-                      0, self.xs.size - 2)
-        h = self.xs[idx + 1] - self.xs[idx]
-        s = (xq - self.xs[idx]) / h
+        idx, h, s = _locate(self.xs, np.atleast_1d(np.asarray(x, dtype=float)))
         val, der = _hermite5(
             s, h,
             self.rs[idx], self.rps[idx], self.rpps[idx],
@@ -159,6 +146,34 @@ class DenseSolution:
     def eval_with_derivative(self, xs):
         r, rp = self.evaluate(np.asarray(xs, dtype=float))
         return np.atleast_1d(r), np.atleast_1d(rp)
+
+
+def _locate(nodes: np.ndarray, xq: np.ndarray):
+    """Segment index, width and local coordinate in [0, 1] of each query.
+
+    Points within a relative 1e-12 of the ends are clamped onto them;
+    points further out raise OutOfRange.
+    """
+    lo, hi = float(nodes[0]), float(nodes[-1])
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    if np.any(xq < lo - slack) or np.any(xq > hi + slack):
+        raise OutOfRange(f"requested points outside [{lo}, {hi}]")
+    xq = np.clip(xq, lo, hi)
+    idx = np.clip(np.searchsorted(nodes, xq, side="right") - 1,
+                  0, nodes.size - 2)
+    h = nodes[idx + 1] - nodes[idx]
+    return idx, h, (xq - nodes[idx]) / h
+
+
+def _hermite3(s, h, y0, d0, y1, d1):
+    """Cubic Hermite basis matching value and first derivative at both ends."""
+    s2 = s * s
+    s3 = s2 * s
+    val = ((1.0 - 3.0 * s2 + 2.0 * s3) * y0 + (s - 2.0 * s2 + s3) * h * d0
+           + (3.0 * s2 - 2.0 * s3) * y1 + (s3 - s2) * h * d1)
+    der = (6.0 * (s2 - s) * (y0 - y1) / h + (1.0 - 4.0 * s + 3.0 * s2) * d0
+           + (3.0 * s2 - 2.0 * s) * d1)
+    return val, der
 
 
 def _hermite5(s, h, y0, d0, a0, y1, d1, a1):

@@ -75,13 +75,12 @@ def check_mobius_kernel(rng: np.random.Generator, n_maps: int = 100,
                         n_points: int = 10,
                         tolerance: float = 1e-7) -> CheckResult:
     """Finite-difference Schwarzian of fractional linear maps vanishes."""
-    worst = 0.0
+    devs = []
     for _ in range(n_maps):
         m, points = random_mobius_with_points(rng, n_points)
         fd_map = m.as_smooth_map(with_derivatives=False)
-        for z in points:
-            worst = max(worst, abs(schwarzian(fd_map, z)))
-    return _result("mobius_schwarzian_kernel", worst, tolerance)
+        devs += [abs(schwarzian(fd_map, z)) for z in points]
+    return _result("mobius_schwarzian_kernel", np.max(devs), tolerance)
 
 
 def _smooth_pool(rng: np.random.Generator):
@@ -110,23 +109,21 @@ def _smooth_pool(rng: np.random.Generator):
 def check_composition_law(rng: np.random.Generator, n_pairs: int = 100,
                           tolerance: float = 1e-6) -> CheckResult:
     """{g o f, z} = (f')^2 {g, f(z)} + {f, z} for random smooth pairs."""
-    worst = 0.0
-    done = 0
-    while done < n_pairs:
+    devs = []
+    while len(devs) < n_pairs:
         f_ev, f_d1 = _smooth_pool(rng)
         g_ev, g_d1 = _smooth_pool(rng)
         z = rng.uniform(-1.2, 1.2)
         u = f_ev(z)
         if abs(f_d1(z)) < 0.3 or abs(g_d1(u)) < 0.3 or abs(u) > 2.5:
             continue
-        done += 1
         f_map = SmoothMap(eval=f_ev)
         g_map = SmoothMap(eval=g_ev)
         fp = derivative(f_map, 1, z)
-        dev = abs(schwarzian(compose(g_map, f_map), z)
-                  - fp * fp * schwarzian(g_map, u) - schwarzian(f_map, z))
-        worst = max(worst, dev)
-    return _result("schwarzian_composition", worst, tolerance)
+        devs.append(abs(schwarzian(compose(g_map, f_map), z)
+                        - fp * fp * schwarzian(g_map, u)
+                        - schwarzian(f_map, z)))
+    return _result("schwarzian_composition", np.max(devs), tolerance)
 
 
 def _draw_shift(rng: np.random.Generator):
@@ -144,18 +141,18 @@ def _draw_shift(rng: np.random.Generator):
 def check_translation_property(rng: np.random.Generator, n_samples: int = 400,
                                tolerance: float = 1e-10) -> CheckResult:
     """|G(f(x)) - G(x) - K| stays below the absolute tolerance."""
-    worst = 0.0
+    devs = []
     for _ in range(n_samples):
         g, k, x = _draw_shift(rng)
         f = ShiftMap(g, k).f(x)
-        worst = max(worst, abs(g.value(f) - g.value(x) - k))
-    return _result("translation_property", worst, tolerance)
+        devs.append(abs(g.value(f) - g.value(x) - k))
+    return _result("translation_property", np.max(devs), tolerance)
 
 
 def check_semigroup(rng: np.random.Generator, n_samples: int = 200,
                     tolerance: float = 1e-9) -> CheckResult:
     """f_{K1} o f_{K2} = f_{K1+K2} pointwise."""
-    worst = 0.0
+    devs = []
     for _ in range(n_samples):
         n = int(rng.integers(1, 4))
         eta = float(rng.uniform(0.0, 2.0))
@@ -165,8 +162,8 @@ def check_semigroup(rng: np.random.Generator, n_samples: int = 200,
         g = PolyG(n, eta)
         chained = ShiftMap(g, k1).f(ShiftMap(g, k2).f(x))
         direct = ShiftMap(g, k1 + k2).f(x)
-        worst = max(worst, abs(chained - direct))
-    return _result("translation_semigroup", worst, tolerance)
+        devs.append(abs(chained - direct))
+    return _result("translation_semigroup", np.max(devs), tolerance)
 
 
 def check_q_identity(k_values=(0.5, 1.0), tolerance: float = 1e-5,
@@ -174,7 +171,7 @@ def check_q_identity(k_values=(0.5, 1.0), tolerance: float = 1e-5,
                      points: int = 12) -> CheckResult:
     """Q(x) = f'^2 Q(f) + {f, x} with Q the Schwarzian of G and {f, x}
     taken by finite differences of the pointwise solver."""
-    worst = 0.0
+    devs = []
     for n, eta in [(1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0), (3, 0.5)]:
         g = PolyG(n, eta)
         g_map = g.as_smooth_map()
@@ -183,22 +180,21 @@ def check_q_identity(k_values=(0.5, 1.0), tolerance: float = 1e-5,
             f_map = shift.as_smooth_map()
             for x in np.linspace(max(x_lo, shift.x_min + 0.2), x_hi, points):
                 f, fp = solve_f(shift, float(x))
-                dev = abs(schwarzian(g_map, float(x))
-                          - fp * fp * schwarzian(g_map, float(f))
-                          - schwarzian(f_map, float(x)))
-                worst = max(worst, dev)
-    return _result("q_identity", worst, tolerance)
+                devs.append(abs(schwarzian(g_map, float(x))
+                                - fp * fp * schwarzian(g_map, float(f))
+                                - schwarzian(f_map, float(x))))
+    return _result("q_identity", np.max(devs), tolerance)
 
 
 def check_linear_coefficient(tolerance: float = 1e-6,
                              points: int = 19) -> CheckResult:
     """The equation's linear coefficient equals -(1/2){G, x}."""
-    worst = 0.0
+    devs = []
     for n, eta in PARAM_SWEEP:
         p = GPParams(n=n, eta=eta, b=-1.0, c=1.0)
-        for x in np.linspace(0.5, 5.0, points):
-            worst = max(worst, abs(linear_coefficient_check(p, float(x))))
-    return _result("linear_coefficient", worst, tolerance)
+        devs += [abs(linear_coefficient_check(p, float(x)))
+                 for x in np.linspace(0.5, 5.0, points)]
+    return _result("linear_coefficient", np.max(devs), tolerance)
 
 
 def check_closed_form_residual(c: float = 1.0, v: float = 1.0,
@@ -207,11 +203,10 @@ def check_closed_form_residual(c: float = 1.0, v: float = 1.0,
                                tolerance: float = 1e-7) -> CheckResult:
     """The closed-form amplitude solves the equation under the constraint."""
     xs = np.linspace(x_lo, x_hi, points)
-    worst = 0.0
-    for n, eta in PARAM_SWEEP:
-        p = GPParams.constrained(n=n, eta=eta, c=c, v=v)
-        worst = max(worst, float(np.max(np.abs(closed_form_residual(p, xs)))))
-    return _result("closed_form_residual", worst, tolerance)
+    devs = [np.max(np.abs(closed_form_residual(
+        GPParams.constrained(n=n, eta=eta, c=c, v=v), xs)))
+        for n, eta in PARAM_SWEEP]
+    return _result("closed_form_residual", np.max(devs), tolerance)
 
 
 def check_constraint_activity(c: float = 1.0, v: float = 1.0,
@@ -225,13 +220,11 @@ def check_constraint_activity(c: float = 1.0, v: float = 1.0,
     still at least the tolerance.
     """
     xs = np.linspace(x_lo, x_hi, points)
-    smallest = math.inf
-    for n, eta in PARAM_SWEEP:
-        base = -(c * c) / v ** 6
-        p = GPParams(n=n, eta=eta, b=base + delta, c=c, v=v)
-        smallest = min(smallest,
-                       float(np.max(np.abs(closed_form_residual(p, xs)))))
-    return _result("constraint_activity", smallest, tolerance,
+    b = -(c * c) / v ** 6 + delta
+    devs = [np.max(np.abs(closed_form_residual(
+        GPParams(n=n, eta=eta, b=b, c=c, v=v), xs)))
+        for n, eta in PARAM_SWEEP]
+    return _result("constraint_activity", np.min(devs), tolerance,
                    higher_is_better=True)
 
 
@@ -248,13 +241,13 @@ def check_fixed_point_for(params: GPParams, k_values=(0.25, 0.5, 1.0),
     p = GPParams.constrained(n=params.n, eta=params.eta, c=params.c,
                              v=params.v)
     seed = ClosedFormSolution(p)
-    worst = 0.0
+    devs = []
     for k in k_values:
         shift = ShiftMap(p.g, float(k))
         shift.f(xs)  # validity probe for the whole grid
         res = is_fixed_point(BacklundMap(shift=shift), seed, xs, tol=tolerance)
-        worst = max(worst, res.deviation)
-    return worst
+        devs.append(res.deviation)
+    return float(np.max(devs))
 
 
 def check_fixed_point(k_values=(0.25, 0.5, 1.0), c: float = 1.0,
@@ -265,14 +258,12 @@ def check_fixed_point(k_values=(0.25, 0.5, 1.0), c: float = 1.0,
     The configured parameter set (when given) is probed first so its
     failures are the ones reported; the standard sweep follows.
     """
-    worst = 0.0
+    sweep = [GPParams.constrained(n=n, eta=eta, c=c, v=v)
+             for n, eta in PARAM_SWEEP]
     if params is not None:
-        worst = check_fixed_point_for(params, k_values, xs, tolerance)
-    for n, eta in PARAM_SWEEP:
-        p = GPParams.constrained(n=n, eta=eta, c=c, v=v)
-        worst = max(worst,
-                    check_fixed_point_for(p, k_values, xs, tolerance))
-    return _result("fixed_point", worst, tolerance)
+        sweep.insert(0, params)
+    devs = [check_fixed_point_for(p, k_values, xs, tolerance) for p in sweep]
+    return _result("fixed_point", np.max(devs), tolerance)
 
 
 def run_identity_checks(rng_seed: int = 0, c: float = 1.0, v: float = 1.0,

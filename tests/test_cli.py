@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gpbacklund
 from gpbacklund.cli import main, read_solution_csv, write_solution_csv
 from gpbacklund.gp import GPParams, gp_rhs
 from gpbacklund.ode import SolutionGrid, residual_max
@@ -72,6 +77,14 @@ class TestSolve:
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_nan_param_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, CLOSED_FORM_CFG.replace(
+            "params.eta = 0.0", "params.eta = nan"))
+        assert main(["solve", "--config", cfg, "--out-dir",
+                     str(tmp_path / "out")]) == 2
+        assert ":3: bad value for 'params.eta'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestTransform:
@@ -170,6 +183,24 @@ class TestWavefunction:
         expected = 1.0 / np.sqrt(1.0 + 2.0 * data[:, 0])  # n = 1 shape
         assert np.allclose(data[:, 4], expected, rtol=1e-12)
 
+    def test_integrated_seed_on_closed_form(self, tmp_path):
+        # n = 1, eta = 1, v = 1: r = 1/sqrt(1 + 2x), G(x) = x (1 + x)
+        text = (INTEGRATE_CFG
+                .replace("seed.r0 = 0.664", f"seed.r0 = {3.0 ** -0.5!r}")
+                .replace("seed.rp0 = -0.2214", f"seed.rp0 = {-3.0 ** -1.5!r}")
+                + "params.mu = 0.5\nparams.theta0 = 0.3\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["wavefunction", "--config", cfg, "--out-dir",
+                     str(tmp_path), "--t-samples", "0,1"]) == 0
+        rows = (tmp_path / "wave.csv").read_text().strip().splitlines()[1:]
+        data = np.array([[float(v) for v in r.split(",")] for r in rows])
+        x, t, re, im, mod = data.T
+        assert np.allclose(mod, 1.0 / np.sqrt(1.0 + 2.0 * x),
+                           rtol=1e-8, atol=0.0)
+        theta = 0.3 + x * (1.0 + x) - 2.0
+        err = np.angle(np.exp(1j * (np.arctan2(im, re) - theta + 0.5 * t)))
+        assert np.max(np.abs(err)) < 1e-8
+
     def test_bad_t_samples_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, CLOSED_FORM_CFG)
         assert main(["wavefunction", "--config", cfg, "--out-dir",
@@ -207,3 +238,14 @@ class TestDeterminismAndRoundTrip:
         from gpbacklund.errors import ConfigError
         with pytest.raises(ConfigError):
             read_solution_csv(bad)
+
+
+class TestImport:
+    def test_no_scipy(self):
+        code = ("import sys, gpbacklund; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        src = Path(gpbacklund.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stdout.strip() == "[]"

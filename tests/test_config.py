@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from gpbacklund.config import build_config, load_config, parse_config_text
@@ -49,6 +51,15 @@ class TestParsing:
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config_text("params.n = banana")
+
+    @pytest.mark.parametrize("line", ["params.eta = nan", "params.eta = inf",
+                                      "params.eta = -inf",
+                                      "k_schedule = 0.5, nan"])
+    def test_non_finite_value(self, line):
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=re.escape(
+                f"<config>:2: bad value for {key!r}")):
+            parse_config_text(f"params.n = 1\n{line}")
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="expected"):

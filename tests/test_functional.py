@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from gpbacklund.calculus import SmoothMap, derivative, schwarzian
 from gpbacklund.errors import DomainError, NoRealRoot, Pole, RangeError
-from gpbacklund.functional import (Mobius, PolyG, ShiftMap, apply_mobius,
-                                   conjugate_f, solve_f)
+from gpbacklund.functional import (Mobius, PolyG, ShiftMap, conjugate_f,
+                                   solve_f)
 
 
 class TestPolyG:
@@ -40,6 +40,8 @@ class TestPolyG:
             PolyG(0, 1.0)
         with pytest.raises(ValueError):
             PolyG(1, -0.5)
+        with pytest.raises(ValueError):
+            PolyG(1, math.nan)
 
     def test_inverse_round_trip(self):
         g = PolyG(3, 0.7)
@@ -65,13 +67,13 @@ class TestPolyG:
 
 class TestMobius:
     def test_identity(self):
-        assert apply_mobius(Mobius(1, 0, 0, 1), 7.0) == 7.0
+        assert Mobius(1, 0, 0, 1)(7.0) == 7.0
 
     def test_translation(self):
-        assert apply_mobius(Mobius(1, 3, 0, 1), 2.0) == 5.0
+        assert Mobius(1, 3, 0, 1)(2.0) == 5.0
 
     def test_generic(self):
-        assert apply_mobius(Mobius(2, 1, 1, 1), 1.0) == pytest.approx(1.5)
+        assert Mobius(2, 1, 1, 1)(1.0) == pytest.approx(1.5)
 
     def test_pole_raises(self):
         m = Mobius(1, 0, 1, -2)

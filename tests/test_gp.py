@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpbacklund.backlund import BacklundMap, is_fixed_point
-from gpbacklund.errors import ConstraintViolated, DomainError
+from gpbacklund.errors import ConstraintViolated, DomainError, NonFinite
 from gpbacklund.functional import ShiftMap
 from gpbacklund.gp import (ClosedFormSolution, GPParams, boundedness_report,
                            closed_form_r, closed_form_residual, gp_rhs,
@@ -21,6 +21,8 @@ class TestParams:
             GPParams(n=0, eta=0.0, b=-1.0, c=1.0)
         with pytest.raises(ValueError):
             GPParams(n=1, eta=-1.0, b=-1.0, c=1.0)
+        with pytest.raises(ValueError):
+            GPParams(n=1, eta=math.nan, b=-1.0, c=1.0)
         with pytest.raises(ValueError):
             GPParams(n=1, eta=0.0, b=-1.0, c=1.0, v=0.0)
 
@@ -200,6 +202,14 @@ class TestPhase:
                           ToleranceSpec(1e-10, 1e-10))
         with pytest.raises(ValueError):
             phase(p, 1.5, r_source=dense)
+
+    def test_non_finite_integral_raises(self):
+        p = GPParams.constrained(n=1, eta=0.0, c=1.0, v=1.0)
+        dense = integrate(gp_rhs(p), 1.0, 1.0, 0.0, 2.0,
+                          ToleranceSpec(1e-10, 1e-10))
+        q = GPParams(n=1, eta=0.0, b=-1.0, c=math.inf)
+        with pytest.raises(NonFinite):
+            phase(q, np.linspace(1.0, 2.0, 5), r_source=dense, x_ref=1.0)
 
 
 class TestWavefunction:

@@ -228,3 +228,13 @@ class TestRoundTrip:
         rs, rps = interp.eval_with_derivative(xs)
         assert np.allclose(rs, grid.rs, rtol=0, atol=1e-14)
         assert np.allclose(rps, grid.rps, rtol=0, atol=1e-12)
+
+    def test_grid_interpolant_is_exact_on_cubics(self):
+        xs = np.array([1.0, 1.3, 2.0, 2.2, 3.0])
+        grid = SolutionGrid(xs=xs, rs=xs ** 3 - xs + 2.0, rps=3 * xs ** 2 - 1)
+        xq = np.linspace(1.0, 3.0, 41)
+        rs, rps = grid.as_interpolant().eval_with_derivative(xq)
+        assert np.allclose(rs, xq ** 3 - xq + 2.0, rtol=1e-14, atol=0)
+        assert np.allclose(rps, 3 * xq ** 2 - 1, rtol=1e-13, atol=0)
+        with pytest.raises(OutOfRange):
+            grid.as_interpolant().eval_with_derivative([3.1])
