@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,15 +21,9 @@ from .ode import SolutionGrid
 
 @dataclass(frozen=True)
 class BacklundMap:
-    """A single transformation, parameterized by its translation map.
-
-    ``source_domain`` optionally restricts where the transformation is
-    applied; the effective domain is always intersected with the interval
-    on which f lands inside the seed's domain.
-    """
+    """A single transformation, parameterized by its translation map."""
 
     shift: ShiftMap
-    source_domain: Optional[tuple[float, float]] = None
 
     def effective_domain(self, seed_domain: tuple[float, float]) -> tuple[float, float]:
         """Interval on which f is defined and maps into the seed's domain."""
@@ -47,9 +41,6 @@ class BacklundMap:
             if t <= 0.0:
                 return (lo, lo)  # empty
             hi = float(g.inverse(t))
-        if self.source_domain is not None:
-            lo = max(lo, self.source_domain[0])
-            hi = min(hi, self.source_domain[1])
         return (lo, hi)
 
 

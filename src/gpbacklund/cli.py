@@ -16,7 +16,7 @@ import numpy as np
 
 from .backlund import BacklundMap, is_fixed_point, orbit
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NonFinite, NumericalError
 from .functional import ShiftMap
 from .gp import ClosedFormSolution, closed_form_residual, gp_rhs, phase
 from .ode import SolutionGrid, ToleranceSpec, integrate_span, residual_max, sample
@@ -34,16 +34,20 @@ def _stage(name: str):
         raise type(exc)(f"[{name}] {exc}") from exc
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
+def _write_rows(path: Path, header: list[str], table) -> None:
+    """Write a numeric table as CSV; a non-finite value writes nothing."""
+    table = np.asarray(table, dtype=float)
+    if not np.all(np.isfinite(table)):
+        raise NonFinite(f"refusing to write non-finite values to {path}")
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_FMT.format(float(v)) for v in row))
+    for row in table.tolist():
+        lines.append(",".join(_FMT.format(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
 def write_solution_csv(path: Path, grid: SolutionGrid) -> None:
     _write_rows(path, ["x", "r", "r_prime"],
-                zip(grid.xs, grid.rs, grid.rps))
+                np.column_stack([grid.xs, grid.rs, grid.rps]))
 
 
 def read_solution_csv(path: str | Path) -> SolutionGrid:
@@ -105,7 +109,10 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         with _stage("closed-form evaluation"):
             rs, rps = seed.eval_with_derivative(xs)
         grid = SolutionGrid(xs=xs, rs=rs, rps=rps, meta=seed.meta)
-        res = float(np.max(np.abs(closed_form_residual(cfg.params, xs))))
+        with _stage("residual evaluation"):
+            res = float(np.max(np.abs(closed_form_residual(cfg.params, xs))))
+            if not np.isfinite(res):
+                raise NonFinite("closed-form residual is not finite")
     else:
         dense = _build_seed(cfg, (cfg.grid.x_min, cfg.grid.x_max))
         with _stage("sampling"):
@@ -194,16 +201,15 @@ def cmd_wavefunction(cfg: ExperimentConfig, out_dir: Path,
         # anchors: the closed form's domain starts at 0, where its phase
         # vanishes; an integrated seed's starts at grid.x_min
         thetas = phase(p, xs, r_source=seed, x_ref=seed.domain[0])
-    rows = []
-    for x, r, th in zip(xs, rs, thetas):
-        for t in t_samples:
-            angle = th - p.mu * t
-            re = r * np.cos(angle)
-            im = r * np.sin(angle)
-            rows.append((x, t, re, im, np.hypot(re, im)))
+    ts = np.asarray(t_samples, dtype=float)
+    angle = thetas[:, None] - p.mu * ts  # one row per x, one column per t
+    re = rs[:, None] * np.cos(angle)
+    im = rs[:, None] * np.sin(angle)
+    table = np.column_stack([np.repeat(xs, ts.size), np.tile(ts, xs.size),
+                             re.ravel(), im.ravel(), np.hypot(re, im).ravel()])
     path = out_dir / cfg.outputs.wave_csv
-    _write_rows(path, ["x", "t", "re", "im", "modulus"], rows)
-    print(f"wavefunction: wrote {path} ({len(rows)} samples)")
+    _write_rows(path, ["x", "t", "re", "im", "modulus"], table)
+    print(f"wavefunction: wrote {path} ({len(table)} samples)")
     return 0
 
 

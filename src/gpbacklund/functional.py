@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import SmoothMap
+from .calculus import SmoothMap, _first
 from .errors import DomainError, NoRealRoot, NumericalError, Pole, RangeError
 
 _ROOT_RTOL = 1e-12
@@ -127,24 +127,9 @@ class Mobius:
     def inverse(self) -> "Mobius":
         return Mobius(a=self.d, b=-self.b, c=-self.c, d=self.a)
 
-    def as_smooth_map(self, domain: tuple[float, float] = (-math.inf, math.inf),
-                      with_derivatives: bool = False) -> SmoothMap:
-        if not with_derivatives:
-            return SmoothMap(eval=lambda w: float(self(w)), domain=domain)
-        det = self.det
-        c, d = self.c, self.d
-
-        def d1(w: float) -> float:
-            return det / (c * w + d) ** 2
-
-        def d2(w: float) -> float:
-            return -2.0 * c * det / (c * w + d) ** 3
-
-        def d3(w: float) -> float:
-            return 6.0 * c * c * det / (c * w + d) ** 4
-
-        return SmoothMap(eval=lambda w: float(self(w)), d1=d1, d2=d2, d3=d3,
-                         domain=domain)
+    def as_smooth_map(self, domain: tuple[float, float] = (-math.inf, math.inf)
+                      ) -> SmoothMap:
+        return SmoothMap(eval=self, domain=domain)
 
 
 @dataclass(frozen=True)
@@ -207,17 +192,8 @@ class ShiftMap:
     def inverse(self) -> "ShiftMap":
         return ShiftMap(g=self.g, K=-self.K)
 
-    def as_smooth_map(self, with_derivatives: bool = False) -> SmoothMap:
-        ev = lambda x: float(self.f(x))
-        if not with_derivatives:
-            return SmoothMap(eval=ev, domain=self.valid_domain)
-        return SmoothMap(
-            eval=ev,
-            d1=lambda x: float(self.f_prime(x)),
-            d2=lambda x: float(self.f_second(x)),
-            d3=lambda x: float(self.f_third(x)),
-            domain=self.valid_domain,
-        )
+    def as_smooth_map(self) -> SmoothMap:
+        return SmoothMap(eval=self.f, domain=self.valid_domain)
 
 
 def solve_f(shift: ShiftMap, x):
@@ -226,29 +202,33 @@ def solve_f(shift: ShiftMap, x):
     return f, shift.f_prime(x, f)
 
 
-def conjugate_f(w: SmoothMap, w_inverse: Callable[[float], float],
-                m: Mobius, match_tol: float = 1e-10) -> SmoothMap:
+def conjugate_f(w: SmoothMap, w_inverse: Callable, m: Mobius,
+                match_tol: float = 1e-10) -> SmoothMap:
     """The conjugated map f = w^{-1} o m o w, so w(f(x)) = m(w(x)).
 
     ``w`` must be strictly monotone on its domain with ``w_inverse`` its
-    inverse; raises RangeError whenever m(w(x)) leaves the range of w.
+    inverse; raises RangeError wherever m(w(x)) leaves the range of w.
     """
     lo, hi = w.domain
 
-    def ev(x: float) -> float:
-        t = float(m(w.eval(x)))
-        y = float(w_inverse(t))
-        if not math.isfinite(y) or not (lo < y < hi):
+    def ev(x):
+        t = m(w.eval(x))
+        y = w_inverse(t)
+        escaped = ~(np.isfinite(y) & (lo < y) & (y < hi))
+        if np.any(escaped):
             raise RangeError(
-                f"m(w({x!r})) = {t!r} has no preimage inside the domain of w")
-        if abs(w.eval(y) - t) > match_tol * max(1.0, abs(t)):
+                f"m(w({_first(x, escaped)!r})) = {_first(t, escaped)!r} has "
+                f"no preimage inside the domain of w")
+        missed = np.abs(w.eval(y) - t) > match_tol * np.maximum(1.0, np.abs(t))
+        if np.any(missed):
             raise RangeError(
-                f"w_inverse failed to invert w at {t!r} to within {match_tol}")
+                f"w_inverse failed to invert w at {_first(t, missed)!r} to "
+                f"within {match_tol}")
         return y
 
     d1 = None
     if w.d1 is not None:
-        def d1(x: float) -> float:
-            return float(m.derivative(w.eval(x))) * w.d1(x) / w.d1(ev(x))
+        def d1(x):
+            return m.derivative(w.eval(x)) * w.d1(x) / w.d1(ev(x))
 
     return SmoothMap(eval=ev, d1=d1, domain=w.domain)

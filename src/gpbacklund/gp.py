@@ -105,16 +105,17 @@ def gp_rhs(p: GPParams) -> SecondOrderODE:
     return SecondOrderODE(rhs=rhs, domain=(_X_FLOOR, math.inf))
 
 
-def linear_coefficient_check(p: GPParams, x: float) -> float:
-    """Difference between the printed linear coefficient and -(1/2){G, x}.
+def linear_coefficient_check(p: GPParams, x):
+    """Difference between the printed linear coefficient and -(1/2){G, x},
+    at a point or an array of points.
 
     The Schwarzian side is evaluated by finite differences of G alone, so
     the comparison is an independent route to the same coefficient.
     """
-    if not x > 0.0:
+    if not np.all(np.asarray(x) > 0.0):
         raise DomainError("linear coefficient is defined for x > 0")
     g_map = p.g.as_smooth_map(with_derivatives=False)
-    return float(linear_coefficient(p, x) + 0.5 * schwarzian(g_map, x))
+    return linear_coefficient(p, x) + 0.5 * schwarzian(g_map, x)
 
 
 def _shape(p: GPParams, x):
@@ -185,7 +186,13 @@ class ClosedFormSolution:
         xs = np.asarray(xs, dtype=float)
         if np.any(xs <= 0.0):
             raise DomainError("closed-form amplitude is defined for x > 0")
-        return np.atleast_1d(self.value(xs)), np.atleast_1d(self.derivative(xs))
+        s, s1, _ = _shape(self.params, xs)
+        if not np.all(np.isfinite(s)):
+            raise NonFinite("x^(n-1) (1 + 2 eta x^n) overflows on the "
+                            "requested points")
+        v = self.params.v
+        return (np.atleast_1d(v / np.sqrt(s)),
+                np.atleast_1d(-0.5 * v * s1 * s ** -1.5))
 
 
 def closed_form_residual(p: GPParams, xs) -> np.ndarray:

@@ -37,9 +37,12 @@ class ToleranceSpec:
 
 @dataclass(frozen=True)
 class SecondOrderODE:
-    """r'' = rhs(x, r) on an open interval with positive left endpoint."""
+    """r'' = rhs(x, r) on an open interval with positive left endpoint.
 
-    rhs: Callable[[float, float], float]
+    ``rhs`` is a numpy callable: arrays xs, rs give an array of their shape.
+    """
+
+    rhs: Callable
     domain: tuple[float, float]
 
     def __post_init__(self) -> None:
@@ -361,16 +364,6 @@ def sample(dense: DenseSolution, xs) -> SolutionGrid:
     return SolutionGrid(xs=xs, rs=rs, rps=rps, meta=dict(dense.meta))
 
 
-def _vector_rhs(rhs, xs: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(rhs(xs, rs), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([rhs(x, r) for x, r in zip(xs, rs)], dtype=float)
-
-
 def residual(ode: SecondOrderODE, grid: SolutionGrid,
              resample: bool = True) -> np.ndarray:
     """Per-point residual r''_FD(x_i) - rhs(x_i, r_i) on a uniform grid.
@@ -410,7 +403,7 @@ def residual(ode: SecondOrderODE, grid: SolutionGrid,
     d2[-1] = w_edge @ rs[-1:-7:-1] / (h * h)
     d2[-2] = w_near @ rs[-1:-7:-1] / (h * h)
 
-    vals = _vector_rhs(ode.rhs, xs, rs)
+    vals = np.broadcast_to(ode.rhs(xs, rs), xs.shape)
     if not np.all(np.isfinite(vals)):
         raise NonFinite("rhs returned non-finite values on the grid")
     return d2 - vals

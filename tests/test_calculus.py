@@ -2,19 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpbacklund.calculus import (SmoothMap, Stencil, compose, default_stencil,
                                  derivative, fd_weights, schwarzian)
 from gpbacklund.errors import CriticalPoint, DomainError, NonFinite
+from gpbacklund.functional import Mobius, PolyG, ShiftMap
 
 
 def smooth(fn, **kw):
     return SmoothMap(eval=fn, **kw)
 
 
-EXP = smooth(math.exp)
+EXP = smooth(np.exp)
 SQUARE = smooth(lambda z: z * z)
 SQUARE_EXACT = SmoothMap(eval=lambda z: z * z, d1=lambda z: 2 * z,
                          d2=lambda z: 2.0, d3=lambda z: 0.0)
@@ -118,7 +119,7 @@ class TestSchwarzian:
 
     def test_tan_is_two(self):
         # {tan, z} = 2 sec^2 - 2 tan^2 = 2 identically
-        m = smooth(math.tan, domain=(-1.5, 1.5))
+        m = smooth(np.tan, domain=(-1.5, 1.5))
         assert schwarzian(m, 0.3) == pytest.approx(2.0, abs=1e-7)
 
     def test_critical_point_raises(self):
@@ -126,7 +127,7 @@ class TestSchwarzian:
             schwarzian(SQUARE, 0.0)
 
     def test_closed_form_path_matches_fd(self):
-        exact = SmoothMap(eval=math.exp, d1=math.exp, d2=math.exp, d3=math.exp)
+        exact = SmoothMap(eval=np.exp, d1=np.exp, d2=np.exp, d3=np.exp)
         for z in (-1.0, 0.0, 0.9, 2.0):
             assert schwarzian(exact, z) == pytest.approx(schwarzian(EXP, z),
                                                          abs=1e-6)
@@ -141,7 +142,7 @@ class TestCompose:
         assert c.eval(2.0) == pytest.approx(math.exp(4.0))
 
     def test_tower_chains_when_available(self):
-        outer = SmoothMap(eval=math.exp, d1=math.exp, d2=math.exp, d3=math.exp)
+        outer = SmoothMap(eval=np.exp, d1=np.exp, d2=np.exp, d3=np.exp)
         inner = SmoothMap(eval=lambda z: z * z, d1=lambda z: 2 * z,
                           d2=lambda z: 2.0, d3=lambda z: 0.0)
         c = compose(outer, inner)
@@ -179,18 +180,18 @@ def _pair_pool(rng):
         return (lambda z: alpha * z + beta), (lambda z: alpha)
     if kind == 1:
         alpha = rng.uniform(0.4, 0.9) * rng.choice([-1.0, 1.0])
-        return (lambda z: math.exp(alpha * z)), \
-               (lambda z: alpha * math.exp(alpha * z))
+        return (lambda z: np.exp(alpha * z)), \
+               (lambda z: alpha * np.exp(alpha * z))
     if kind == 2:
         gam = rng.uniform(-0.5, 0.5)
-        return (lambda z: z + gam * math.sin(z)), \
-               (lambda z: 1.0 + gam * math.cos(z))
+        return (lambda z: z + gam * np.sin(z)), \
+               (lambda z: 1.0 + gam * np.cos(z))
     if kind == 3:
         dlt = rng.uniform(0.05, 0.3)
         return (lambda z: z + dlt * z ** 3), (lambda z: 1.0 + 3 * dlt * z * z)
     w = rng.uniform(0.3, 0.8)
-    return (lambda z: math.tanh(w * z) + z), \
-           (lambda z: w / math.cosh(w * z) ** 2 + 1.0)
+    return (lambda z: np.tanh(w * z) + z), \
+           (lambda z: w / np.cosh(w * z) ** 2 + 1.0)
 
 
 def test_composition_cocycle():
@@ -224,3 +225,62 @@ def test_fd_matches_supplied_first_derivative():
         z = rng.uniform(-1.5, 1.5)
         bare = smooth(f_ev)
         assert derivative(bare, 1, z) == pytest.approx(f_d1(z), abs=1e-8)
+
+
+@st.composite
+def maps_with_points(draw):
+    """A Mobius, PolyG or ShiftMap map with points well inside its domain;
+    Mobius points keep verify's unit distance from the pole."""
+    kind = draw(st.sampled_from(["mobius", "poly", "poly_fd", "shift"]))
+    zs = draw(st.lists(st.floats(-2.0, 5.0), min_size=1, max_size=8))
+    if kind == "mobius":
+        a, b, c, d = (draw(st.floats(-1.5, 1.5)) for _ in range(4))
+        assume(abs(a * d - b * c) >= 0.5)
+        zs = [z for z in zs if 0.7 <= abs(c * z + d) <= 2.0
+              and abs(c * z + d) >= abs(c)]
+        m = Mobius(a, b, c, d).as_smooth_map()
+    else:
+        g = PolyG(draw(st.integers(1, 3)), draw(st.floats(0.0, 2.0)))
+        if kind == "shift":
+            shift = ShiftMap(g, draw(st.floats(-1.0, 2.0)))
+            m, lo = shift.as_smooth_map(), shift.x_min + 0.2
+        else:
+            m, lo = g.as_smooth_map(with_derivatives=kind == "poly"), 0.3
+        zs = [z for z in zs if z >= lo]
+    assume(zs)
+    return m, zs
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=maps_with_points())
+def test_array_calls_equal_scalar_calls(case):
+    """One array call gives bit for bit the values of one call per point."""
+    m, zs = case
+    for order in (1, 2, 3):
+        each = np.array([derivative(m, order, z) for z in zs])
+        assert derivative(m, order, np.array(zs)).tobytes() == each.tobytes()
+    each = np.array([schwarzian(m, z) for z in zs])
+    assert schwarzian(m, np.array(zs)).tobytes() == each.tobytes()
+
+
+BAD_POINTS = [
+    (smooth(np.log, domain=(0.0, math.inf)), st.floats(-3.0, 0.03),
+     DomainError),
+    (smooth(np.sqrt), st.floats(-3.0, -0.1), NonFinite),
+    (SQUARE, st.floats(-1e-10, 1e-10), CriticalPoint),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(BAD_POINTS), data=st.data(),
+       zs=st.lists(st.floats(0.5, 3.0), min_size=1, max_size=8))
+def test_one_bad_point_raises_its_own_error(case, data, zs):
+    """An array with one bad point raises the error that point raises alone."""
+    m, bad_points, error = case
+    bad = data.draw(bad_points)
+    at = data.draw(st.integers(0, len(zs)))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(error):
+            schwarzian(m, bad)
+        with pytest.raises(error):
+            schwarzian(m, np.insert(zs, at, bad))

@@ -10,6 +10,7 @@ import pytest
 
 import gpbacklund
 from gpbacklund.cli import main, read_solution_csv, write_solution_csv
+from gpbacklund.errors import NonFinite
 from gpbacklund.gp import GPParams, gp_rhs
 from gpbacklund.ode import SolutionGrid, residual_max
 
@@ -85,6 +86,40 @@ class TestSolve:
                      str(tmp_path / "out")]) == 2
         assert ":3: bad value for 'params.eta'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+OVERFLOW_CFG = CLOSED_FORM_CFG.replace("params.eta = 0.0",
+                                      "params.eta = 1e300")
+OVERFLOW_N2_CFG = OVERFLOW_CFG.replace("params.n = 1", "params.n = 2").replace(
+    "grid.x_max = 3.0", "grid.x_max = 1000.0")
+
+
+class TestOverflowingParams:
+    """eta = 1e300 is finite, so the config accepts it; what overflows
+    downstream must still exit 3 and leave no CSV behind."""
+
+    def run_exit_3(self, tmp_path, capsys, command, text):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, text)
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) == 3
+        assert "NonFinite" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    def test_solve_nan_residual(self, tmp_path, capsys):
+        self.run_exit_3(tmp_path, capsys, "solve", OVERFLOW_CFG.replace(
+            "grid.x_min = 1.0", "grid.x_min = 0.5"))
+
+    def test_solve_overflowing_shape(self, tmp_path, capsys):
+        self.run_exit_3(tmp_path, capsys, "solve", OVERFLOW_N2_CFG)
+
+    def test_wavefunction_overflowing_shape(self, tmp_path, capsys):
+        self.run_exit_3(tmp_path, capsys, "wavefunction", OVERFLOW_N2_CFG)
+
+    def test_writer_refuses_non_finite_rows(self, tmp_path):
+        grid = SolutionGrid(xs=[1.0, 2.0], rs=[1.0, math.nan], rps=[0.0, 0.0])
+        with pytest.raises(NonFinite):
+            write_solution_csv(tmp_path / "nan.csv", grid)
+        assert not (tmp_path / "nan.csv").exists()
 
 
 class TestTransform:
