@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -22,7 +23,7 @@ from .gp import ClosedFormSolution, closed_form_residual, gp_rhs, phase
 from .ode import SolutionGrid, ToleranceSpec, integrate_span, residual_max, sample
 from .verify import run_identity_checks
 
-_FMT = "{:.16e}"  # 17 significant digits: exact binary64 round trip
+_FMT = "%.16e"  # 17 significant digits: exact binary64 round trip
 
 
 @contextmanager
@@ -39,10 +40,11 @@ def _write_rows(path: Path, header: list[str], table) -> None:
     table = np.asarray(table, dtype=float)
     if not np.all(np.isfinite(table)):
         raise NonFinite(f"refusing to write non-finite values to {path}")
-    lines = [",".join(header)]
-    for row in table.tolist():
-        lines.append(",".join(_FMT.format(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    rows, cols = table.shape
+    # a single % over the whole body: no Python-level loop per value
+    body = ("".join([",".join([_FMT] * cols) + "\n"] * rows)
+            % tuple(table.ravel().tolist()))
+    path.write_text(",".join(header) + "\n" + body)
 
 
 def write_solution_csv(path: Path, grid: SolutionGrid) -> None:
@@ -61,8 +63,22 @@ def read_solution_csv(path: str | Path) -> SolutionGrid:
                         meta={"kind": "csv", "path": str(path)})
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write strict JSON: a NaN or an infinity is written as null."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                      allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _tolerances(cfg: ExperimentConfig) -> ToleranceSpec:

@@ -95,12 +95,14 @@ def gp_rhs(p: GPParams) -> SecondOrderODE:
     n, eta, b, c2 = p.n, p.eta, p.b, p.c * p.c
     lin_a = (n * n - 1) / 4.0
     lin_b = 3.0 * eta * eta * n * n
+    two_eta, p_lin, p_cubic = 2.0 * eta, 2 * n - 2, 3 * n - 3
 
     def rhs(x, r):
         xn = x ** n
-        s = 1.0 + 2.0 * eta * xn
-        lin = lin_a / (x * x) + lin_b * x ** (2 * n - 2) / (s * s)
-        return c2 / r ** 3 + lin * r + b * x ** (3 * n - 3) * s ** 3 * r ** 3
+        s = 1.0 + two_eta * xn
+        lin = lin_a / (x * x) + lin_b * x ** p_lin / (s * s)
+        r3 = r ** 3
+        return c2 / r3 + lin * r + b * x ** p_cubic * s ** 3 * r3
 
     return SecondOrderODE(rhs=rhs, domain=(_X_FLOOR, math.inf))
 

@@ -204,12 +204,7 @@ def _hermite5(s, h, y0, d0, a0, y1, d1, a1):
     return val, der
 
 
-def _eval_rhs(rhs, x: float, r: float) -> float:
-    try:
-        val = float(rhs(x, r))
-    except (ZeroDivisionError, OverflowError, ValueError):
-        return math.inf
-    return val
+_RHS_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 
 
 def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
@@ -220,7 +215,9 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
     Local error per step is controlled by err <= atol + rtol * |state| using
     the embedded 4th-order estimate; either direction of integration is
     supported. Raises StepSizeUnderflow, BlowUp or AmplitudeCollapse on the
-    corresponding failure modes.
+    corresponding failure modes. The pair is FSAL: the last stage of an
+    accepted step is the first stage of the next one, so each attempted
+    step makes 6 rhs calls.
     """
     lo, hi = ode.domain
     if not (lo < x0 < hi and lo < x_end < hi):
@@ -232,21 +229,111 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
     if r0 < amplitude_floor:
         raise AmplitudeCollapse(f"initial amplitude below floor {amplitude_floor}")
 
+    rhs = ode.rhs
+    atol, rtol = tol.atol, tol.rtol
+    isfinite, inf = math.isfinite, math.inf
+    _, c2, c3, c4, c5, _, _ = _C  # c6 = c7 = 1: those stages sit at x + h
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _A[1:6]
+    # row 7 of A equals the 5th-order weights, so stage 7 is the new state
+    b1, _, b3, b4, b5, b6, _ = _B5
+    e1, _, e3, e4, e5, e6, e7 = _E
+
+    def attempt(x, r, rp, k1, h):
+        """One step of size h from (x, r, rp), where rhs is k1.
+
+        Returns (err, r_new, rp_new, k7), k7 being rhs at the new point.
+        err is inf where a stage is non-finite or rhs raised. Every sum
+        starts at 0.0, adds left to right and skips the zero weights: that
+        order fixes the rounding, and tests/test_ode.py pins it against a
+        generic tableau loop.
+        """
+        r2 = r + h * (0.0 + a21 * rp)
+        rp2 = rp + h * (0.0 + a21 * k1)
+        try:
+            k2 = float(rhs(x + c2 * h, r2))
+        except _RHS_ERRORS:
+            k2 = inf
+        if not (isfinite(r2) and isfinite(rp2) and isfinite(k2)):
+            return inf, r, rp, k1
+
+        r3 = r + h * (0.0 + a31 * rp + a32 * rp2)
+        rp3 = rp + h * (0.0 + a31 * k1 + a32 * k2)
+        try:
+            k3 = float(rhs(x + c3 * h, r3))
+        except _RHS_ERRORS:
+            k3 = inf
+        if not (isfinite(r3) and isfinite(rp3) and isfinite(k3)):
+            return inf, r, rp, k1
+
+        r4 = r + h * (0.0 + a41 * rp + a42 * rp2 + a43 * rp3)
+        rp4 = rp + h * (0.0 + a41 * k1 + a42 * k2 + a43 * k3)
+        try:
+            k4 = float(rhs(x + c4 * h, r4))
+        except _RHS_ERRORS:
+            k4 = inf
+        if not (isfinite(r4) and isfinite(rp4) and isfinite(k4)):
+            return inf, r, rp, k1
+
+        r5 = r + h * (0.0 + a51 * rp + a52 * rp2 + a53 * rp3 + a54 * rp4)
+        rp5 = rp + h * (0.0 + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
+        try:
+            k5 = float(rhs(x + c5 * h, r5))
+        except _RHS_ERRORS:
+            k5 = inf
+        if not (isfinite(r5) and isfinite(rp5) and isfinite(k5)):
+            return inf, r, rp, k1
+
+        r6 = r + h * (0.0 + a61 * rp + a62 * rp2 + a63 * rp3 + a64 * rp4
+                      + a65 * rp5)
+        rp6 = rp + h * (0.0 + a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4
+                        + a65 * k5)
+        try:
+            k6 = float(rhs(x + h, r6))
+        except _RHS_ERRORS:
+            k6 = inf
+        if not (isfinite(r6) and isfinite(rp6) and isfinite(k6)):
+            return inf, r, rp, k1
+
+        r_new = r + h * (0.0 + b1 * rp + b3 * rp3 + b4 * rp4 + b5 * rp5
+                         + b6 * rp6)
+        rp_new = rp + h * (0.0 + b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5
+                           + b6 * k6)
+        try:
+            k7 = float(rhs(x + h, r_new))
+        except _RHS_ERRORS:
+            k7 = inf
+        if not (isfinite(r_new) and isfinite(rp_new) and isfinite(k7)):
+            return inf, r, rp, k1, 6
+
+        er = 0.0 + e1 * rp + e3 * rp3 + e4 * rp4 + e5 * rp5 + e6 * rp6 \
+            + e7 * rp_new
+        erp = 0.0 + e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7
+        sc_r = atol + rtol * max(abs(r), abs(r_new))
+        sc_rp = atol + rtol * max(abs(rp), abs(rp_new))
+        q1 = h * er / sc_r
+        q2 = h * erp / sc_rp
+        err = math.sqrt(0.5 * (q1 * q1 + q2 * q2))
+        if not isfinite(err):
+            err = inf
+        return err, r_new, rp_new, k7
+
     direction = 1.0 if x_end > x0 else -1.0
     span = abs(x_end - x0)
     x, r, rp = float(x0), float(r0), float(rp0)
-    a0 = _eval_rhs(ode.rhs, x, r)
-    if not math.isfinite(a0):
+    try:
+        k1 = float(rhs(x, r))
+    except _RHS_ERRORS:
+        k1 = inf
+    if not isfinite(k1):
         raise NonFinite(f"rhs non-finite at the initial point x={x0}")
 
     nodes_x = [x]
     nodes_r = [r]
     nodes_rp = [rp]
-    nodes_rpp = [a0]
+    nodes_rpp = [k1]
 
     h = direction * min(0.01 * span, span)
-    k = [(0.0, 0.0)] * 7
-
     while (x_end - x) * direction > 0.0:
         last = (x + h - x_end) * direction >= 0.0
         if last:
@@ -255,49 +342,11 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
             raise StepSizeUnderflow(
                 f"step {h:.3e} underflowed at x={x:.6g}")
 
-        k[0] = (rp, _eval_rhs(ode.rhs, x, r))
-        bad = not math.isfinite(k[0][1])
-        for i in range(1, 7):
-            if bad:
-                break
-            ai = _A[i]
-            sr = srp = 0.0
-            for j, aij in enumerate(ai):
-                if aij != 0.0:
-                    sr += aij * k[j][0]
-                    srp += aij * k[j][1]
-            xi = x + _C[i] * h
-            ri = r + h * sr
-            rpi = rp + h * srp
-            acc = _eval_rhs(ode.rhs, xi, ri)
-            if not (math.isfinite(ri) and math.isfinite(rpi) and math.isfinite(acc)):
-                bad = True
-                break
-            k[i] = (rpi, acc)
-
-        if not bad:
-            dr = drp = er = erp = 0.0
-            for i in range(7):
-                if _B5[i] != 0.0:
-                    dr += _B5[i] * k[i][0]
-                    drp += _B5[i] * k[i][1]
-                if _E[i] != 0.0:
-                    er += _E[i] * k[i][0]
-                    erp += _E[i] * k[i][1]
-            r_new = r + h * dr
-            rp_new = rp + h * drp
-            sc_r = tol.atol + tol.rtol * max(abs(r), abs(r_new))
-            sc_rp = tol.atol + tol.rtol * max(abs(rp), abs(rp_new))
-            e1 = h * er / sc_r
-            e2 = h * erp / sc_rp
-            err = math.sqrt(0.5 * (e1 * e1 + e2 * e2))
-            bad = not math.isfinite(err)
-        if bad:
-            err = math.inf
-
+        err, r_new, rp_new, k7 = attempt(x, r, rp, k1, h)
         if err <= 1.0:
             x = x_end if last else x + h
-            r, rp = r_new, rp_new
+            # FSAL: k7 is rhs at the new point, the next step's k1
+            r, rp, k1 = r_new, rp_new, k7
             if r < amplitude_floor:
                 raise AmplitudeCollapse(
                     f"amplitude {r:.3e} fell below floor {amplitude_floor} "
@@ -307,9 +356,7 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
             nodes_x.append(x)
             nodes_r.append(r)
             nodes_rp.append(rp)
-            # FSAL stage: row 7 of A equals the propagating weights, so
-            # k7 = rhs at the accepted endpoint.
-            nodes_rpp.append(k[6][1])
+            nodes_rpp.append(k1)
 
         if err == 0.0:
             factor = 5.0

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import gpbacklund
-from gpbacklund.cli import main, read_solution_csv, write_solution_csv
+from gpbacklund.cli import (_write_rows, main, read_solution_csv,
+                            write_solution_csv)
 from gpbacklund.errors import NonFinite
 from gpbacklund.gp import GPParams, gp_rhs
 from gpbacklund.ode import SolutionGrid, residual_max
@@ -181,6 +182,28 @@ class TestVerify:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["complete"] is False
 
+    @pytest.mark.filterwarnings("ignore")
+    def test_nan_deviation_writes_strict_json(self, tmp_path, capsys):
+        # c = 1e200 is finite, so the config accepts it; c^2 overflows and
+        # two checks fail with deviation nan, which the report writes as null
+        cfg = write_cfg(tmp_path, CLOSED_FORM_CFG.replace("params.c = 1.0",
+                                                          "params.c = 1e200"))
+        assert main(["verify", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL  closed_form_residual" in out
+        assert "FAIL  constraint_activity" in out
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON token {token}")
+
+        report = json.loads((tmp_path / "report.json").read_text(),
+                            parse_constant=reject)
+        failed = {c["name"]: c["deviation"] for c in report["checks"]
+                  if not c["pass"]}
+        assert failed == {"closed_form_residual": None,
+                          "constraint_activity": None}
+
 
 class TestWavefunction:
     def test_static_imaginary_part_vanishes(self, tmp_path):
@@ -240,6 +263,44 @@ class TestWavefunction:
         cfg = write_cfg(tmp_path, CLOSED_FORM_CFG)
         assert main(["wavefunction", "--config", cfg, "--out-dir",
                      str(tmp_path), "--t-samples", "a,b"]) == 2
+
+
+class TestCsvBytes:
+    """The one-shot writer gives the bytes of per-value '{:.16e}'.format."""
+
+    EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, 1 / 3, -1e-300]
+
+    @staticmethod
+    def per_value(header, table):
+        lines = [",".join(header)]
+        lines += [",".join("{:.16e}".format(v) for v in row) for row in table]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("shape", [(1, 3), (4, 5)])
+    def test_matches_per_value_format(self, tmp_path, shape):
+        rows, cols = shape
+        rng = np.random.default_rng(rows * cols)
+        values = self.EDGE_VALUES + list(rng.standard_normal(rows * cols)
+                                         * 10.0 ** rng.integers(-300, 300,
+                                                                rows * cols))
+        table = np.array(values[:rows * cols]).reshape(rows, cols)
+        header = [f"c{j}" for j in range(cols)]
+        _write_rows(tmp_path / "t.csv", header, table)
+        assert (tmp_path / "t.csv").read_text() == \
+            self.per_value(header, table.tolist())
+
+    def test_edge_values_exact(self, tmp_path):
+        table = np.array(self.EDGE_VALUES).reshape(2, 3)
+        _write_rows(tmp_path / "t.csv", ["a", "b", "c"], table)
+        text = (tmp_path / "t.csv").read_text()
+        assert text == self.per_value(["a", "b", "c"], table.tolist())
+        assert text.splitlines()[1].startswith("-0.0000000000000000e+00,")
+
+    def test_empty_table_writes_header_only(self, tmp_path):
+        _write_rows(tmp_path / "t.csv", ["x", "r", "r_prime"],
+                    np.empty((0, 3)))
+        assert (tmp_path / "t.csv").read_bytes() == b"x,r,r_prime\n"
 
 
 class TestDeterminismAndRoundTrip:

@@ -5,9 +5,10 @@ import pytest
 
 from gpbacklund.errors import (AmplitudeCollapse, BlowUp, GridTooSmall,
                                NonUniform, OutOfRange, StepSizeUnderflow)
-from gpbacklund.ode import (DenseSolution, SecondOrderODE, SolutionGrid,
-                            ToleranceSpec, integrate, integrate_span,
-                            residual, residual_max, sample)
+from gpbacklund.gp import GPParams, gp_rhs
+from gpbacklund.ode import (_A, _B5, _C, _E, DenseSolution, SecondOrderODE,
+                            SolutionGrid, ToleranceSpec, integrate,
+                            integrate_span, residual, residual_max, sample)
 
 TOL = ToleranceSpec(atol=1e-10, rtol=1e-10)
 
@@ -238,3 +239,171 @@ class TestRoundTrip:
         assert np.allclose(rps, 3 * xq ** 2 - 1, rtol=1e-13, atol=0)
         with pytest.raises(OutOfRange):
             grid.as_interpolant().eval_with_derivative([3.1])
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit pin of the straight-line FSAL step against the generic
+# tableau-driven Dormand-Prince loop it replaced. The oracle evaluates rhs
+# seven times per attempted step and walks the tableau with the same sum
+# order (start at 0.0, add left to right, skip zero weights).
+
+def _oracle_rhs(rhs, x, r):
+    try:
+        return float(rhs(x, r))
+    except (ZeroDivisionError, OverflowError, ValueError):
+        return math.inf
+
+
+def reference_integrate(ode, x0, r0, rp0, x_end, tol=ToleranceSpec(),
+                        amplitude_floor=1e-6):
+    """(xs, rs, rps, rpps, attempted steps) of the tableau-driven loop."""
+    direction = 1.0 if x_end > x0 else -1.0
+    span = abs(x_end - x0)
+    x, r, rp = float(x0), float(r0), float(rp0)
+    nodes = [(x, r, rp, _oracle_rhs(ode.rhs, x, r))]
+    h = direction * min(0.01 * span, span)
+    k = [(0.0, 0.0)] * 7
+    attempts = 0
+    while (x_end - x) * direction > 0.0:
+        last = (x + h - x_end) * direction >= 0.0
+        if last:
+            h = x_end - x
+        if abs(h) < 1e-14 * max(1.0, abs(x)) or x + h == x:
+            raise StepSizeUnderflow(f"step {h:.3e} underflowed at x={x:.6g}")
+        attempts += 1
+        k[0] = (rp, _oracle_rhs(ode.rhs, x, r))
+        bad = not math.isfinite(k[0][1])
+        for i in range(1, 7):
+            if bad:
+                break
+            sr = srp = 0.0
+            for j, aij in enumerate(_A[i]):
+                if aij != 0.0:
+                    sr += aij * k[j][0]
+                    srp += aij * k[j][1]
+            ri = r + h * sr
+            rpi = rp + h * srp
+            acc = _oracle_rhs(ode.rhs, x + _C[i] * h, ri)
+            if not (math.isfinite(ri) and math.isfinite(rpi)
+                    and math.isfinite(acc)):
+                bad = True
+                break
+            k[i] = (rpi, acc)
+        if not bad:
+            dr = drp = er = erp = 0.0
+            for i in range(7):
+                if _B5[i] != 0.0:
+                    dr += _B5[i] * k[i][0]
+                    drp += _B5[i] * k[i][1]
+                if _E[i] != 0.0:
+                    er += _E[i] * k[i][0]
+                    erp += _E[i] * k[i][1]
+            r_new = r + h * dr
+            rp_new = rp + h * drp
+            sc_r = tol.atol + tol.rtol * max(abs(r), abs(r_new))
+            sc_rp = tol.atol + tol.rtol * max(abs(rp), abs(rp_new))
+            e1 = h * er / sc_r
+            e2 = h * erp / sc_rp
+            err = math.sqrt(0.5 * (e1 * e1 + e2 * e2))
+            bad = not math.isfinite(err)
+        if bad:
+            err = math.inf
+        if err <= 1.0:
+            x = x_end if last else x + h
+            r, rp = r_new, rp_new
+            if r < amplitude_floor:
+                raise AmplitudeCollapse(
+                    f"amplitude {r:.3e} fell below floor {amplitude_floor} "
+                    f"at x={x:.6g}")
+            if abs(r) > 1e12 or abs(rp) > 1e12:
+                raise BlowUp(f"state exceeded {1e12:.1e} at x={x:.6g}")
+            nodes.append((x, r, rp, k[6][1]))
+        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        h *= factor
+    xs, rs, rps, rpps = (np.array(col) for col in zip(*nodes))
+    if direction < 0.0:
+        xs, rs, rps, rpps = xs[::-1], rs[::-1], rps[::-1], rpps[::-1]
+    return xs, rs, rps, rpps, attempts
+
+
+def _counting(ode):
+    """A copy of ode whose rhs counts its calls in the returned list."""
+    calls = [0]
+
+    def rhs(x, r):
+        calls[0] += 1
+        return ode.rhs(x, r)
+
+    return SecondOrderODE(rhs=rhs, domain=ode.domain), calls
+
+
+def _gp_ode(n, eta):
+    return gp_rhs(GPParams(n=n, eta=eta, b=-1.0, c=1.0))
+
+
+# a unit oscillation about r = 1 under a square-wave force: every jump of
+# the force rejects a run of steps. The rhs raises ValueError above r = 1.6,
+# where some large trial steps overshoot, so those are rejected mid-step.
+KINKED = SecondOrderODE(
+    rhs=lambda x, r: ((1.0 - r) + (0.5 if math.sin(5.0 * x) > 0.0 else -0.5)
+                      + 0.0 * math.sqrt(1.6 - r)),
+    domain=(1e-3, 1e3))
+
+# (ode, x0, r0, rp0, x_end, tol)
+PINNED = {
+    "gp_n1_forward": (_gp_ode(1, 1.0), 1.0, 0.664, -0.2214, 3.0,
+                      ToleranceSpec(1e-10, 1e-10)),
+    "gp_n1_backward": (_gp_ode(1, 0.5), 2.0, 0.5, 0.1, 0.3,
+                       ToleranceSpec(1e-9, 1e-11)),
+    "gp_n2_forward": (_gp_ode(2, 0.7), 1.0, 0.5, -0.1, 3.0,
+                      ToleranceSpec(1e-12, 1e-12)),
+    "gp_n2_backward": (_gp_ode(2, 0.3), 2.5, 0.4, 0.3, 0.5,
+                       ToleranceSpec(1e-8, 1e-8)),
+    "many_rejections": (KINKED, 1.0, 1.5, 0.0, 30.0,
+                        ToleranceSpec(1e-6, 1e-6)),
+}
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_matches_tableau_loop(self, name):
+        ode, x0, r0, rp0, x_end, tol = PINNED[name]
+        dense = integrate(ode, x0, r0, rp0, x_end, tol)
+        xs, rs, rps, rpps, attempts = reference_integrate(
+            ode, x0, r0, rp0, x_end, tol)
+        for got, want in ((dense.xs, xs), (dense.rs, rs), (dense.rps, rps),
+                          (dense.rpps, rpps)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_many_rejections_case_rejects(self):
+        ode, x0, r0, rp0, x_end, tol = PINNED["many_rejections"]
+        counting, calls = _counting(ode)
+        integrate(counting, x0, r0, rp0, x_end, tol)
+        xs, _, _, _, attempts = reference_integrate(ode, x0, r0, rp0, x_end,
+                                                    tol)
+        accepted = xs.size - 1
+        assert attempts - accepted > accepted
+        # some rejected steps stop early at a stage that raised
+        assert calls[0] < 1 + 6 * attempts
+
+    @pytest.mark.parametrize("rhs, x_end, tol, error", [
+        (lambda x, r: 100.0 * r, 10.0, ToleranceSpec(1e-6, 1e-6), BlowUp),
+        (lambda x, r: -10.0, 3.0, TOL, AmplitudeCollapse),
+        (lambda x, r: 1e30 if x > 2.0 else 0.0, 3.0, TOL, StepSizeUnderflow),
+        (lambda x, r: 1.0 / (2.5 - x) ** 2, 3.0, TOL, StepSizeUnderflow),
+    ])
+    def test_failures_at_reference_point(self, rhs, x_end, tol, error):
+        ode = SecondOrderODE(rhs=rhs, domain=(1e-3, 100.0))
+        with pytest.raises(error) as got:
+            integrate(ode, 1.0, 1.0, 0.0, x_end, tol)
+        with pytest.raises(error) as want:
+            reference_integrate(ode, 1.0, 1.0, 0.0, x_end, tol)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("name", ["gp_n1_forward", "gp_n2_backward"])
+    def test_six_rhs_calls_per_attempt(self, name):
+        ode, x0, r0, rp0, x_end, tol = PINNED[name]
+        counting, calls = _counting(ode)
+        integrate(counting, x0, r0, rp0, x_end, tol)
+        attempts = reference_integrate(ode, x0, r0, rp0, x_end, tol)[4]
+        assert calls[0] == 1 + 6 * attempts
