@@ -29,18 +29,23 @@ def _require_positive(x, what: str = "x"):
 
 @dataclass(frozen=True)
 class PolyG:
-    """The strictly increasing polynomial G(x) = x^n (1 + eta x^n), x > 0."""
+    """The strictly increasing polynomial G(x) = x^n (1 + eta x^n), x > 0.
+
+    ``eta`` is a float, or an array of them that broadcasts against the
+    points, so one G evaluates a whole family sharing its degree n.
+    """
 
     n: int
-    eta: float = 0.0
+    eta: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 1:
             raise ValueError("n must be a positive integer")
-        if not self.eta >= 0.0:
+        eta = np.asarray(self.eta, dtype=float)
+        if not np.all(eta >= 0.0):
             raise ValueError("eta must be nonnegative")
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "eta", float(self.eta))
+        object.__setattr__(self, "eta", float(eta) if eta.ndim == 0 else eta)
 
     def value(self, x):
         _require_positive(x)
@@ -66,12 +71,10 @@ class PolyG:
         """Unique positive root of G(x) = y for y > 0."""
         if (np.asarray(y) <= 0.0).any():
             raise DomainError("G(x) = y has a positive root only for y > 0")
-        if self.eta == 0.0:
-            u = y
-        else:
-            # conjugate form of the quadratic root: stable as eta -> 0
-            u = 2.0 * y / (1.0 + np.sqrt(1.0 + 4.0 * self.eta * y))
-        x = u if self.n == 1 else u ** (1.0 / self.n)
+        # conjugate form of the quadratic root: stable as eta -> 0, and
+        # exactly y at eta = 0
+        u = 2.0 * y / (1.0 + np.sqrt(1.0 + 4.0 * self.eta * y))
+        x = u ** (1.0 / self.n)
         for _ in range(2):
             x = x - (self.value(x) - y) / self.prime(x)
         return x
@@ -86,15 +89,18 @@ class PolyG:
 
 @dataclass(frozen=True)
 class Mobius:
-    """Fractional linear transformation w -> (a w + b) / (c w + d)."""
+    """Fractional linear transformation w -> (a w + b) / (c w + d).
 
-    a: float
-    b: float
-    c: float
-    d: float
+    The coefficients may be arrays that broadcast against w, one map each.
+    """
+
+    a: float | np.ndarray
+    b: float | np.ndarray
+    c: float | np.ndarray
+    d: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.det == 0.0:
+        if np.any(self.det == 0.0):
             raise ValueError("Mobius transformation requires ad - bc != 0")
 
     @property
@@ -138,11 +144,13 @@ class ShiftMap:
 
     Valid on the interval where G(x) + K > 0; for K < 0 the left endpoint
     x_min = G^{-1}(-K) is computed eagerly, and queries outside raise
-    DomainError rather than returning complex roots.
+    DomainError rather than returning complex roots. ``K`` may be an array
+    that broadcasts against the points, like ``g.eta``; ``x_min`` and
+    ``valid_domain`` need a float K.
     """
 
     g: PolyG
-    K: float
+    K: float | np.ndarray
 
     @cached_property
     def x_min(self) -> float:
@@ -157,7 +165,7 @@ class ShiftMap:
     def _target(self, x):
         _require_positive(x)
         t = self.g.value(x) + self.K
-        if self.g.eta > 0.0 and np.any(1.0 + 4.0 * self.g.eta * t <= 0.0):
+        if np.any(1.0 + 4.0 * self.g.eta * t <= 0.0):
             raise NoRealRoot(
                 f"discriminant 1 + 4*eta*(G(x)+K) <= 0 for K={self.K}")
         return t

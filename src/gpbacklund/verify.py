@@ -53,114 +53,159 @@ def random_mobius_with_points(rng: np.random.Generator, n_points: int):
 
     Conditioning: |det| >= 0.5, moderate denominator, and unit distance from
     the pole (differencing any map is hopeless against the pole's factorial
-    derivative growth). Maps admitting no such points are redrawn.
+    derivative growth). Maps admitting no such points within 60 draws per
+    point are redrawn. The generator advances exactly as with one draw per
+    point, stopping at the draw that completes the set.
     """
     while True:
         a, b, c, d = rng.uniform(-1.5, 1.5, size=4)
         if abs(a * d - b * c) < 0.5:
             continue
-        m = Mobius(a, b, c, d)
-        points = []
-        for _ in range(60 * n_points):
-            z = float(rng.uniform(-2.0, 2.0))
-            denom = abs(c * z + d)
-            if 0.7 <= denom <= 2.0 and denom >= abs(c):
-                points.append(z)
-                if len(points) == n_points:
-                    return m, points
+        state = rng.bit_generator.state
+        z = rng.uniform(-2.0, 2.0, size=60 * n_points)
+        denom = np.abs(c * z + d)
+        hits = np.flatnonzero((0.7 <= denom) & (denom <= 2.0)
+                              & (denom >= abs(c)))
+        if hits.size >= n_points:
+            # rewind, then replay only the draws up to the last point used
+            rng.bit_generator.state = state
+            rng.uniform(size=hits[n_points - 1] + 1)
+            return Mobius(a, b, c, d), z[hits[:n_points]]
 
 
 def check_mobius_kernel(rng: np.random.Generator, n_maps: int = 100,
                         n_points: int = 10,
                         tolerance: float = 1e-7) -> CheckResult:
-    """Finite-difference Schwarzian of fractional linear maps vanishes."""
-    devs = []
-    for _ in range(n_maps):
-        m, points = random_mobius_with_points(rng, n_points)
-        devs.append(np.abs(schwarzian(m.as_smooth_map(), np.array(points))))
+    """Finite-difference Schwarzian of fractional linear maps vanishes.
+
+    All maps are drawn first; one Schwarzian call then takes every map's
+    points as one row of a (maps, points) array.
+    """
+    maps, points = zip(*(random_mobius_with_points(rng, n_points)
+                         for _ in range(n_maps)))
+    # one map per row: the coefficients broadcast over the points and the
+    # two stencil axes of the finite differences
+    coef = np.array([(m.a, m.b, m.c, m.d) for m in maps])
+    m = Mobius(*coef.T.reshape(4, n_maps, 1, 1, 1))
+    devs = np.abs(schwarzian(m.as_smooth_map(), np.array(points)))
     return _result("mobius_schwarzian_kernel", np.max(devs), tolerance)
 
 
-def _smooth_pool(rng: np.random.Generator):
-    """Random smooth map and its true first derivative (for conditioning)."""
-    kind = rng.integers(0, 5)
+# The composition law's pool of smooth maps, one entry per kind: the map
+# and its true first derivative (for conditioning), given the kind's
+# parameters p and q
+_POOL = (
+    (lambda p, q, z: p * z + q, lambda p, q, z: p),
+    (lambda p, q, z: np.exp(p * z), lambda p, q, z: p * np.exp(p * z)),
+    (lambda p, q, z: z + p * np.sin(z), lambda p, q, z: 1.0 + p * np.cos(z)),
+    (lambda p, q, z: z + p * z ** 3, lambda p, q, z: 1.0 + 3 * p * z * z),
+    (lambda p, q, z: np.tanh(p * z) + z,
+     lambda p, q, z: p / np.cosh(p * z) ** 2 + 1.0),
+)
+
+
+def _draw_pool(rng: np.random.Generator):
+    """Kind and parameters (p, q) of a random map of the pool."""
+    kind = int(rng.integers(0, 5))
     if kind == 0:
-        alpha = rng.uniform(0.7, 1.5) * rng.choice([-1.0, 1.0])
-        beta = rng.uniform(-1.0, 1.0)
-        return (lambda z: alpha * z + beta), (lambda z: alpha)
+        return (kind, rng.uniform(0.7, 1.5) * rng.choice([-1.0, 1.0]),
+                rng.uniform(-1.0, 1.0))
     if kind == 1:
-        alpha = rng.uniform(0.4, 0.9) * rng.choice([-1.0, 1.0])
-        return (lambda z: np.exp(alpha * z)), \
-               (lambda z: alpha * np.exp(alpha * z))
+        return kind, rng.uniform(0.4, 0.9) * rng.choice([-1.0, 1.0]), 0.0
     if kind == 2:
-        gam = rng.uniform(-0.5, 0.5)
-        return (lambda z: z + gam * np.sin(z)), \
-               (lambda z: 1.0 + gam * np.cos(z))
+        return kind, rng.uniform(-0.5, 0.5), 0.0
     if kind == 3:
-        dlt = rng.uniform(0.05, 0.3)
-        return (lambda z: z + dlt * z ** 3), (lambda z: 1.0 + 3 * dlt * z * z)
-    w = rng.uniform(0.3, 0.8)
-    return (lambda z: np.tanh(w * z) + z), \
-           (lambda z: w / np.cosh(w * z) ** 2 + 1.0)
+        return kind, rng.uniform(0.05, 0.3), 0.0
+    return kind, rng.uniform(0.3, 0.8), 0.0
+
+
+def _pool(table: np.ndarray, z, order: int = 0):
+    """Pool maps (order 0) or their first derivatives (order 1) at z.
+
+    ``table`` holds rows kind, p, q with one column per map; map i is
+    evaluated on row i of z.
+    """
+    kind, p, q = table.reshape(table.shape + (1,) * (np.ndim(z) - 1))
+    return np.select([kind == k for k in range(len(_POOL))],
+                     [pair[order](p, q, z) for pair in _POOL])
 
 
 def check_composition_law(rng: np.random.Generator, n_pairs: int = 100,
                           tolerance: float = 1e-6) -> CheckResult:
-    """{g o f, z} = (f')^2 {g, f(z)} + {f, z} for random smooth pairs."""
-    devs = []
-    while len(devs) < n_pairs:
-        f_ev, f_d1 = _smooth_pool(rng)
-        g_ev, g_d1 = _smooth_pool(rng)
-        z = rng.uniform(-1.2, 1.2)
-        u = f_ev(z)
-        if abs(f_d1(z)) < 0.3 or abs(g_d1(u)) < 0.3 or abs(u) > 2.5:
-            continue
-        f_map = SmoothMap(eval=f_ev)
-        g_map = SmoothMap(eval=g_ev)
-        fp = derivative(f_map, 1, z)
-        devs.append(abs(schwarzian(compose(g_map, f_map), z)
-                        - fp * fp * schwarzian(g_map, u)
-                        - schwarzian(f_map, z)))
+    """{g o f, z} = (f')^2 {g, f(z)} + {f, z} for random smooth pairs.
+
+    Pairs are drawn in rounds of as many as are still missing, and each
+    round is conditioned in one array pass, so the generator advances as it
+    would drawing one pair at a time. One derivative and three Schwarzian
+    calls then take every pair at once.
+    """
+    pairs = np.empty((0, 7))
+    while len(pairs) < n_pairs:
+        draws = np.array([(*_draw_pool(rng), *_draw_pool(rng),
+                           rng.uniform(-1.2, 1.2))
+                          for _ in range(n_pairs - len(pairs))])
+        f_tab, g_tab, z = draws[:, 0:3].T, draws[:, 3:6].T, draws[:, 6]
+        u = _pool(f_tab, z)
+        rejected = ((np.abs(_pool(f_tab, z, 1)) < 0.3)
+                    | (np.abs(_pool(g_tab, u, 1)) < 0.3) | (np.abs(u) > 2.5))
+        pairs = np.concatenate([pairs, draws[~rejected]])
+    f_tab, g_tab, z = pairs[:, 0:3].T, pairs[:, 3:6].T, pairs[:, 6]
+    f_map = SmoothMap(eval=lambda w: _pool(f_tab, w))
+    g_map = SmoothMap(eval=lambda w: _pool(g_tab, w))
+    fp = derivative(f_map, 1, z)
+    devs = np.abs(schwarzian(compose(g_map, f_map), z)
+                  - fp * fp * schwarzian(g_map, f_map.eval(z))
+                  - schwarzian(f_map, z))
     return _result("schwarzian_composition", np.max(devs), tolerance)
 
 
 def _draw_shift(rng: np.random.Generator):
+    """(n, eta, x, K) with G(x) + K inside (1e-6, _TARGET_CAP)."""
     while True:
         n = int(rng.integers(1, 4))
         eta = float(rng.uniform(0.0, 2.0))
         x = float(rng.uniform(0.1, 10.0))
         k = float(rng.uniform(-2.0, 3.0))
-        g = PolyG(n, eta)
-        t = g.value(x) + k
-        if 1e-6 < t < _TARGET_CAP:
-            return g, k, x
+        xn = x ** n  # G(x), as PolyG.value computes it, with no PolyG per draw
+        if 1e-6 < xn * (1.0 + eta * xn) + k < _TARGET_CAP:
+            return n, eta, x, k
 
 
 def check_translation_property(rng: np.random.Generator, n_samples: int = 400,
                                tolerance: float = 1e-10) -> CheckResult:
-    """|G(f(x)) - G(x) - K| stays below the absolute tolerance."""
-    devs = []
-    for _ in range(n_samples):
-        g, k, x = _draw_shift(rng)
-        f = ShiftMap(g, k).f(x)
-        devs.append(abs(g.value(f) - g.value(x) - k))
+    """|G(f(x)) - G(x) - K| stays below the absolute tolerance.
+
+    All samples are drawn first; each degree n then takes one ShiftMap
+    with arrays of eta and K.
+    """
+    n, eta, x, k = np.array([_draw_shift(rng) for _ in range(n_samples)]).T
+    devs = np.empty(n_samples)
+    for deg in (1, 2, 3):
+        at = n == deg
+        g = PolyG(deg, eta[at])
+        f = ShiftMap(g, k[at]).f(x[at])
+        devs[at] = np.abs(g.value(f) - g.value(x[at]) - k[at])
     return _result("translation_property", np.max(devs), tolerance)
 
 
 def check_semigroup(rng: np.random.Generator, n_samples: int = 200,
                     tolerance: float = 1e-9) -> CheckResult:
-    """f_{K1} o f_{K2} = f_{K1+K2} pointwise."""
-    devs = []
-    for _ in range(n_samples):
-        n = int(rng.integers(1, 4))
-        eta = float(rng.uniform(0.0, 2.0))
-        x = float(rng.uniform(0.2, 5.0))
-        k1 = float(rng.uniform(0.0, 2.0))
-        k2 = float(rng.uniform(0.0, 2.0))
-        g = PolyG(n, eta)
-        chained = ShiftMap(g, k1).f(ShiftMap(g, k2).f(x))
-        direct = ShiftMap(g, k1 + k2).f(x)
-        devs.append(abs(chained - direct))
+    """f_{K1} o f_{K2} = f_{K1+K2} pointwise.
+
+    All samples are drawn first; each degree n then takes one ShiftMap per
+    side with arrays of eta and K.
+    """
+    n, eta, x, k1, k2 = np.array([
+        (int(rng.integers(1, 4)), rng.uniform(0.0, 2.0), rng.uniform(0.2, 5.0),
+         rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0))
+        for _ in range(n_samples)]).T
+    devs = np.empty(n_samples)
+    for deg in (1, 2, 3):
+        at = n == deg
+        g = PolyG(deg, eta[at])
+        chained = ShiftMap(g, k1[at]).f(ShiftMap(g, k2[at]).f(x[at]))
+        direct = ShiftMap(g, k1[at] + k2[at]).f(x[at])
+        devs[at] = np.abs(chained - direct)
     return _result("translation_semigroup", np.max(devs), tolerance)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gpbacklund.calculus import (SmoothMap, Stencil, compose, default_stencil,
@@ -161,15 +161,29 @@ class TestCompose:
 @given(a=st.floats(-1.5, 1.5), b=st.floats(-1.5, 1.5),
        c=st.floats(-1.5, 1.5), d=st.floats(-1.5, 1.5),
        z=st.floats(-2.0, 2.0))
+@example(a=0.0, b=1.0, c=1.5, d=1.5, z=-1.5)
 def test_mobius_kernel_property(a, b, c, d, z):
     """Finite-difference Schwarzian of any well-conditioned fractional
-    linear transformation vanishes."""
+    linear transformation vanishes.
+
+    Precondition, as in verify: |c z + d| >= |c| keeps the pole -d/c at
+    least 1 from z, outside the declared domain (z - 1, z + 1). The pinned
+    example breaks it (pole 0.5 away) and is filtered out.
+    """
     det = a * d - b * c
-    if abs(det) < 0.5 or abs(c * z + d) < 0.7 or abs(c * z + d) > 2.0:
+    denom = abs(c * z + d)
+    if abs(det) < 0.5 or denom < 0.7 or denom > 2.0 or denom < abs(c):
         return
     m = smooth(lambda w: (a * w + b) / (c * w + d),
                domain=(z - 1.0, z + 1.0))
     assert abs(schwarzian(m, z)) < 1e-7
+
+
+@pytest.mark.xfail(strict=True, reason="the fixed stencil step ignores the "
+                   "distance to the pole: 1.05e-6 with the pole 0.5 away")
+def test_mobius_kernel_near_pole():
+    m = smooth(lambda w: 1.0 / (1.5 * w + 1.5), domain=(-2.5, -1.0))
+    assert abs(schwarzian(m, -1.5)) < 1e-7
 
 
 def _pair_pool(rng):

@@ -43,6 +43,50 @@ class TestPolyG:
         with pytest.raises(ValueError):
             PolyG(1, math.nan)
 
+    def test_rejects_bad_parameter_arrays(self):
+        with pytest.raises(ValueError):
+            PolyG(2, np.array([0.5, -0.5, 1.0]))
+        with pytest.raises(ValueError):
+            PolyG(2, np.array([0.5, math.nan]))
+
+    def test_scalar_eta_stays_a_float(self):
+        assert type(PolyG(1, np.float64(0.5)).eta) is float
+        assert PolyG(1, [0.5, 1.0]).eta.shape == (2,)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_inverse_matches_deleted_branches(self, n):
+        """The conjugate root equals the deleted special cases bit for bit:
+        u = y at eta = 0, and no power at n = 1."""
+        def deleted(g, y):
+            if g.eta == 0.0:
+                u = y
+            else:
+                u = 2.0 * y / (1.0 + np.sqrt(1.0 + 4.0 * g.eta * y))
+            x = u if g.n == 1 else u ** (1.0 / g.n)
+            for _ in range(2):
+                x = x - (g.value(x) - y) / g.prime(x)
+            return x
+
+        rng = np.random.default_rng(n)
+        y = np.exp(rng.uniform(-12.0, 12.0, size=2000))
+        etas = [0.0] if n > 1 else [0.0, *rng.uniform(0.0, 2.0, size=5)]
+        for eta in etas:
+            g = PolyG(n, eta)
+            assert g.inverse(y).tobytes() == deleted(g, y).tobytes()
+            for v in y[:100].tolist():
+                assert g.inverse(v) == deleted(g, v)
+
+    def test_array_parameters_match_scalar_parameters(self):
+        rng = np.random.default_rng(7)
+        eta = rng.uniform(0.0, 2.0, size=50)
+        k = rng.uniform(-0.5, 2.0, size=50)
+        x = rng.uniform(1.0, 4.0, size=50)
+        for n in (1, 2, 3):
+            f = ShiftMap(PolyG(n, eta), k).f(x)
+            assert f == pytest.approx(
+                [ShiftMap(PolyG(n, e), kk).f(xx) for e, kk, xx in zip(eta, k, x)],
+                rel=1e-14)
+
     def test_inverse_round_trip(self):
         g = PolyG(3, 0.7)
         for x in (0.2, 1.0, 2.5, 7.0):

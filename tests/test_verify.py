@@ -1,7 +1,14 @@
 import math
 
-from gpbacklund.verify import (check_closed_form_residual,
-                               check_constraint_activity)
+import numpy as np
+import pytest
+
+from gpbacklund.calculus import SmoothMap, compose, derivative, schwarzian
+from gpbacklund.functional import Mobius, PolyG, ShiftMap
+from gpbacklund.verify import (_TARGET_CAP, check_closed_form_residual,
+                               check_composition_law,
+                               check_constraint_activity, check_mobius_kernel,
+                               check_semigroup, check_translation_property)
 
 
 class TestFailClosed:
@@ -14,3 +21,133 @@ class TestFailClosed:
         res = check_constraint_activity(c=math.nan)
         assert math.isnan(res.deviation)
         assert not res.passed
+
+
+# The per-sample loops the batched checks replaced, kept as references: one
+# map or one (n, eta, K) per library call, with the same draws in the same
+# order. Each returns the worst deviation.
+
+def _reference_mobius_with_points(rng, n_points):
+    while True:
+        a, b, c, d = rng.uniform(-1.5, 1.5, size=4)
+        if abs(a * d - b * c) < 0.5:
+            continue
+        m = Mobius(a, b, c, d)
+        points = []
+        for _ in range(60 * n_points):
+            z = float(rng.uniform(-2.0, 2.0))
+            denom = abs(c * z + d)
+            if 0.7 <= denom <= 2.0 and denom >= abs(c):
+                points.append(z)
+                if len(points) == n_points:
+                    return m, points
+
+
+def reference_mobius_kernel(rng, n_maps=100, n_points=10):
+    devs = []
+    for _ in range(n_maps):
+        m, points = _reference_mobius_with_points(rng, n_points)
+        devs.append(np.abs(schwarzian(m.as_smooth_map(), np.array(points))))
+    return np.max(devs)
+
+
+def _reference_pool(rng):
+    kind = rng.integers(0, 5)
+    if kind == 0:
+        alpha = rng.uniform(0.7, 1.5) * rng.choice([-1.0, 1.0])
+        beta = rng.uniform(-1.0, 1.0)
+        return (lambda z: alpha * z + beta), (lambda z: alpha)
+    if kind == 1:
+        alpha = rng.uniform(0.4, 0.9) * rng.choice([-1.0, 1.0])
+        return (lambda z: np.exp(alpha * z)), \
+               (lambda z: alpha * np.exp(alpha * z))
+    if kind == 2:
+        gam = rng.uniform(-0.5, 0.5)
+        return (lambda z: z + gam * np.sin(z)), \
+               (lambda z: 1.0 + gam * np.cos(z))
+    if kind == 3:
+        dlt = rng.uniform(0.05, 0.3)
+        return (lambda z: z + dlt * z ** 3), (lambda z: 1.0 + 3 * dlt * z * z)
+    w = rng.uniform(0.3, 0.8)
+    return (lambda z: np.tanh(w * z) + z), \
+           (lambda z: w / np.cosh(w * z) ** 2 + 1.0)
+
+
+def reference_composition_law(rng, n_pairs=100):
+    devs = []
+    while len(devs) < n_pairs:
+        f_ev, f_d1 = _reference_pool(rng)
+        g_ev, g_d1 = _reference_pool(rng)
+        z = rng.uniform(-1.2, 1.2)
+        u = f_ev(z)
+        if abs(f_d1(z)) < 0.3 or abs(g_d1(u)) < 0.3 or abs(u) > 2.5:
+            continue
+        f_map = SmoothMap(eval=f_ev)
+        g_map = SmoothMap(eval=g_ev)
+        fp = derivative(f_map, 1, z)
+        devs.append(abs(schwarzian(compose(g_map, f_map), z)
+                        - fp * fp * schwarzian(g_map, u)
+                        - schwarzian(f_map, z)))
+    return np.max(devs)
+
+
+def reference_translation_property(rng, n_samples=400):
+    devs = []
+    for _ in range(n_samples):
+        while True:
+            n = int(rng.integers(1, 4))
+            eta = float(rng.uniform(0.0, 2.0))
+            x = float(rng.uniform(0.1, 10.0))
+            k = float(rng.uniform(-2.0, 3.0))
+            g = PolyG(n, eta)
+            if 1e-6 < g.value(x) + k < _TARGET_CAP:
+                break
+        f = ShiftMap(g, k).f(x)
+        devs.append(abs(g.value(f) - g.value(x) - k))
+    return np.max(devs)
+
+
+def reference_semigroup(rng, n_samples=200):
+    devs = []
+    for _ in range(n_samples):
+        n = int(rng.integers(1, 4))
+        eta = float(rng.uniform(0.0, 2.0))
+        x = float(rng.uniform(0.2, 5.0))
+        k1 = float(rng.uniform(0.0, 2.0))
+        k2 = float(rng.uniform(0.0, 2.0))
+        g = PolyG(n, eta)
+        chained = ShiftMap(g, k1).f(ShiftMap(g, k2).f(x))
+        direct = ShiftMap(g, k1 + k2).f(x)
+        devs.append(abs(chained - direct))
+    return np.max(devs)
+
+
+# (batched check, reference loop, largest allowed |deviation shift|).
+# The Mobius kernel is bit-identical: elementwise IEEE arithmetic and one
+# np.dot per stencil, whatever the batch. The others may move at rounding
+# level, because numpy's array pow/exp round differently from scalar libm:
+# - composition law: a last-bit change in u = f(z) moves the differenced
+#   Schwarzian by its own noise, ~1e-9 (1e-8 is 1% of the 1e-6 tolerance);
+# - translation property: the deviation is a difference of G values below
+#   _TARGET_CAP, and moves by a few of their ulps (4 ulps = 2.9e-11);
+# - semigroup: the deviation is already a few ulps of f ~ 1 (1e-12 bound).
+BATCHED = [
+    (check_mobius_kernel, reference_mobius_kernel, 0.0),
+    (check_composition_law, reference_composition_law, 1e-8),
+    (check_translation_property, reference_translation_property,
+     4 * np.spacing(_TARGET_CAP)),
+    (check_semigroup, reference_semigroup, 1e-12),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("check, reference, bound", BATCHED,
+                         ids=[c.__name__ for c, _, _ in BATCHED])
+def test_batched_check_matches_per_sample_loop(check, reference, bound, seed):
+    rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    result = check(rng)
+    expected = reference(ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert result.passed
+    assert abs(result.deviation - expected) <= bound
