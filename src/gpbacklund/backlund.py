@@ -25,22 +25,21 @@ class BacklundMap:
 
     shift: ShiftMap
 
-    def effective_domain(self, seed_domain: tuple[float, float]) -> tuple[float, float]:
-        """Interval on which f is defined and maps into the seed's domain."""
+    def effective_domain(self, seed_domain: tuple[float, float]) -> tuple:
+        """Interval on which f is defined and maps into the seed's domain.
+
+        Elementwise for array parameters: the endpoints are then arrays that
+        broadcast against them.
+        """
         seed_lo, seed_hi = seed_domain
-        lo = self.shift.x_min
-        hi = math.inf
-        g = self.shift.g
+        shift, g = self.shift, self.shift.g
+        lo, hi = shift.x_min, math.inf
         # f is increasing, so the preimage of y under f is G^{-1}(G(y) - K)
         if seed_lo > 0.0:
-            t = g.value(seed_lo) - self.shift.K
-            if t > 0.0:
-                lo = max(lo, float(g.inverse(t)))
+            lo = np.fmax(lo, g.inverse_or(g.value(seed_lo) - shift.K, lo))
         if math.isfinite(seed_hi):
-            t = g.value(seed_hi) - self.shift.K
-            if t <= 0.0:
-                return (lo, lo)  # empty
-            hi = float(g.inverse(t))
+            # no preimage of seed_hi leaves the interval empty
+            hi = g.inverse_or(g.value(seed_hi) - shift.K, lo)
         return (lo, hi)
 
 
@@ -119,7 +118,8 @@ def is_fixed_point(bmap: BacklundMap, seed, xs=None,
                    tol: float = 1e-10) -> FixedPointResult:
     """Whether the seed reproduces itself under the transformation.
 
-    Checks max |r(x)^2 f'(x) - r(f(x))^2| / max(1, r(f(x))^2) < tol.
+    Checks max |r(x)^2 f'(x) - r(f(x))^2| / max(1, r(f(x))^2) < tol, the
+    maximum taken over every map when the parameters are arrays.
     Accepts a SolutionGrid (evaluated through its Hermite interpolant, with
     the grid's own nodes as default points) or any seed object, in which
     case the evaluation points must be supplied.
@@ -132,10 +132,14 @@ def is_fixed_point(bmap: BacklundMap, seed, xs=None,
         raise ValueError("xs is required for non-grid seeds")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     lo, hi = bmap.effective_domain(seed.domain)
-    kept = xs[(xs > lo) & (xs < hi)]
+    inside = (xs > lo) & (xs < hi)
+    # with array parameters a point stays only where every map keeps it, so
+    # the batch stays rectangular
+    kept = xs[inside.reshape((-1,) + xs.shape).all(axis=0)]
     if kept.size == 0:
         raise DomainEscape(
-            f"no evaluation points inside the valid interval ({lo:.6g}, {hi:.6g})")
+            f"no evaluation points inside the valid interval "
+            f"({np.max(lo):.6g}, {np.min(hi):.6g})")
     f = bmap.shift.f(kept)
     fp = bmap.shift.f_prime(kept, f)
     r_here = seed.eval_with_derivative(kept)[0]

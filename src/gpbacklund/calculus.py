@@ -105,17 +105,22 @@ def _fd_derivative(f: SmoothMap, order: int, z: np.ndarray,
                    stencil: Stencil) -> np.ndarray:
     weights, offsets = _central_weights(stencil.points, order)
     h = stencil.base_step
-    half = stencil.half_width
-    lo, hi = f.domain
-    outside = ~((lo < z - half * h) & (z + half * h < hi))
-    if np.any(outside):
-        raise DomainError(
-            f"stencil of half-width {_first(half * h, outside):.3e} around "
-            f"z={_first(z, outside)!r} exits the declared domain "
-            f"({lo!r}, {hi!r})")
     # both Richardson steps in one evaluation, shape (..., 2, points)
     steps = np.multiply.outer(h, (1.0, 0.5))
     nodes = z[..., None, None] + offsets * steps[..., None]
+    # the domain broadcasts against the nodes, as the map's parameters do,
+    # so it is held to the coarse stencil's two end nodes z -/+ half * h
+    ends = nodes[..., :1, ::offsets.size - 1]
+    lo, hi = f.domain
+    outside = ~((lo < ends) & (ends < hi))
+    if np.any(outside):
+        half_width = np.broadcast_to(
+            stencil.half_width * steps[..., :1, None], outside.shape)
+        near = np.broadcast_to(z[..., None, None], outside.shape)
+        raise DomainError(
+            f"stencil of half-width {_first(half_width, outside):.3e} around "
+            f"z={_first(near, outside)!r} exits the declared domain "
+            f"({lo!r}, {hi!r})")
     vals = f.eval(nodes)
     finite = np.isfinite(vals)
     if not np.all(finite):

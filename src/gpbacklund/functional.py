@@ -27,12 +27,14 @@ def _require_positive(x, what: str = "x"):
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyG:
     """The strictly increasing polynomial G(x) = x^n (1 + eta x^n), x > 0.
 
     ``eta`` is a float, or an array of them that broadcasts against the
-    points, so one G evaluates a whole family sharing its degree n.
+    points, so one G evaluates a whole family sharing its degree n. With
+    array parameters value equality is ambiguous, so instances compare and
+    hash by identity.
     """
 
     n: int
@@ -79,6 +81,16 @@ class PolyG:
             x = x - (self.value(x) - y) / self.prime(x)
         return x
 
+    def inverse_or(self, y, fallback):
+        """G^{-1}(y) where y > 0 and ``fallback`` elsewhere, elementwise."""
+        ok = y > 0.0
+        if np.ndim(ok) == 0:
+            return self.inverse(y) if ok else fallback
+        if not ok.any():
+            return np.where(ok, 0.0, fallback)
+        # G^{-1} of a stand-in 1 where y <= 0, whose root is discarded
+        return np.where(ok, self.inverse(np.where(ok, y, 1.0)), fallback)
+
     def as_smooth_map(self, domain: tuple[float, float] = (0.0, math.inf),
                       with_derivatives: bool = True) -> SmoothMap:
         if with_derivatives:
@@ -87,11 +99,12 @@ class PolyG:
         return SmoothMap(eval=self.value, domain=domain)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mobius:
     """Fractional linear transformation w -> (a w + b) / (c w + d).
 
     The coefficients may be arrays that broadcast against w, one map each.
+    Compares and hashes by identity, like PolyG.
     """
 
     a: float | np.ndarray
@@ -138,25 +151,25 @@ class Mobius:
         return SmoothMap(eval=self, domain=domain)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftMap:
     """Pointwise solution f(x) of G(f(x)) = G(x) + K, f > 0.
 
-    Valid on the interval where G(x) + K > 0; for K < 0 the left endpoint
-    x_min = G^{-1}(-K) is computed eagerly, and queries outside raise
-    DomainError rather than returning complex roots. ``K`` may be an array
-    that broadcasts against the points, like ``g.eta``; ``x_min`` and
-    ``valid_domain`` need a float K.
+    Valid on the interval where G(x) + K > 0, whose left endpoint is
+    x_min = G^{-1}(-K) for K < 0; queries outside raise DomainError rather
+    than returning complex roots. ``K`` may be an array that broadcasts
+    against the points, like ``g.eta``; ``x_min`` is then an array that
+    broadcasts against the parameters, one endpoint per map. Compares and
+    hashes by identity, like PolyG.
     """
 
     g: PolyG
     K: float | np.ndarray
 
     @cached_property
-    def x_min(self) -> float:
-        if self.K >= 0.0:
-            return 0.0
-        return float(self.g.inverse(-self.K))
+    def x_min(self) -> float | np.ndarray:
+        x = self.g.inverse_or(-self.K, 0.0)
+        return float(x) if np.ndim(x) == 0 else x
 
     @property
     def valid_domain(self) -> tuple[float, float]:
@@ -189,16 +202,6 @@ class ShiftMap:
         f = self.f(x) if fval is None else fval
         fp = self.f_prime(x, f) if fp is None else fp
         return (self.g.second(x) - self.g.second(f) * fp * fp) / self.g.prime(f)
-
-    def f_third(self, x, fval=None, fp=None, fpp=None):
-        f = self.f(x) if fval is None else fval
-        fp = self.f_prime(x, f) if fp is None else fp
-        fpp = self.f_second(x, f, fp) if fpp is None else fpp
-        return ((self.g.third(x) - self.g.third(f) * fp ** 3
-                 - 3.0 * self.g.second(f) * fp * fpp) / self.g.prime(f))
-
-    def inverse(self) -> "ShiftMap":
-        return ShiftMap(g=self.g, K=-self.K)
 
     def as_smooth_map(self) -> SmoothMap:
         return SmoothMap(eval=self.f, domain=self.valid_domain)

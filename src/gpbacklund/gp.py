@@ -32,17 +32,18 @@ _CONSTRAINT_RTOL = 1e-10
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GPParams:
     """Parameter set of the reduced amplitude equation.
 
     ``b`` is the cubic coefficient as it appears in the expanded equation
     (the representation-level coefficient is b/n^3, exposed separately);
-    ``c`` is the angular-momentum constant from r^2 theta' = c.
+    ``c`` is the angular-momentum constant from r^2 theta' = c. ``eta`` may
+    be an array, as in PolyG; like PolyG, GPParams compares by identity.
     """
 
     n: int
-    eta: float
+    eta: float | np.ndarray
     b: float
     c: float
     v: float = 1.0
@@ -52,7 +53,7 @@ class GPParams:
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 1:
             raise ValueError("n must be a positive integer")
-        if not self.eta >= 0.0:
+        if not np.all(np.asarray(self.eta) >= 0.0):
             raise ValueError("eta must be nonnegative")
         if not self.v > 0.0:
             raise ValueError("v must be positive")

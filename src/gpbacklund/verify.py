@@ -15,11 +15,13 @@ import numpy as np
 
 from .backlund import BacklundMap, is_fixed_point
 from .calculus import SmoothMap, compose, derivative, schwarzian
+from .errors import NumericalError
 from .functional import Mobius, PolyG, ShiftMap, solve_f
 from .gp import (ClosedFormSolution, GPParams, closed_form_residual,
                  linear_coefficient_check)
 
-PARAM_SWEEP = [(n, eta) for n in (1, 2, 3) for eta in (0.0, 0.5, 1.0)]
+SWEEP_ETAS = (0.0, 0.5, 1.0)
+PARAM_SWEEP = [(n, eta) for n in (1, 2, 3) for eta in SWEEP_ETAS]
 
 # double-precision floor of the absolute translation criterion: the computed
 # residual G(f) - G(x) - K cannot beat ~eps * |G| however exact the root is
@@ -213,19 +215,25 @@ def check_q_identity(k_values=(0.5, 1.0), tolerance: float = 1e-5,
                      x_lo: float = 0.8, x_hi: float = 3.0,
                      points: int = 12) -> CheckResult:
     """Q(x) = f'^2 Q(f) + {f, x} with Q the Schwarzian of G and {f, x}
-    taken by finite differences of the pointwise solver."""
+    taken by finite differences of the pointwise solver.
+
+    Each degree takes one PolyG and one ShiftMap, with a row of points from
+    max(x_lo, x_min + 0.2) per (eta, K) pair and the parameters shaped
+    (rows, 1, 1, 1) against the stencil nodes of {f, x}.
+    """
     devs = []
-    for n, eta in [(1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0), (3, 0.5)]:
-        g = PolyG(n, eta)
+    for n, etas in [(1, (0.5, 1.0)), (2, (0.5, 1.0)), (3, (0.5,))]:
+        eta, k = np.meshgrid(etas, k_values, indexing="ij")
+        g = PolyG(n, eta.reshape(-1, 1, 1, 1))
+        shift = ShiftMap(g, k.reshape(-1, 1, 1, 1))
+        xs = np.linspace(np.maximum(x_lo, shift.x_min.ravel() + 0.2), x_hi,
+                         points, axis=-1)
+        at = xs[..., None, None]  # the points with the nodes' two axes
         g_map = g.as_smooth_map()
-        for k in k_values:
-            shift = ShiftMap(g, float(k))
-            f_map = shift.as_smooth_map()
-            xs = np.linspace(max(x_lo, shift.x_min + 0.2), x_hi, points)
-            f, fp = solve_f(shift, xs)
-            devs.append(np.abs(schwarzian(g_map, xs)
-                               - fp * fp * schwarzian(g_map, f)
-                               - schwarzian(f_map, xs)))
+        f, fp = solve_f(shift, at)
+        devs.append(np.max(np.abs(
+            schwarzian(g_map, at) - fp * fp * schwarzian(g_map, f)
+            - schwarzian(shift.as_smooth_map(), xs)[..., None, None])))
     return _result("q_identity", np.max(devs), tolerance)
 
 
@@ -271,24 +279,29 @@ def check_constraint_activity(c: float = 1.0, v: float = 1.0,
 
 def check_fixed_point_for(params: GPParams, k_values=(0.25, 0.5, 1.0),
                           xs=None, tolerance: float = 1e-10) -> float:
-    """Worst fixed-point deviation of the closed form for one parameter set.
+    """Worst fixed-point deviation of the closed form over every K, for one
+    parameter set or one degree's group of them (an array eta).
 
-    The translation map is evaluated on the full grid first, so an invalid
-    (K, grid) combination surfaces as NoRealRoot or DomainError instead of
-    being silently trimmed away.
+    One ShiftMap takes the whole (eta, K) grid and is evaluated on all of xs
+    first, so an invalid (K, xs) combination surfaces as NoRealRoot or
+    DomainError instead of being silently trimmed away; the error raised is
+    the first failing (eta, K) pair's.
     """
     if xs is None:
         xs = np.linspace(0.5, 3.0, 101)
-    p = GPParams.constrained(n=params.n, eta=params.eta, c=params.c,
-                             v=params.v)
-    seed = ClosedFormSolution(p)
-    devs = []
-    for k in k_values:
-        shift = ShiftMap(p.g, float(k))
+    etas = np.reshape(params.eta, (-1, 1, 1))
+    ks = np.reshape(np.asarray(k_values, dtype=float), (-1, 1))
+    p = GPParams.constrained(n=params.n, eta=etas, c=params.c, v=params.v)
+    shift = ShiftMap(p.g, ks)
+    try:
         shift.f(xs)  # validity probe for the whole grid
-        res = is_fixed_point(BacklundMap(shift=shift), seed, xs, tol=tolerance)
-        devs.append(res.deviation)
-    return float(np.max(devs))
+    except NumericalError:
+        for eta in etas.ravel():
+            for k in ks.ravel():
+                ShiftMap(PolyG(p.n, float(eta)), float(k)).f(xs)
+        raise
+    return is_fixed_point(BacklundMap(shift=shift), ClosedFormSolution(p), xs,
+                          tol=tolerance).deviation
 
 
 def check_fixed_point(k_values=(0.25, 0.5, 1.0), c: float = 1.0,
@@ -297,13 +310,14 @@ def check_fixed_point(k_values=(0.25, 0.5, 1.0), c: float = 1.0,
     """The closed form is a fixed point of the transformation for every K.
 
     The configured parameter set (when given) is probed first so its
-    failures are the ones reported; the standard sweep follows.
+    failures are the ones reported; the standard sweep follows, one
+    degree's etas at a time.
     """
-    sweep = [GPParams.constrained(n=n, eta=eta, c=c, v=v)
-             for n, eta in PARAM_SWEEP]
+    groups = [GPParams.constrained(n=n, eta=np.array(SWEEP_ETAS), c=c, v=v)
+              for n in (1, 2, 3)]
     if params is not None:
-        sweep.insert(0, params)
-    devs = [check_fixed_point_for(p, k_values, xs, tolerance) for p in sweep]
+        groups.insert(0, params)
+    devs = [check_fixed_point_for(p, k_values, xs, tolerance) for p in groups]
     return _result("fixed_point", np.max(devs), tolerance)
 
 

@@ -171,10 +171,43 @@ class TestFixedPoint:
         res = is_fixed_point(bmap, grid)
         assert res.deviation < 1e-12
 
+    def test_array_parameters_give_the_worst_map(self):
+        # K = -0.5 trims the points below its x_min, for every map
+        eta = np.array([[[0.0]], [[1.0]]])
+        k = np.array([[-0.5], [0.5]])
+        xs = np.linspace(0.1, 3.0, 50)
+        seed = ClosedFormSolution(GPParams.constrained(n=2, eta=eta, c=1.0))
+        res = is_fixed_point(BacklundMap(shift=ShiftMap(PolyG(2, eta), k)),
+                             seed, xs)
+        common = xs[xs > ShiftMap(PolyG(2, 0.0), -0.5).x_min]
+        assert common.size < xs.size
+        assert res.deviation == max(
+            is_fixed_point(BacklundMap(shift=ShiftMap(PolyG(2, e), kk)),
+                           closed_form(n=2, eta=e), common).deviation
+            for e in (0.0, 1.0) for kk in (-0.5, 0.5))
+
     def test_requires_points_for_non_grid_seeds(self):
         bmap = BacklundMap(shift=ShiftMap(PolyG(1, 1.0), 0.5))
         with pytest.raises(ValueError):
             is_fixed_point(bmap, closed_form())
+
+
+class TestEffectiveDomain:
+    @pytest.mark.parametrize("seed_domain", [(0.0, np.inf), (0.7, 2.5)])
+    def test_array_parameters_match_scalar_parameters(self, seed_domain):
+        # K = 60 maps no point into (0.7, 2.5): an empty interval
+        eta = np.array([[0.0], [0.5]])
+        k = np.array([-2.0, -0.1, 0.0, 0.4, 60.0])
+        lo, hi = BacklundMap(shift=ShiftMap(PolyG(2, eta), k)
+                             ).effective_domain(seed_domain)
+        hi = np.broadcast_to(hi, lo.shape)
+        for i, e in enumerate(eta[:, 0]):
+            for j, kk in enumerate(k):
+                expected = BacklundMap(shift=ShiftMap(PolyG(2, e), kk)
+                                       ).effective_domain(seed_domain)
+                # numpy's array pow may round an ulp away from the scalar
+                for got, want in zip((lo[i, j], hi[i, j]), expected):
+                    assert got == want or abs(got - want) <= np.spacing(want)
 
 
 class TestSolutionMappingSweep:

@@ -70,6 +70,17 @@ class TestDerivative:
         with pytest.raises(DomainError):
             derivative(m, 1, 1e-5)
 
+    def test_domain_broadcasts_like_parameters(self):
+        # one map log(z - a) per row of points, with a and the domain's left
+        # end shaped (rows, 1, 1, 1) against the stencil nodes
+        a = np.array([0.0, 2.0]).reshape(2, 1, 1, 1)
+        m = smooth(lambda z: np.log(z - a), domain=(a, math.inf))
+        z = np.array([[0.5, 1.0], [2.5, 3.0]])
+        assert derivative(m, 1, z) == pytest.approx(1.0 / (z - a[..., 0, 0]),
+                                                     rel=1e-8)
+        with pytest.raises(DomainError):
+            derivative(m, 1, z - [[0.0], [0.5 - 1e-4]])
+
     def test_non_finite_samples(self):
         m = smooth(lambda z: math.nan)
         with pytest.raises(NonFinite):

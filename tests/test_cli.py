@@ -182,6 +182,22 @@ class TestVerify:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["complete"] is False
 
+    def test_sweep_set_failing_after_valid_configured_set_exit_3(
+            self, tmp_path, capsys):
+        # the configured n = 1 set accepts K = -0.2 on [0.5, 3]; the
+        # fixed-point sweep's n = 3 sets have G(0.5) + K < 0 there
+        cfg = write_cfg(tmp_path, CLOSED_FORM_CFG
+                        .replace("params.eta = 0.0", "params.eta = 1.0")
+                        .replace("grid.x_min = 1.0", "grid.x_min = 0.5")
+                        .replace("grid.points = 201", "grid.points = 101")
+                        .replace("k_schedule = 2.0", "k_schedule = 0.5, -0.2"))
+        assert main(["verify", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == 3
+        assert "DomainError" in capsys.readouterr().err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["complete"] is False
+        assert report["checks"] == []
+
     @pytest.mark.filterwarnings("ignore")
     def test_nan_deviation_writes_strict_json(self, tmp_path, capsys):
         # c = 1e200 is finite, so the config accepts it; c^2 overflows and

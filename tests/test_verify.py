@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from gpbacklund.backlund import BacklundMap, is_fixed_point
 from gpbacklund.calculus import SmoothMap, compose, derivative, schwarzian
-from gpbacklund.functional import Mobius, PolyG, ShiftMap
-from gpbacklund.verify import (_TARGET_CAP, check_closed_form_residual,
+from gpbacklund.errors import NumericalError
+from gpbacklund.functional import Mobius, PolyG, ShiftMap, solve_f
+from gpbacklund.gp import ClosedFormSolution, GPParams
+from gpbacklund.verify import (_TARGET_CAP, PARAM_SWEEP,
+                               check_closed_form_residual,
                                check_composition_law,
-                               check_constraint_activity, check_mobius_kernel,
+                               check_constraint_activity, check_fixed_point,
+                               check_mobius_kernel, check_q_identity,
                                check_semigroup, check_translation_property)
 
 
@@ -151,3 +156,108 @@ def test_batched_check_matches_per_sample_loop(check, reference, bound, seed):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert result.passed
     assert abs(result.deviation - expected) <= bound
+
+
+# The per-parameter loops the per-degree checks replaced, kept as references:
+# one (n, eta, K) per round of library calls.
+
+def reference_q_identity(k_values=(0.5, 1.0), x_lo=0.8, x_hi=3.0, points=12):
+    devs = []
+    for n, eta in [(1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0), (3, 0.5)]:
+        g = PolyG(n, eta)
+        g_map = g.as_smooth_map()
+        for k in k_values:
+            shift = ShiftMap(g, float(k))
+            f_map = shift.as_smooth_map()
+            xs = np.linspace(max(x_lo, shift.x_min + 0.2), x_hi, points)
+            f, fp = solve_f(shift, xs)
+            devs.append(np.abs(schwarzian(g_map, xs)
+                               - fp * fp * schwarzian(g_map, f)
+                               - schwarzian(f_map, xs)))
+    return np.max(devs)
+
+
+def _reference_fixed_point_for(params, k_values, xs):
+    p = GPParams.constrained(n=params.n, eta=params.eta, c=params.c,
+                             v=params.v)
+    seed = ClosedFormSolution(p)
+    devs = []
+    for k in k_values:
+        shift = ShiftMap(p.g, float(k))
+        shift.f(xs)  # validity probe for the whole grid
+        res = is_fixed_point(BacklundMap(shift=shift), seed, xs, tol=1e-10)
+        devs.append(res.deviation)
+    return float(np.max(devs))
+
+
+def reference_fixed_point(k_values=(0.25, 0.5, 1.0), c=1.0, v=1.0,
+                          params=None, xs=None):
+    if xs is None:
+        xs = np.linspace(0.5, 3.0, 101)
+    sweep = [GPParams.constrained(n=n, eta=eta, c=c, v=v)
+             for n, eta in PARAM_SWEEP]
+    if params is not None:
+        sweep.insert(0, params)
+    return np.max([_reference_fixed_point_for(p, k_values, xs)
+                   for p in sweep])
+
+
+GRID = np.linspace(0.5, 3.0, 101)
+
+# (per-degree check, reference loop, largest allowed |deviation shift|,
+# keyword arguments): K schedules of two and three values, a negative K,
+# and a configured set of each degree. Both checks evaluate the loops'
+# elementwise expressions on the same points, so with K > 0 q_identity is
+# bit-identical. A negative K moves the first point of a q_identity row to
+# x_min + 0.2, and the batch takes x_min from one array G^{-1}, whose pow
+# may round an ulp away from the scalar one; an ulp in a row's start moves
+# the finite-difference {f, x} by its noise, up to 3.4e-9 when the loop's
+# starts were nudged by one or two ulps (1e-8 bound). fixed_point's
+# deviations are themselves a few ulps of O(1) terms, so even a grid point
+# kept or trimmed differently at an array x_min stays below 1e-15; every
+# fixed-point set accepts K = -0.05 on GRID.
+SWEPT = [
+    (check_q_identity, reference_q_identity, 0.0,
+     dict(k_values=(0.5, 1.0))),
+    (check_q_identity, reference_q_identity, 0.0,
+     dict(k_values=(0.25, 0.5, 1.0))),
+    (check_q_identity, reference_q_identity, 1e-8,
+     dict(k_values=(0.5, -0.3))),
+    *((check_fixed_point, reference_fixed_point, 1e-15,
+       dict(k_values=ks, params=p, xs=GRID))
+      for ks, p in [
+          ((0.25, 0.5, 1.0), None),
+          ((0.5, 1.0), GPParams.constrained(n=1, eta=1.0, c=1.0)),
+          ((0.5, -0.05), GPParams.constrained(n=2, eta=0.7, c=1.3, v=0.8)),
+          ((0.25, 0.5, 1.0), GPParams.constrained(n=3, eta=0.3, c=2.0,
+                                                  v=1.5)),
+      ]),
+]
+
+
+@pytest.mark.parametrize("check, reference, bound, kwargs", SWEPT,
+                         ids=[f"{c.__name__}-{i}"
+                              for i, (c, _, _, _) in enumerate(SWEPT)])
+def test_per_degree_check_matches_per_parameter_loop(check, reference, bound,
+                                                     kwargs):
+    result = check(**kwargs)
+    assert result.passed
+    assert abs(result.deviation - reference(**kwargs)) <= bound
+
+
+@pytest.mark.parametrize("k_values, params", [
+    # the configured set passes; the sweep's n = 3 sets raise DomainError
+    ((0.5, -0.2), GPParams.constrained(n=1, eta=1.0, c=1.0)),
+    # n = 1: eta = 0 raises DomainError before eta = 1 raises NoRealRoot,
+    # which a probe of the whole group would report
+    ((0.5, -1.0), None),
+    # the configured set fails first
+    ((-30.0,), GPParams.constrained(n=1, eta=2.0, c=1.0)),
+])
+def test_fixed_point_raises_the_loops_first_error(k_values, params):
+    with pytest.raises(NumericalError) as batched:
+        check_fixed_point(k_values=k_values, params=params, xs=GRID)
+    with pytest.raises(NumericalError) as looped:
+        reference_fixed_point(k_values=k_values, params=params, xs=GRID)
+    assert type(batched.value) is type(looped.value)
+    assert str(batched.value) == str(looped.value)
