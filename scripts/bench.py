@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""Benchmark record: every workload of BENCHMARK.json, end to end and per layer.
+"""Benchmark record of every workload, end to end and per layer.
 
     python scripts/bench.py --out BENCH_<n>.json [--seed N] [--seconds S]
     python scripts/bench.py --compare BENCH_a.json BENCH_b.json
 
-Runs ``perfbench/run.py`` once per workload with ``--trace 0`` (the
-end-to-end metrics) and once with ``--trace 1`` (the per-layer metrics), and
-writes ``{env, commit, src_lines, workloads: {name: {end_to_end,
-per_layer}}}``. Each metric keeps its ``value`` and ``unit`` as run.py
-reports them. Exits 1 if any run reports an output that failed its checks.
-``--compare A B`` prints every metric the two files share, with the ratio
-B / A.
+Runs ``perfbench/run.py`` once per workload of BENCHMARK.json with
+``--trace 0`` (the end-to-end metrics) and once with ``--trace 1`` (the
+per-layer metrics), and writes ``{env, commit, src_lines, workloads: {name:
+{end_to_end, per_layer}}}``. Each metric keeps its ``value`` and ``unit``
+as run.py reports them. Exits 1 if any run reports an output that failed
+its checks. ``--compare A B`` prints every metric the two files share, with
+the ratio B / A.
 """
 
 import argparse
@@ -25,11 +25,12 @@ ROOT = Path(__file__).resolve().parent.parent
 def run(workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run; its env line and closing JSON line."""
     out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=ROOT, check=True, capture_output=True, text=True).stdout
     lines = out.splitlines()
-    env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
+    env = next(json.loads(line[4:]) for line in lines
+               if line.startswith("env "))
     return {"env": env, **json.loads(lines[-1])}
 
 

@@ -39,7 +39,7 @@ class GPParams:
     ``b`` is the cubic coefficient as it appears in the expanded equation
     (the representation-level coefficient is b/n^3, exposed separately);
     ``c`` is the angular-momentum constant from r^2 theta' = c. ``eta`` may
-    be an array, as in PolyG; like PolyG, GPParams compares by identity.
+    be an array, as in PolyG, and GPParams compares and hashes by identity.
     """
 
     n: int
@@ -53,7 +53,7 @@ class GPParams:
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 1:
             raise ValueError("n must be a positive integer")
-        if not np.all(np.asarray(self.eta) >= 0.0):
+        if not (np.asarray(self.eta) >= 0.0).all():
             raise ValueError("eta must be nonnegative")
         if not self.v > 0.0:
             raise ValueError("v must be positive")
