@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark record of every workload, end to end and per layer.
 
-    python scripts/bench.py --out BENCH_<n>.json [--seed N] [--seconds S]
+    python scripts/bench.py --out BENCH_<n>.json [--seconds S]
     python scripts/bench.py --compare BENCH_a.json BENCH_b.json
 
 Runs ``perfbench/run.py`` once per workload of BENCHMARK.json with
 ``--trace 0`` (the end-to-end metrics) and once with ``--trace 1`` (the
-per-layer metrics), and writes ``{env, commit, src_lines, workloads: {name:
+per-layer metrics), all on seed ``SEED`` so that every record draws the
+same configs, and writes ``{env, commit, src_lines, workloads: {name:
 {end_to_end, per_layer}}}``. Each metric keeps its ``value`` and ``unit``
 as run.py reports them. Exits 1 if any run reports an output that failed
 its checks. ``--compare A B`` prints every metric the two files share, with
@@ -20,13 +21,14 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
 
 
-def run(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(workload: str, seconds: float, trace: int) -> dict:
     """One perfbench run; its env line and closing JSON line."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-         str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         str(SEED), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=ROOT, check=True, capture_output=True, text=True).stdout
     lines = out.splitlines()
     env = next(json.loads(line[4:]) for line in lines
@@ -39,18 +41,18 @@ def git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def record(seed: int, seconds: float, workloads) -> tuple[dict, bool]:
+def record(seconds: float, workloads) -> tuple[dict, bool]:
     """The record of one run per workload and trace mode, and whether every
     command passed its checks."""
     records, env, correct = {}, None, True
     for name in workloads:
-        runs = {trace: run(name, seed, seconds, trace) for trace in (0, 1)}
+        runs = {trace: run(name, seconds, trace) for trace in (0, 1)}
         for trace, r in runs.items():
             if not r["correct"]:
                 print(f"{name} --trace {trace}: {r['failed']} of "
                       f"{r['attempted']} commands failed", file=sys.stderr)
                 correct = False
-        env = {**runs[0]["env"], "seed": seed, "seconds": seconds}
+        env = {**runs[0]["env"], "seed": SEED, "seconds": seconds}
         records[name] = {"end_to_end": runs[0]["metrics"],
                          "per_layer": runs[1]["metrics"]}
         print(f"{name}: " + ", ".join(
@@ -85,7 +87,6 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, help="where to write the record")
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
     args = ap.parse_args()
@@ -95,7 +96,7 @@ def main() -> int:
         return 0
     if args.out is None:
         ap.error("--out is required unless --compare is given")
-    result, correct = record(args.seed, args.seconds,
+    result, correct = record(args.seconds,
                              [w["name"] for w in bench["workloads"]])
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}")

@@ -36,7 +36,8 @@ class BacklundMap:
         lo, hi = shift.x_min, math.inf
         # f is increasing, so the preimage of y under f is G^{-1}(G(y) - K)
         if seed_lo > 0.0:
-            lo = np.fmax(lo, g.inverse_or(g.value(seed_lo) - shift.K, lo))
+            pre = g.inverse_or(g.value(seed_lo) - shift.K, lo)
+            lo = max(lo, pre) if isinstance(pre, float) else np.fmax(lo, pre)
         if math.isfinite(seed_hi):
             # no preimage of seed_hi leaves the interval empty
             hi = g.inverse_or(g.value(seed_hi) - shift.K, lo)

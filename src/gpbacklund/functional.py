@@ -83,11 +83,9 @@ class PolyG:
 
     def inverse_or(self, y, fallback):
         """G^{-1}(y) where y > 0 and ``fallback`` elsewhere, elementwise."""
+        if isinstance(y, (int, float)):  # scalar path: no array dispatch
+            return float(self.inverse(y)) if y > 0.0 else fallback
         ok = y > 0.0
-        if np.ndim(ok) == 0:
-            return self.inverse(y) if ok else fallback
-        if not ok.any():
-            return np.where(ok, 0.0, fallback)
         # G^{-1} of a stand-in 1 where y <= 0, whose root is discarded
         return np.where(ok, self.inverse(np.where(ok, y, 1.0)), fallback)
 
@@ -168,8 +166,7 @@ class ShiftMap:
 
     @cached_property
     def x_min(self) -> float | np.ndarray:
-        x = self.g.inverse_or(-self.K, 0.0)
-        return float(x) if np.ndim(x) == 0 else x
+        return self.g.inverse_or(-self.K, 0.0)
 
     @property
     def valid_domain(self) -> tuple[float, float]:

@@ -209,6 +209,13 @@ class TestEffectiveDomain:
                 for got, want in zip((lo[i, j], hi[i, j]), expected):
                     assert got == want or abs(got - want) <= np.spacing(want)
 
+    @pytest.mark.parametrize("k", [-0.7, 0.0, 0.7, 60.0])
+    def test_scalar_parameters_give_floats(self, k):
+        shift = ShiftMap(PolyG(2, 0.5), k)
+        assert type(shift.x_min) is float
+        lo, hi = BacklundMap(shift=shift).effective_domain((0.7, 2.5))
+        assert type(lo) is float and type(hi) is float
+
 
 class TestSolutionMappingSweep:
     @pytest.mark.parametrize("n,eta", [(1, 0.0), (1, 0.5), (1, 1.0),
