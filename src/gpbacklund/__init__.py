@@ -1,27 +1,24 @@
 """Translation-map auto-Backlund transforms for the reduced
 Gross-Pitaevskii amplitude equation."""
 
-from .calculus import SmoothMap, Stencil, compose, derivative, fd_weights, schwarzian
+from .calculus import SmoothMap, compose, derivative, fd_weights, schwarzian
 from .functional import Mobius, PolyG, ShiftMap, conjugate_f, solve_f
 from .ode import (DenseSolution, SecondOrderODE, SolutionGrid, ToleranceSpec,
                   integrate, integrate_span, residual, residual_max, sample)
 from .backlund import BacklundMap, FixedPointResult, is_fixed_point, orbit, transform
-from .gp import (BoundednessReport, ClosedFormSolution, GPParams, WaveSample,
-                 boundedness_report, closed_form_r, closed_form_residual,
-                 gp_rhs, linear_coefficient, linear_coefficient_check, phase,
-                 wavefunction)
+from .gp import (ClosedFormSolution, GPParams, closed_form_residual, gp_rhs,
+                 linear_coefficient, linear_coefficient_check, phase)
 from . import errors
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SmoothMap", "Stencil", "compose", "derivative", "fd_weights", "schwarzian",
+    "SmoothMap", "compose", "derivative", "fd_weights", "schwarzian",
     "Mobius", "PolyG", "ShiftMap", "conjugate_f", "solve_f",
     "DenseSolution", "SecondOrderODE", "SolutionGrid", "ToleranceSpec",
     "integrate", "integrate_span", "residual", "residual_max", "sample",
     "BacklundMap", "FixedPointResult", "is_fixed_point", "orbit", "transform",
-    "BoundednessReport", "ClosedFormSolution", "GPParams", "WaveSample",
-    "boundedness_report", "closed_form_r", "closed_form_residual", "gp_rhs",
-    "linear_coefficient", "linear_coefficient_check", "phase", "wavefunction",
+    "ClosedFormSolution", "GPParams", "closed_form_residual", "gp_rhs",
+    "linear_coefficient", "linear_coefficient_check", "phase",
     "errors",
 ]

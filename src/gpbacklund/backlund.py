@@ -115,22 +115,14 @@ def orbit(g: PolyG, k_schedule: Sequence[float], seed, xs) -> list[SolutionGrid]
     return grids
 
 
-def is_fixed_point(bmap: BacklundMap, seed, xs=None,
+def is_fixed_point(bmap: BacklundMap, seed, xs,
                    tol: float = 1e-10) -> FixedPointResult:
-    """Whether the seed reproduces itself under the transformation.
+    """Whether the seed reproduces itself under the transformation at xs.
 
     Checks max |r(x)^2 f'(x) - r(f(x))^2| / max(1, r(f(x))^2) < tol, the
-    maximum taken over every map when the parameters are arrays.
-    Accepts a SolutionGrid (evaluated through its Hermite interpolant, with
-    the grid's own nodes as default points) or any seed object, in which
-    case the evaluation points must be supplied.
+    maximum taken over every map when the parameters are arrays. A sampled
+    grid is passed as ``grid.as_interpolant(), grid.xs``.
     """
-    if isinstance(seed, SolutionGrid):
-        if xs is None:
-            xs = seed.xs
-        seed = seed.as_interpolant()
-    elif xs is None:
-        raise ValueError("xs is required for non-grid seeds")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     lo, hi = bmap.effective_domain(seed.domain)
     inside = (xs > lo) & (xs < hi)

@@ -21,6 +21,7 @@ from .errors import CriticalPoint, DomainError, NonFinite
 _EPS = float(np.finfo(float).eps)
 
 _DEFAULT_POINTS = {1: 5, 2: 5, 3: 7}
+_CRITICAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -43,37 +44,11 @@ class SmoothMap:
         return (self.d1, self.d2, self.d3)[order - 1]
 
 
-@dataclass(frozen=True)
-class Stencil:
-    """Central difference stencil; ``points`` odd, >= 5 and >= order + 2.
-
-    ``base_step`` is one step or an array of steps, one per point.
-    """
-
-    order: int
-    points: int
-    base_step: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.order not in (1, 2, 3):
-            raise ValueError("derivative order must be 1, 2 or 3")
-        if self.points < 5 or self.points % 2 == 0:
-            raise ValueError("stencil needs an odd point count >= 5")
-        if self.points < self.order + 2:
-            raise ValueError("stencil needs points >= order + 2")
-        if not np.all(self.base_step > 0.0):
-            raise ValueError("base_step must be positive")
-
-    @property
-    def half_width(self) -> int:
-        return self.points // 2
-
-
-def default_stencil(order: int, z) -> Stencil:
-    """Stencil with step eps^(1/(points+1)) * max(1, |z|), elementwise in z."""
+def default_stencil(order: int, z):
+    """(points, step) of the central stencil for the given order, with step
+    eps^(1/(points+1)) * max(1, |z|) elementwise in z."""
     points = _DEFAULT_POINTS[order]
-    step = _EPS ** (1.0 / (points + 1)) * np.fmax(1.0, np.abs(z))
-    return Stencil(order=order, points=points, base_step=step)
+    return points, _EPS ** (1.0 / (points + 1)) * np.fmax(1.0, np.abs(z))
 
 
 @lru_cache(maxsize=None)
@@ -101,10 +76,9 @@ def _first(values, flagged) -> float:
     return float(np.ravel(values)[np.argmax(flagged)])
 
 
-def _fd_derivative(f: SmoothMap, order: int, z: np.ndarray,
-                   stencil: Stencil) -> np.ndarray:
-    weights, offsets = _central_weights(stencil.points, order)
-    h = stencil.base_step
+def _fd_derivative(f: SmoothMap, order: int, z: np.ndarray) -> np.ndarray:
+    points, h = default_stencil(order, z)
+    weights, offsets = _central_weights(points, order)
     # both Richardson steps in one evaluation, shape (..., 2, points)
     steps = np.multiply.outer(h, (1.0, 0.5))
     nodes = z[..., None, None] + offsets * steps[..., None]
@@ -115,7 +89,7 @@ def _fd_derivative(f: SmoothMap, order: int, z: np.ndarray,
     outside = ~((lo < ends) & (ends < hi))
     if np.any(outside):
         half_width = np.broadcast_to(
-            stencil.half_width * steps[..., :1, None], outside.shape)
+            points // 2 * steps[..., :1, None], outside.shape)
         near = np.broadcast_to(z[..., None, None], outside.shape)
         raise DomainError(
             f"stencil of half-width {_first(half_width, outside):.3e} around "
@@ -133,7 +107,7 @@ def _fd_derivative(f: SmoothMap, order: int, z: np.ndarray,
     est = sums.reshape(steps.shape) / steps ** order
     coarse, fine = est[..., 0], est[..., 1]
     # accuracy order of the symmetric stencil (odd orders round up to even)
-    p = stencil.points - order
+    p = points - order
     p += p % 2
     fac = 2.0 ** p
     return (fac * fine - coarse) / (fac - 1.0)
@@ -150,7 +124,7 @@ def derivative(f: SmoothMap, order: int, z):
     z = np.asarray(z, dtype=float)
     closed = f.closed_form(order)
     if closed is None:
-        val = _fd_derivative(f, order, z, default_stencil(order, z))
+        val = _fd_derivative(f, order, z)
     else:
         val = closed(z)
         if not np.all(np.isfinite(val)):
@@ -159,17 +133,18 @@ def derivative(f: SmoothMap, order: int, z):
     return float(val) if z.ndim == 0 else val
 
 
-def schwarzian(f: SmoothMap, z, critical_tol: float = 1e-9):
+def schwarzian(f: SmoothMap, z):
     """Schwarzian derivative f'''/f' - (3/2)(f''/f')^2 at z.
 
-    Raises CriticalPoint when |f'| falls below the configured threshold at
-    any point; the expression is singular there and a huge return value
-    would silently corrupt downstream residuals.
+    Raises CriticalPoint when |f'| falls below _CRITICAL_TOL, relative to
+    |f''| times the stencil step, at any point; the expression is singular
+    there and a huge return value would silently corrupt downstream
+    residuals.
     """
     f1 = derivative(f, 1, z)
     f2 = derivative(f, 2, z)
-    h = default_stencil(2, z).base_step
-    critical = np.abs(f1) < critical_tol * np.fmax(1.0, np.abs(f2) * h)
+    h = default_stencil(2, z)[1]
+    critical = np.abs(f1) < _CRITICAL_TOL * np.fmax(1.0, np.abs(f2) * h)
     if np.any(critical):
         raise CriticalPoint(f"|f'({_first(z, critical)!r})| = "
                             f"{_first(np.abs(f1), critical):.3e} is "
@@ -180,26 +155,6 @@ def schwarzian(f: SmoothMap, z, critical_tol: float = 1e-9):
 
 
 def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
-    """Composition outer(inner(.)) with chain-rule derivatives where available."""
-
-    def ev(z):
-        return outer.eval(inner.eval(z))
-
-    d1 = d2 = d3 = None
-    if outer.d1 and inner.d1:
-        def d1(z):
-            return outer.d1(inner.eval(z)) * inner.d1(z)
-    if outer.d1 and outer.d2 and inner.d1 and inner.d2:
-        def d2(z):
-            u = inner.eval(z)
-            du = inner.d1(z)
-            return outer.d2(u) * du * du + outer.d1(u) * inner.d2(z)
-        if outer.d3 and inner.d3:
-            def d3(z):
-                u = inner.eval(z)
-                du = inner.d1(z)
-                ddu = inner.d2(z)
-                return (outer.d3(u) * du ** 3
-                        + 3.0 * outer.d2(u) * du * ddu
-                        + outer.d1(u) * inner.d3(z))
-    return SmoothMap(eval=ev, d1=d1, d2=d2, d3=d3, domain=inner.domain)
+    """Composition outer(inner(.)), differentiated by finite differences."""
+    return SmoothMap(eval=lambda z: outer.eval(inner.eval(z)),
+                     domain=inner.domain)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .backlund import BacklundMap, is_fixed_point, orbit
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, _finite_float, load_config
 from .errors import ConfigError, NonFinite, NumericalError
 from .functional import ShiftMap
 from .gp import ClosedFormSolution, closed_form_residual, gp_rhs, phase
@@ -50,17 +50,6 @@ def _write_rows(path: Path, header: list[str], table) -> None:
 def write_solution_csv(path: Path, grid: SolutionGrid) -> None:
     _write_rows(path, ["x", "r", "r_prime"],
                 np.column_stack([grid.xs, grid.rs, grid.rps]))
-
-
-def read_solution_csv(path: str | Path) -> SolutionGrid:
-    path = Path(path)
-    lines = path.read_text().strip().splitlines()
-    if not lines or lines[0].split(",")[:3] != ["x", "r", "r_prime"]:
-        raise ConfigError(f"{path} is not a solution CSV")
-    data = np.array([[float(tok) for tok in line.split(",")]
-                     for line in lines[1:]])
-    return SolutionGrid(xs=data[:, 0], rs=data[:, 1], rps=data[:, 2],
-                        meta={"kind": "csv", "path": str(path)})
 
 
 def _finite_or_null(obj):
@@ -231,7 +220,7 @@ def cmd_wavefunction(cfg: ExperimentConfig, out_dir: Path,
 
 def _parse_t_samples(text: str) -> list[float]:
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip()]
+        vals = [_finite_float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --t-samples: {exc}") from exc
     if not vals:
@@ -257,6 +246,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.command == "wavefunction":
+            t_samples = _parse_t_samples(args.t_samples)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":
@@ -265,7 +256,7 @@ def main(argv=None) -> int:
             return cmd_transform(cfg, out_dir)
         if args.command == "verify":
             return cmd_verify(cfg, out_dir)
-        return cmd_wavefunction(cfg, out_dir, _parse_t_samples(args.t_samples))
+        return cmd_wavefunction(cfg, out_dir, t_samples)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -53,10 +53,6 @@ class GridTooSmall(NumericalError):
     """Grid has too few points for the requested stencil."""
 
 
-class NonUniform(NumericalError):
-    """Grid spacing is not uniform and resampling was disabled."""
-
-
 class OutOfRange(NumericalError):
     """Requested point lies outside an interpolant's covered interval."""
 

@@ -89,8 +89,8 @@ class PolyG:
         # G^{-1} of a stand-in 1 where y <= 0, whose root is discarded
         return np.where(ok, self.inverse(np.where(ok, y, 1.0)), fallback)
 
-    def as_smooth_map(self, domain: tuple[float, float] = (0.0, math.inf),
-                      with_derivatives: bool = True) -> SmoothMap:
+    def as_smooth_map(self, with_derivatives: bool = True) -> SmoothMap:
+        domain = (0.0, math.inf)
         if with_derivatives:
             return SmoothMap(eval=self.value, d1=self.prime, d2=self.second,
                              d3=self.third, domain=domain)
@@ -141,12 +141,8 @@ class Mobius:
             d=self.c * other.b + self.d * other.d,
         )
 
-    def inverse(self) -> "Mobius":
-        return Mobius(a=self.d, b=-self.b, c=-self.c, d=self.a)
-
-    def as_smooth_map(self, domain: tuple[float, float] = (-math.inf, math.inf)
-                      ) -> SmoothMap:
-        return SmoothMap(eval=self, domain=domain)
+    def as_smooth_map(self) -> SmoothMap:
+        return SmoothMap(eval=self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +163,6 @@ class ShiftMap:
     @cached_property
     def x_min(self) -> float | np.ndarray:
         return self.g.inverse_or(-self.K, 0.0)
-
-    @property
-    def valid_domain(self) -> tuple[float, float]:
-        return (self.x_min, math.inf)
 
     def _target(self, x):
         _require_positive(x)
@@ -201,7 +193,7 @@ class ShiftMap:
         return (self.g.second(x) - self.g.second(f) * fp * fp) / self.g.prime(f)
 
     def as_smooth_map(self) -> SmoothMap:
-        return SmoothMap(eval=self.f, domain=self.valid_domain)
+        return SmoothMap(eval=self.f, domain=(self.x_min, math.inf))
 
 
 def solve_f(shift: ShiftMap, x):

@@ -37,7 +37,7 @@ class GPParams:
     """Parameter set of the reduced amplitude equation.
 
     ``b`` is the cubic coefficient as it appears in the expanded equation
-    (the representation-level coefficient is b/n^3, exposed separately);
+    (the representation-level coefficient is b/n^3);
     ``c`` is the angular-momentum constant from r^2 theta' = c. ``eta`` may
     be an array, as in PolyG, and GPParams compares and hashes by identity.
     """
@@ -70,10 +70,6 @@ class GPParams:
     def satisfies_constraint(self) -> bool:
         scale = max(self.c * self.c, 1.0)
         return abs(self.constraint_residual) <= _CONSTRAINT_RTOL * scale
-
-    @property
-    def representation_coefficient(self) -> float:
-        return self.b / self.n ** 3
 
     @classmethod
     def constrained(cls, n: int, eta: float, c: float, v: float = 1.0,
@@ -131,26 +127,6 @@ def _shape(p: GPParams, x):
     return s, s1, s2
 
 
-def _warn_constraint(p: GPParams) -> None:
-    if not p.satisfies_constraint():
-        warnings.warn(ConstraintViolated(
-            f"b*v^6 + c^2 = {p.constraint_residual:.3e}: the closed form "
-            f"does not solve the amplitude equation for these parameters"))
-
-
-def closed_form_r(p: GPParams, x):
-    """Closed-form amplitude v / sqrt(x^(n-1)(1 + 2 eta x^n)).
-
-    Emits a ConstraintViolated warning when b v^6 + c^2 != 0, in which case
-    the value is still returned but does not solve the equation.
-    """
-    if np.any(np.asarray(x) <= 0.0):
-        raise DomainError("closed-form amplitude is defined for x > 0")
-    _warn_constraint(p)
-    s, _, _ = _shape(p, x)
-    return p.v / np.sqrt(s)
-
-
 @dataclass(frozen=True)
 class ClosedFormSolution:
     """Closed-form amplitude with exact derivatives, usable as a transform seed."""
@@ -159,8 +135,11 @@ class ClosedFormSolution:
     warn: bool = True
 
     def __post_init__(self) -> None:
-        if self.warn:
-            _warn_constraint(self.params)
+        p = self.params
+        if self.warn and not p.satisfies_constraint():
+            warnings.warn(ConstraintViolated(
+                f"b*v^6 + c^2 = {p.constraint_residual:.3e}: the closed form "
+                f"does not solve the amplitude equation for these parameters"))
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -247,64 +226,3 @@ def phase(p: GPParams, x, r_source=None, x_ref: Optional[float] = None):
     theta = p.theta0 + (cum[np.searchsorted(knots, xq)]
                         - cum[np.searchsorted(knots, x_ref)])
     return float(theta) if xq.ndim == 0 else theta
-
-
-@dataclass(frozen=True)
-class WaveSample:
-    """One sample of the complex wave function psi(x, t)."""
-
-    x: float
-    t: float
-    re: float
-    im: float
-
-    @property
-    def modulus(self) -> float:
-        return math.hypot(self.re, self.im)
-
-
-def wavefunction(p: GPParams, r_source, x: float, t: float,
-                 x_ref: Optional[float] = None) -> WaveSample:
-    """psi(x, t) = r(x) exp(i(theta(x) - mu t)) assembled from r and theta."""
-    if r_source is None:
-        r_source = ClosedFormSolution(p)
-    r = float(r_source.eval_with_derivative(np.array([x]))[0][0])
-    # the closed form's domain starts at 0, where its phase is anchored
-    ref = x_ref if x_ref is not None else r_source.domain[0]
-    th = float(phase(p, x, r_source=r_source, x_ref=ref))
-    angle = th - p.mu * t
-    return WaveSample(x=float(x), t=float(t),
-                      re=r * math.cos(angle), im=r * math.sin(angle))
-
-
-@dataclass(frozen=True)
-class BoundednessReport:
-    """Small-x behaviour of the closed-form amplitude."""
-
-    n: int
-    bounded: bool
-    limit_exponent: float
-    samples: dict
-    ratio_4_2: float
-    ratio_6_4: float
-    expected_ratio: float
-
-
-def boundedness_report(p: GPParams) -> BoundednessReport:
-    """r(x) ~ v x^(-(n-1)/2) as x -> 0+; bounded at the origin iff n <= 1.
-
-    Evidence is sampled at x in {1e-2, 1e-4, 1e-6}; for eta = 0 successive
-    ratios equal 10^(n-1) exactly.
-    """
-    probes = (1e-2, 1e-4, 1e-6)
-    sol = ClosedFormSolution(p, warn=False)
-    samples = {x: float(sol.value(x)) for x in probes}
-    return BoundednessReport(
-        n=p.n,
-        bounded=p.n <= 1,
-        limit_exponent=-(p.n - 1) / 2.0,
-        samples=samples,
-        ratio_4_2=samples[1e-4] / samples[1e-2],
-        ratio_6_4=samples[1e-6] / samples[1e-4],
-        expected_ratio=10.0 ** (p.n - 1),
-    )

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (AmplitudeCollapse, BlowUp, GridTooSmall, NonFinite,
-                     NonUniform, OutOfRange, StepSizeUnderflow)
+                     OutOfRange, StepSizeUnderflow)
 from .calculus import fd_weights
 
 _BLOWUP_LIMIT = 1e12
@@ -304,7 +304,7 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
         except _RHS_ERRORS:
             k7 = inf
         if not (isfinite(r_new) and isfinite(rp_new) and isfinite(k7)):
-            return inf, r, rp, k1, 6
+            return inf, r, rp, k1
 
         er = 0.0 + e1 * rp + e3 * rp3 + e4 * rp4 + e5 * rp5 + e6 * rp6 \
             + e7 * rp_new
@@ -404,21 +404,17 @@ def integrate_span(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
 def sample(dense: DenseSolution, xs) -> SolutionGrid:
     """Sample a dense solution at the given points."""
     xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        return SolutionGrid(xs=xs, rs=xs.copy(), rps=xs.copy(),
-                            meta=dict(dense.meta))
     rs, rps = dense.eval_with_derivative(xs)
     return SolutionGrid(xs=xs, rs=rs, rps=rps, meta=dict(dense.meta))
 
 
-def residual(ode: SecondOrderODE, grid: SolutionGrid,
-             resample: bool = True) -> np.ndarray:
+def residual(ode: SecondOrderODE, grid: SolutionGrid) -> np.ndarray:
     """Per-point residual r''_FD(x_i) - rhs(x_i, r_i) on a uniform grid.
 
     Interior points use the 4th-order 5-point central second difference;
     the two points adjacent to each boundary use one-sided 4th-order
     stencils. Non-uniform grids are resampled through a cubic Hermite
-    interpolant first (or rejected when ``resample`` is false).
+    interpolant first.
     """
     n = len(grid)
     if n < 7:
@@ -426,8 +422,6 @@ def residual(ode: SecondOrderODE, grid: SolutionGrid,
     xs, rs = grid.xs, grid.rs
     h = (xs[-1] - xs[0]) / (n - 1)
     if np.max(np.abs(np.diff(xs) - h)) > 1e-8 * h:
-        if not resample:
-            raise NonUniform("grid spacing is not uniform")
         interp = grid.as_interpolant()
         xu = np.linspace(xs[0], xs[-1], n)
         ru, rpu = interp.eval_with_derivative(xu)
@@ -456,8 +450,7 @@ def residual(ode: SecondOrderODE, grid: SolutionGrid,
     return d2 - vals
 
 
-def residual_max(ode: SecondOrderODE, grid: SolutionGrid,
-                 resample: bool = True) -> float:
+def residual_max(ode: SecondOrderODE, grid: SolutionGrid) -> float:
     """Max-abs residual over interior points (one-sided stencils excluded)."""
-    res = residual(ode, grid, resample=resample)
+    res = residual(ode, grid)
     return float(np.max(np.abs(res[2:-2])))

@@ -11,7 +11,7 @@ import pytest
 
 from gpbacklund.backlund import BacklundMap, is_fixed_point, transform
 from gpbacklund.functional import ShiftMap
-from gpbacklund.gp import ClosedFormSolution, GPParams, boundedness_report, gp_rhs
+from gpbacklund.gp import ClosedFormSolution, GPParams, gp_rhs
 from gpbacklund.ode import SecondOrderODE, ToleranceSpec, integrate, integrate_span, residual_max
 from gpbacklund.verify import (check_closed_form_residual,
                                check_composition_law,
@@ -140,10 +140,11 @@ def test_criterion_9_boundedness():
     worst_rel = 0.0
     for n in (1, 2, 3):
         p = GPParams.constrained(n=n, eta=0.0, c=1.0, v=1.0)
-        rep = boundedness_report(p)
-        assert rep.bounded == (n <= 1)
+        r = ClosedFormSolution(p, warn=False).value
+        # r(x) ~ v x^(-(n-1)/2) as x -> 0+: bounded at the origin iff n <= 1
+        assert (r(1e-6) == pytest.approx(r(1e-2))) == (n <= 1)
         worst_rel = max(worst_rel,
-                        abs(rep.ratio_4_2 / 10.0 ** (n - 1) - 1.0))
+                        abs(r(1e-4) / r(1e-2) / 10.0 ** (n - 1) - 1.0))
     ok = worst_rel < 1e-6
     report("9 (boundedness at the origin)", ok,
            f"amplitude ratio r(1e-4)/r(1e-2) matches 10^(n-1) to "

@@ -153,7 +153,7 @@ class TestFixedPoint:
         xs = np.linspace(1.0, 4.0, 101)
         grid = SolutionGrid(xs=xs, rs=np.ones_like(xs), rps=np.zeros_like(xs))
         bmap = BacklundMap(shift=ShiftMap(PolyG(1, 0.0), 0.7))
-        res = is_fixed_point(bmap, grid)
+        res = is_fixed_point(bmap, grid.as_interpolant(), grid.xs)
         assert res.is_fixed
 
     def test_generic_seed_is_not_fixed(self):
@@ -168,7 +168,7 @@ class TestFixedPoint:
         xs = np.linspace(1.0, 4.0, 51)
         grid = SolutionGrid(xs=xs, rs=np.ones_like(xs), rps=np.zeros_like(xs))
         bmap = BacklundMap(shift=ShiftMap(p.g, 0.3))
-        res = is_fixed_point(bmap, grid)
+        res = is_fixed_point(bmap, grid.as_interpolant(), grid.xs)
         assert res.deviation < 1e-12
 
     def test_array_parameters_give_the_worst_map(self):
@@ -185,11 +185,6 @@ class TestFixedPoint:
             is_fixed_point(BacklundMap(shift=ShiftMap(PolyG(2, e), kk)),
                            closed_form(n=2, eta=e), common).deviation
             for e in (0.0, 1.0) for kk in (-0.5, 0.5))
-
-    def test_requires_points_for_non_grid_seeds(self):
-        bmap = BacklundMap(shift=ShiftMap(PolyG(1, 1.0), 0.5))
-        with pytest.raises(ValueError):
-            is_fixed_point(bmap, closed_form())
 
 
 class TestEffectiveDomain:

@@ -6,10 +6,10 @@ import pytest
 from gpbacklund.backlund import BacklundMap, is_fixed_point, transform
 from gpbacklund.errors import ConstraintViolated, DomainError, NonFinite
 from gpbacklund.functional import ShiftMap
-from gpbacklund.gp import (ClosedFormSolution, GPParams, boundedness_report,
-                           closed_form_r, closed_form_residual, gp_rhs,
-                           linear_coefficient, linear_coefficient_check,
-                           phase, wavefunction)
+from gpbacklund.cli import main
+from gpbacklund.gp import (ClosedFormSolution, GPParams, closed_form_residual,
+                           gp_rhs, linear_coefficient, linear_coefficient_check,
+                           phase)
 from gpbacklund.ode import (ToleranceSpec, integrate, integrate_span,
                             residual_max)
 
@@ -38,10 +38,6 @@ class TestParams:
         p = GPParams.constrained(n=2, eta=0.5, c=2.0, v=1.5)
         assert p.satisfies_constraint()
         assert p.b == pytest.approx(-4.0 / 1.5 ** 6)
-
-    def test_representation_coefficient(self):
-        p = GPParams(n=3, eta=0.0, b=-1.0, c=1.0)
-        assert p.representation_coefficient == pytest.approx(-1.0 / 27.0)
 
 
 class TestRhs:
@@ -108,22 +104,23 @@ class TestClosedForm:
     ])
     def test_values(self, n, eta, v, x, expected):
         p = GPParams.constrained(n=n, eta=eta, c=1.0, v=v)
-        assert closed_form_r(p, x) == pytest.approx(expected, rel=1e-14)
+        assert ClosedFormSolution(p).value(x) == pytest.approx(expected,
+                                                               rel=1e-14)
 
     def test_positive_everywhere(self):
         p = GPParams.constrained(n=3, eta=1.0, c=1.0)
         xs = np.logspace(-3, 1, 40)
-        assert np.all(closed_form_r(p, xs) > 0.0)
+        assert np.all(ClosedFormSolution(p).value(xs) > 0.0)
 
     def test_warns_when_constraint_broken(self):
         p = GPParams(n=1, eta=0.0, b=-0.99, c=1.0, v=1.0)
         with pytest.warns(ConstraintViolated):
-            closed_form_r(p, 1.0)
+            ClosedFormSolution(p)
 
     def test_domain_guard(self):
         p = GPParams.constrained(n=1, eta=0.0, c=1.0)
         with pytest.raises(DomainError):
-            closed_form_r(p, 0.0)
+            ClosedFormSolution(p).eval_with_derivative([1.0, 0.0])
 
     def test_derivatives_match_finite_differences(self):
         p = GPParams.constrained(n=2, eta=0.7, c=1.0)
@@ -153,11 +150,9 @@ class TestClosedForm:
         # region where the sixth derivative stays small
         p = GPParams.constrained(n=1, eta=1.0, c=1.0, v=1.0)
         xs = np.linspace(1.0, 5.0, 401)
-        grid_rs = np.asarray(closed_form_r(p, xs))
         sol = ClosedFormSolution(p)
         from gpbacklund.ode import SolutionGrid
-        grid = SolutionGrid(xs=xs, rs=grid_rs,
-                            rps=np.asarray(sol.derivative(xs)))
+        grid = SolutionGrid(xs=xs, rs=sol.value(xs), rps=sol.derivative(xs))
         assert residual_max(gp_rhs(p), grid) < 1e-8
 
     def test_closed_form_is_transform_fixed_point(self):
@@ -185,7 +180,7 @@ class TestPhase:
     def test_quadrature_matches_closed_form(self):
         p = GPParams.constrained(n=2, eta=0.5, c=1.0, v=1.0)
         dense = integrate(gp_rhs(p), 0.5,
-                          float(closed_form_r(p, 0.5)),
+                          float(ClosedFormSolution(p).value(0.5)),
                           float(ClosedFormSolution(p).derivative(0.5)),
                           3.0, ToleranceSpec(1e-12, 1e-12))
         got = phase(p, 2.5, r_source=dense, x_ref=0.5)
@@ -237,54 +232,77 @@ class TestPhase:
             phase(q, np.linspace(1.0, 2.0, 5), r_source=dense, x_ref=1.0)
 
 
+def wave_table(tmp_path, p, x_min, x_max, t_samples,
+               seed="seed.kind = closed_form"):
+    """Rows (x, t, re, im, modulus) the wavefunction command writes for p on
+    a 7-point grid over [x_min, x_max]."""
+    cfg = tmp_path / "wave.cfg"
+    cfg.write_text("".join(
+        f"params.{key} = {getattr(p, key)!r}\n"
+        for key in ("n", "eta", "b", "c", "v", "mu", "theta0"))
+        + f"grid.x_min = {x_min!r}\ngrid.x_max = {x_max!r}\n"
+        + f"grid.points = 7\n{seed}\n")
+    assert main(["wavefunction", "--config", str(cfg), "--out-dir",
+                 str(tmp_path), "--t-samples",
+                 ",".join(repr(float(t)) for t in t_samples)]) == 0
+    return np.loadtxt(tmp_path / "wave.csv", delimiter=",", skiprows=1)
+
+
 class TestWavefunction:
-    def test_static_real(self):
+    """psi(x, t) = r(x) exp(i(theta(x) - mu t)) as the CLI assembles it
+    from the seed's amplitude and ``phase``; x_min is an exact grid node."""
+
+    def test_static_real(self, tmp_path):
         p = GPParams.constrained(n=1, eta=0.0, c=0.0, v=1.0)
-        w = wavefunction(p, None, 3.0, 0.0)
-        assert w.re == pytest.approx(1.0)
-        assert w.im == pytest.approx(0.0)
+        _, _, re, im, _ = wave_table(tmp_path, p, 3.0, 4.0, [0.0])[0]
+        assert re == pytest.approx(1.0)
+        assert im == pytest.approx(0.0)
 
-    def test_half_period_flip(self):
+    def test_half_period_flip(self, tmp_path):
         p = GPParams(n=1, eta=0.0, b=0.0, c=0.0, v=1.0, mu=1.0)
-        w = wavefunction(p, None, 3.0, math.pi)
-        assert w.re == pytest.approx(-1.0, rel=1e-12)
-        assert abs(w.im) < 1e-12
+        _, _, re, im, _ = wave_table(tmp_path, p, 3.0, 4.0, [math.pi])[0]
+        assert re == pytest.approx(-1.0, rel=1e-12)
+        assert abs(im) < 1e-12
 
-    def test_modulus_and_phase(self):
+    def test_modulus_and_phase(self, tmp_path):
         p = GPParams.constrained(n=1, eta=1.0, c=1.0, v=1.0)
-        w = wavefunction(p, None, 1.0, 0.0)
-        assert w.modulus == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-13)
-        assert w.re == pytest.approx(math.cos(2.0) / math.sqrt(3.0), rel=1e-12)
-        assert w.im == pytest.approx(math.sin(2.0) / math.sqrt(3.0), rel=1e-12)
+        _, _, re, im, mod = wave_table(tmp_path, p, 1.0, 2.0, [0.0])[0]
+        assert mod == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-13)
+        assert re == pytest.approx(math.cos(2.0) / math.sqrt(3.0), rel=1e-12)
+        assert im == pytest.approx(math.sin(2.0) / math.sqrt(3.0), rel=1e-12)
 
-    def test_modulus_time_invariant(self):
+    def test_modulus_time_invariant(self, tmp_path):
         p = GPParams.constrained(n=2, eta=0.5, c=1.0, v=1.0, mu=0.7)
-        mods = [wavefunction(p, None, 1.3, t).modulus
-                for t in np.linspace(0.0, 20.0, 9)]
+        table = wave_table(tmp_path, p, 1.3, 2.0, np.linspace(0.0, 20.0, 9))
+        mods = table[table[:, 0] == 1.3, 4]
+        assert mods.size == 9
         assert np.max(np.abs(np.diff(mods))) < 1e-12 * mods[0]
 
-    def test_dense_source(self):
+    def test_dense_source(self, tmp_path):
         p = GPParams.constrained(n=1, eta=0.0, c=1.0, v=1.0)
-        dense = integrate(gp_rhs(p), 1.0, 1.0, 0.0, 3.0,
-                          ToleranceSpec(1e-10, 1e-10))
-        w = wavefunction(p, dense, 2.0, 0.0)
-        # r = 1, theta(x) - theta(1) = x - 1
-        assert w.modulus == pytest.approx(1.0, abs=1e-8)
-        assert w.re == pytest.approx(math.cos(1.0), abs=1e-7)
+        # x = 1, 4/3, ..., 3; r = 1 and theta(x) - theta(1) = x - 1
+        table = wave_table(tmp_path, p, 1.0, 3.0, [0.0],
+                           seed="seed.kind = integrate\nseed.x0 = 1.0\n"
+                                "seed.r0 = 1.0\nseed.rp0 = 0.0")
+        assert np.allclose(table[:, 4], 1.0, rtol=0.0, atol=1e-8)
+        assert np.allclose(table[:, 2], np.cos(table[:, 0] - 1.0),
+                           rtol=0.0, atol=1e-7)
 
 
 class TestBoundedness:
+    """r(x) ~ v x^(-(n-1)/2) as x -> 0+, probed at x = 1e-2, 1e-4, 1e-6."""
+
     def test_bounded_iff_n_le_1(self):
         for n in (1, 2, 3):
             p = GPParams.constrained(n=n, eta=0.0, c=1.0, v=1.0)
-            rep = boundedness_report(p)
-            assert rep.bounded == (n <= 1)
-            assert rep.limit_exponent == pytest.approx(-(n - 1) / 2.0)
+            r = ClosedFormSolution(p, warn=False).value
+            assert (r(1e-6) == pytest.approx(r(1e-2))) == (n <= 1)
+            assert math.log(r(1e-6) / r(1e-4)) / math.log(1e-2) == \
+                pytest.approx(-(n - 1) / 2.0)
 
     @pytest.mark.parametrize("n,expected", [(1, 1.0), (2, 10.0), (3, 100.0)])
     def test_eta_zero_ratios(self, n, expected):
         p = GPParams.constrained(n=n, eta=0.0, c=1.0, v=1.0)
-        rep = boundedness_report(p)
-        assert rep.ratio_4_2 == pytest.approx(expected, rel=1e-6)
-        assert rep.ratio_6_4 == pytest.approx(expected, rel=1e-6)
-        assert rep.expected_ratio == expected
+        r = ClosedFormSolution(p, warn=False).value
+        assert r(1e-4) / r(1e-2) == pytest.approx(expected, rel=1e-6)
+        assert r(1e-6) / r(1e-4) == pytest.approx(expected, rel=1e-6)

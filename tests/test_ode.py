@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpbacklund.errors import (AmplitudeCollapse, BlowUp, GridTooSmall,
-                               NonUniform, OutOfRange, StepSizeUnderflow)
+                               OutOfRange, StepSizeUnderflow)
 from gpbacklund.gp import GPParams, gp_rhs
 from gpbacklund.ode import (_A, _B5, _C, _E, DenseSolution, SecondOrderODE,
                             SolutionGrid, ToleranceSpec, integrate,
@@ -196,12 +196,6 @@ class TestResidual:
         grid = SolutionGrid(xs=xs, rs=np.ones_like(xs), rps=np.zeros_like(xs))
         with pytest.raises(GridTooSmall):
             residual(FREE, grid)
-
-    def test_non_uniform_rejected_without_resampling(self):
-        xs = np.array([1.0, 1.1, 1.3, 1.4, 1.5, 1.7, 1.8, 2.0])
-        grid = SolutionGrid(xs=xs, rs=np.ones_like(xs), rps=np.zeros_like(xs))
-        with pytest.raises(NonUniform):
-            residual(FREE, grid, resample=False)
 
     def test_non_uniform_resampled(self):
         dense = sine_problem(x_end=1.5)
@@ -407,3 +401,18 @@ class TestPinnedBits:
         integrate(counting, x0, r0, rp0, x_end, tol)
         attempts = reference_integrate(ode, x0, r0, rp0, x_end, tol)[4]
         assert calls[0] == 1 + 6 * attempts
+
+    def test_failure_at_the_last_stage_only_rejects_the_step(self):
+        # call 1 is the initial point, calls 2-6 the stages of the first
+        # attempt and call 7 its last (FSAL) stage, the only one to fail
+        calls = [0]
+
+        def rhs(x, r):
+            calls[0] += 1
+            return math.inf if calls[0] == 7 else 0.0
+
+        ode = SecondOrderODE(rhs=rhs, domain=(1e-3, 100.0))
+        dense = integrate(ode, 1.0, 1.0, 0.0, 3.0, TOL)
+        # the rejection shrinks the first step, 0.01 * span, by 0.2
+        assert dense.xs[1] == pytest.approx(1.0 + 0.2 * 0.01 * 2.0, rel=1e-15)
+        assert np.all(dense.rs == 1.0)
