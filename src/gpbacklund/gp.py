@@ -118,7 +118,10 @@ def linear_coefficient_check(p: GPParams, x):
 
 
 def _shape(p: GPParams, x):
-    """s(x) = x^(n-1) (1 + 2 eta x^n) and its first two derivatives."""
+    """s(x) = x^(n-1) (1 + 2 eta x^n) and its first two derivatives; the
+    closed form is defined for x > 0 only."""
+    if np.any(np.asarray(x) <= 0.0):
+        raise DomainError("closed-form amplitude is defined for x > 0")
     n, eta = p.n, p.eta
     s = x ** (n - 1) + 2.0 * eta * x ** (2 * n - 1)
     s1 = (n - 1) * x ** (n - 2) + 2.0 * eta * (2 * n - 1) * x ** (2 * n - 2)
@@ -165,10 +168,7 @@ class ClosedFormSolution:
         return -0.5 * v * s2 * s ** -1.5 + 0.75 * v * s1 * s1 * s ** -2.5
 
     def eval_with_derivative(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if np.any(xs <= 0.0):
-            raise DomainError("closed-form amplitude is defined for x > 0")
-        s, s1, _ = _shape(self.params, xs)
+        s, s1, _ = _shape(self.params, np.asarray(xs, dtype=float))
         if not np.all(np.isfinite(s)):
             raise NonFinite("x^(n-1) (1 + 2 eta x^n) overflows on the "
                             "requested points")

@@ -8,8 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import gpbacklund
+from gpbacklund import cli
 from gpbacklund.cli import _write_rows, main, write_solution_csv
 from gpbacklund.errors import NonFinite
 from gpbacklund.gp import GPParams, gp_rhs
@@ -322,6 +326,80 @@ class TestCsvBytes:
         _write_rows(tmp_path / "t.csv", ["x", "r", "r_prime"],
                     np.empty((0, 3)))
         assert (tmp_path / "t.csv").read_bytes() == b"x,r,r_prime\n"
+
+
+def _powers_of_ten_and_neighbours():
+    powers = [float(f"1e{k}") for k in range(-20, 46)]
+    return (powers + [math.nextafter(p, math.inf) for p in powers]
+            + [math.nextafter(p, 0.0) for p in powers])
+
+
+class TestCsvWriterPaths:
+    """The numpy writer, on its certified fast path and on its "%"
+    fallback, against per-value '{:.16e}'.format."""
+
+    ADVERSARIAL = [
+        0.0, -0.0, 5e-324, -5e-324,
+        2.225073858507201e-308,  # the largest subnormal
+        1.7976931348623157e308, -1.7976931348623157e308,
+        1000000000000000.25, 1000000000000000.75,  # exact 18-digit ties
+        1e-14, 1e98,  # 17-digit rounding carries into the next decade
+    ] + _powers_of_ten_and_neighbours()
+
+    @staticmethod
+    def write(directory, table):
+        header = [f"c{j}" for j in range(table.shape[1])]
+        _write_rows(directory / "t.csv", header, table)
+        text = (directory / "t.csv").read_text()
+        return text, TestCsvBytes.per_value(header, table.tolist())
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=arrays(
+        np.float64,
+        st.tuples(st.integers(0, 40), st.integers(1, 6)),
+        elements=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(0, 2 ** 64 - 1)
+            .map(lambda bits: float(np.uint64(bits).view(np.float64)))
+            .filter(math.isfinite))))
+    def test_matches_per_value_format(self, tmp_path_factory, table):
+        text, expected = self.write(tmp_path_factory.mktemp("csv"), table)
+        assert text == expected
+
+    def test_adversarial_values(self, tmp_path):
+        values = self.ADVERSARIAL + [-v for v in self.ADVERSARIAL]
+        table = np.array(values).reshape(-1, 2)
+        text, expected = self.write(tmp_path, table)
+        assert text == expected
+
+    def test_every_value_through_the_fallback(self, tmp_path, monkeypatch):
+        # a margin above 1/2 certifies nothing, as where longdouble is binary64
+        monkeypatch.setattr(cli, "_TIE_MARGIN", 1.0)
+        rng = np.random.default_rng(8)
+        table = np.resize(np.concatenate([np.linspace(0.5, 3.0, 300),
+                                          rng.standard_normal(300),
+                                          self.ADVERSARIAL]), (300, 3))
+        text, expected = self.write(tmp_path, table)
+        assert text == expected
+        # a 4-digit fallback format shows that no value took the fast path
+        monkeypatch.setattr(cli, "_FALLBACK_FMT", "%24.3e")
+        _write_rows(tmp_path / "t.csv", ["a", "b", "c"], table)
+        assert (tmp_path / "t.csv").read_text().splitlines()[1:] == \
+            [",".join(f"{v:.3e}" for v in row) for row in table.tolist()]
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="longdouble too narrow to certify 17 digits")
+    def test_fast_path_is_taken(self, tmp_path, monkeypatch):
+        # a 4-digit fallback format marks every value that fell back
+        monkeypatch.setattr(cli, "_FALLBACK_FMT", "%24.3e")
+        xs = np.linspace(0.85, 2.1, 2001)
+        table = np.column_stack([xs, np.sqrt(xs), -np.cos(xs) / 7.0])
+        _write_rows(tmp_path / "t.csv", ["x", "r", "r_prime"], table)
+        lines = (tmp_path / "t.csv").read_text().splitlines()[1:]
+        exact = [f"{v:.16e}" for v in table.ravel().tolist()]
+        written = ",".join(lines).split(",")
+        fast = sum(w == e for w, e in zip(written, exact))
+        assert fast >= 0.95 * table.size
 
 
 class TestDeterminismAndRoundTrip:

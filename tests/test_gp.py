@@ -122,6 +122,15 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             ClosedFormSolution(p).eval_with_derivative([1.0, 0.0])
 
+    @pytest.mark.parametrize("method", ["value", "derivative",
+                                        "second_derivative"])
+    @pytest.mark.parametrize("x", [-1.0, 0.0])
+    def test_pointwise_domain_guard(self, method, x):
+        # no nan, complex value or bare ZeroDivisionError off the domain
+        sol = ClosedFormSolution(GPParams.constrained(n=2, eta=0.5, c=1.0))
+        with pytest.raises(DomainError):
+            getattr(sol, method)(x)
+
     def test_derivatives_match_finite_differences(self):
         p = GPParams.constrained(n=2, eta=0.7, c=1.0)
         sol = ClosedFormSolution(p)
