@@ -8,19 +8,29 @@ Runs ``perfbench/run.py`` once per workload of BENCHMARK.json with
 ``--trace 0`` (the end-to-end metrics) and once with ``--trace 1`` (the
 per-layer metrics), all on seed ``SEED`` so that every record draws the
 same configs, and writes ``{env, commit, src_lines, workloads: {name:
-{end_to_end, per_layer}}}``. Each metric keeps its ``value`` and ``unit``
-as run.py reports them. Exits 1 if any run reports an output that failed
-its checks. ``--compare A B`` prints every metric the two files share, with
-the ratio B / A.
+{end_to_end, per_layer, host_ref_s}}}``. Each metric keeps its ``value``
+and ``unit`` as run.py reports them. The end-to-end times are
+host-normalised by run.py; the per-layer times are wall clock, so
+``host_ref_s`` records the time of perfbench's host reference kernel
+(``perfbench/hostclock.py``) just before and just after the traced run.
+Exits 1 if any run reports an output that failed its checks.
+``--compare A B`` prints every metric the two files share, with the ratio
+B / A, and the ratio of the two records' host reference times; where both
+records have one, each per-layer time's ratio is also given divided by it,
+which takes the host's change of speed out of the comparison.
 """
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from perfbench.hostclock import reference_s  # noqa: E402
+
 SEED = 1
 
 
@@ -46,7 +56,10 @@ def record(seconds: float, workloads) -> tuple[dict, bool]:
     command passed its checks."""
     records, env, correct = {}, None, True
     for name in workloads:
-        runs = {trace: run(name, seconds, trace) for trace in (0, 1)}
+        runs = {0: run(name, seconds, 0)}
+        host_ref_s = [reference_s()]
+        runs[1] = run(name, seconds, 1)
+        host_ref_s.append(reference_s())
         for trace, r in runs.items():
             if not r["correct"]:
                 print(f"{name} --trace {trace}: {r['failed']} of "
@@ -54,7 +67,8 @@ def record(seconds: float, workloads) -> tuple[dict, bool]:
                 correct = False
         env = {**runs[0]["env"], "seed": SEED, "seconds": seconds}
         records[name] = {"end_to_end": runs[0]["metrics"],
-                         "per_layer": runs[1]["metrics"]}
+                         "per_layer": runs[1]["metrics"],
+                         "host_ref_s": host_ref_s}
         print(f"{name}: " + ", ".join(
             f"{m} = {v['value']:.6g} {v['unit']}"
             for m, v in runs[0]["metrics"].items()))
@@ -68,10 +82,22 @@ def record(seconds: float, workloads) -> tuple[dict, bool]:
 def compare(a: dict, b: dict) -> None:
     print(f"A: {a['commit']} ({a['src_lines']} src lines), "
           f"B: {b['commit']} ({b['src_lines']} src lines)")
+    print("ratio is B / A; host is the ratio divided by B / A of the host "
+          "reference time, for per-layer times")
     for name, wa in a["workloads"].items():
         wb = b["workloads"].get(name)
         if wb is None:
             continue
+        host = None
+        if "host_ref_s" in wa and "host_ref_s" in wb:
+            ref_a, ref_b = (statistics.fmean(w["host_ref_s"])
+                            for w in (wa, wb))
+            host = ref_b / ref_a
+            print(f"{name:7s} host reference time {ref_a * 1e3:.3f} ms -> "
+                  f"{ref_b * 1e3:.3f} ms, ratio {host:.3f}")
+        else:
+            print(f"{name:7s} host reference time not recorded in both: "
+                  f"per-layer times include the host's change of speed")
         for kind in ("end_to_end", "per_layer"):
             for metric, ma in wa[kind].items():
                 mb = wb[kind].get(metric)
@@ -79,8 +105,11 @@ def compare(a: dict, b: dict) -> None:
                     continue
                 va, vb = ma["value"], mb["value"]
                 ratio = f"{vb / va:.3f}" if va else "-"
+                normal = ""
+                if kind == "per_layer" and ma["unit"] == "s" and host and va:
+                    normal = f"host {vb / va / host:.3f}"
                 print(f"{name:7s} {metric:42s} {va:12.6g} {vb:12.6g} "
-                      f"{ratio:>8s}  {ma['unit']}")
+                      f"{ratio:>8s}  {ma['unit']:11s} {normal}".rstrip())
 
 
 def main() -> int:

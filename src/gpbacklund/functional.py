@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .calculus import SmoothMap, _first
-from .errors import DomainError, NoRealRoot, NumericalError, Pole, RangeError
+from .errors import (DomainError, NonFinite, NoRealRoot, NumericalError,
+                     Pole, RangeError)
 
 _ROOT_RTOL = 1e-12
 
@@ -50,13 +51,18 @@ class PolyG:
         object.__setattr__(self, "eta", float(eta) if eta.ndim == 0 else eta)
 
     def value(self, x):
-        _require_positive(x)
-        xn = x ** self.n
-        return xn * (1.0 + self.eta * xn)
+        return self._value(_require_positive(x))
 
     def prime(self, x):
         """G'(x) = n x^(n-1) (1 + 2 eta x^n)."""
-        _require_positive(x)
+        return self._prime(_require_positive(x))
+
+    # unguarded forms, for points already known positive
+    def _value(self, x):
+        xn = x ** self.n
+        return xn * (1.0 + self.eta * xn)
+
+    def _prime(self, x):
         return self.n * x ** (self.n - 1) * (1.0 + 2.0 * self.eta * x ** self.n)
 
     def second(self, x):
@@ -78,8 +84,10 @@ class PolyG:
         u = 2.0 * y / (1.0 + np.sqrt(1.0 + 4.0 * self.eta * y))
         x = u ** (1.0 / self.n)
         for _ in range(2):
-            x = x - (self.value(x) - y) / self.prime(x)
-        return x
+            x = x - (self._value(x) - y) / self._prime(x)
+        # an even-degree G also has a negative root, and Newton's steps may
+        # land on it
+        return _require_positive(x)
 
     def inverse_or(self, y, fallback):
         """G^{-1}(y) where y > 0 and ``fallback`` elsewhere, elementwise."""
@@ -165,8 +173,9 @@ class ShiftMap:
         return self.g.inverse_or(-self.K, 0.0)
 
     def _target(self, x):
-        _require_positive(x)
         t = self.g.value(x) + self.K
+        if not np.all(np.isfinite(t)):
+            raise NonFinite(f"G(x) + K is not finite for K={self.K}")
         if np.any(1.0 + 4.0 * self.g.eta * t <= 0.0):
             raise NoRealRoot(
                 f"discriminant 1 + 4*eta*(G(x)+K) <= 0 for K={self.K}")
@@ -175,8 +184,11 @@ class ShiftMap:
     def f(self, x):
         t = self._target(x)
         val = self.g.inverse(t)
-        resid = np.abs(self.g.value(val) - t)
-        if np.any(resid > _ROOT_RTOL * np.maximum(1.0, np.abs(t))):
+        resid = np.abs(self.g._value(val) - t)
+        if not np.all(resid <= _ROOT_RTOL * np.maximum(1.0, np.abs(t))):
+            if np.any(np.isnan(resid)):  # G(x) + K overflows the solver
+                raise NonFinite(f"root of G(f) = G(x) + K is not finite "
+                                f"for K={self.K}")
             raise NumericalError(
                 f"root polish failed for K={self.K}: |G(f)-G(x)-K| = "
                 f"{float(np.max(resid)):.3e}")

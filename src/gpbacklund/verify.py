@@ -27,6 +27,10 @@ PARAM_SWEEP = [(n, eta) for n in (1, 2, 3) for eta in SWEEP_ETAS]
 # residual G(f) - G(x) - K cannot beat ~eps * |G| however exact the root is
 _TARGET_CAP = 5e4
 
+# raw generator outputs a _Tape draws at a time: the Mobius kernel's draws
+# and their lookahead take up to about 7,700, every other check under 2,000
+_TAPE_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -50,28 +54,113 @@ def _result(name: str, deviation: float, tolerance: float,
                        passed=bool(passed), higher_is_better=higher_is_better)
 
 
-def random_mobius_with_points(rng: np.random.Generator, n_points: int):
+class _Tape:
+    """numpy's PCG64 draws, replayed from blocks of raw generator output.
+
+    ``uniform`` and ``integers`` return exactly what ``Generator.uniform``
+    and ``Generator.integers`` return for the same calls in the same order:
+    a double is ``(raw >> 11) * 2**-53``, and an integer is Lemire's bounded
+    draw on 32-bit outputs, each raw output giving its low half and
+    buffering its high half for the next one (PCG64's ``has_uint32`` and
+    ``uinteger``). ``pos`` counts the raw outputs drawn; moving it back
+    un-draws uniforms. ``close`` leaves the generator where the same calls
+    made on it would have left it.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        if type(bitgen) is not np.random.PCG64:
+            raise TypeError(f"draws replay PCG64 output, not "
+                            f"{type(bitgen).__name__}")
+        self._bitgen = bitgen
+        self._start = bitgen.state
+        self._has_upper = bool(self._start["has_uint32"])
+        self._upper = self._start["uinteger"]
+        self._raw = bitgen.random_raw(_TAPE_BLOCK)
+        self.pos = 0
+
+    def __enter__(self) -> "_Tape":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Rewind the generator, then replay the raw outputs drawn."""
+        bitgen = self._bitgen
+        bitgen.state = self._start
+        bitgen.random_raw(self.pos, output=False)
+        state = bitgen.state
+        state["has_uint32"] = int(self._has_upper)
+        state["uinteger"] = self._upper
+        bitgen.state = state
+
+    def _reserve(self, size: int) -> None:
+        """Extend the block to hold raw outputs pos .. pos + size."""
+        short = self.pos + size - self._raw.size
+        if short > 0:
+            more = self._bitgen.random_raw(max(short, self._raw.size))
+            self._raw = np.concatenate([self._raw, more])
+
+    def _next64(self) -> int:
+        pos = self.pos
+        if pos == self._raw.size:
+            self._reserve(1)
+        self.pos = pos + 1
+        return self._raw.item(pos)
+
+    def _next32(self) -> int:
+        if self._has_upper:
+            self._has_upper = False
+            return self._upper
+        raw = self._next64()
+        self._has_upper, self._upper = True, raw >> 32
+        return raw & 0xFFFFFFFF
+
+    def uniform(self, lo: float, hi: float, size: int | None = None):
+        """A float, or an array of ``size`` of them, uniform on [lo, hi)."""
+        if size is None:
+            return lo + (hi - lo) * ((self._next64() >> 11) * 2.0 ** -53)
+        self._reserve(size)
+        raw = self._raw[self.pos:self.pos + size]
+        self.pos += size
+        return lo + (hi - lo) * ((raw >> 11) * 2.0 ** -53)
+
+    def integers(self, lo: int, hi: int) -> int:
+        """An integer uniform on [lo, hi), for 2 <= hi - lo < 2**32."""
+        span = hi - lo
+        if not 2 <= span < 2 ** 32:
+            raise ValueError(f"integer range {span} is not a 32-bit range")
+        m = self._next32() * span
+        if m & 0xFFFFFFFF < span:
+            # reject the low products that would bias the result
+            threshold = (2 ** 32 - span) % span
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * span
+        return lo + (m >> 32)
+
+
+def random_mobius_with_points(tape: _Tape, n_points: int):
     """Well-conditioned random Mobius map with evaluation points.
 
     Conditioning: |det| >= 0.5, moderate denominator, and unit distance from
     the pole (differencing any map is hopeless against the pole's factorial
     derivative growth). Maps admitting no such points within 60 draws per
-    point are redrawn. The generator advances exactly as with one draw per
+    point are redrawn. The tape advances exactly as with one draw per
     point, stopping at the draw that completes the set.
     """
     while True:
-        a, b, c, d = rng.uniform(-1.5, 1.5, size=4)
+        a, b, c, d = [tape.uniform(-1.5, 1.5) for _ in range(4)]
         if abs(a * d - b * c) < 0.5:
             continue
-        state = rng.bit_generator.state
-        z = rng.uniform(-2.0, 2.0, size=60 * n_points)
+        start = tape.pos
+        z = tape.uniform(-2.0, 2.0, size=60 * n_points)
         denom = np.abs(c * z + d)
         hits = np.flatnonzero((0.7 <= denom) & (denom <= 2.0)
                               & (denom >= abs(c)))
         if hits.size >= n_points:
-            # rewind, then replay only the draws up to the last point used
-            rng.bit_generator.state = state
-            rng.uniform(size=hits[n_points - 1] + 1)
+            # un-draw the points after the last one used
+            tape.pos = start + int(hits[n_points - 1]) + 1
             return Mobius(a, b, c, d), z[hits[:n_points]]
 
 
@@ -83,8 +172,9 @@ def check_mobius_kernel(rng: np.random.Generator, n_maps: int = 100,
     All maps are drawn first; one Schwarzian call then takes every map's
     points as one row of a (maps, points) array.
     """
-    maps, points = zip(*(random_mobius_with_points(rng, n_points)
-                         for _ in range(n_maps)))
+    with _Tape(rng) as tape:
+        maps, points = zip(*(random_mobius_with_points(tape, n_points)
+                             for _ in range(n_maps)))
     # one map per row: the coefficients broadcast over the points and the
     # two stencil axes of the finite differences
     coef = np.array([(m.a, m.b, m.c, m.d) for m in maps])
@@ -106,19 +196,23 @@ _POOL = (
 )
 
 
-def _draw_pool(rng: np.random.Generator):
+# a random sign indexes this with integers(0, 2), as rng.choice(_SIGNS) does
+_SIGNS = (-1.0, 1.0)
+
+
+def _draw_pool(tape: _Tape):
     """Kind and parameters (p, q) of a random map of the pool."""
-    kind = int(rng.integers(0, 5))
+    kind = tape.integers(0, 5)
     if kind == 0:
-        return (kind, rng.uniform(0.7, 1.5) * rng.choice([-1.0, 1.0]),
-                rng.uniform(-1.0, 1.0))
+        p = tape.uniform(0.7, 1.5) * _SIGNS[tape.integers(0, 2)]
+        return kind, p, tape.uniform(-1.0, 1.0)
     if kind == 1:
-        return kind, rng.uniform(0.4, 0.9) * rng.choice([-1.0, 1.0]), 0.0
+        return kind, tape.uniform(0.4, 0.9) * _SIGNS[tape.integers(0, 2)], 0.0
     if kind == 2:
-        return kind, rng.uniform(-0.5, 0.5), 0.0
+        return kind, tape.uniform(-0.5, 0.5), 0.0
     if kind == 3:
-        return kind, rng.uniform(0.05, 0.3), 0.0
-    return kind, rng.uniform(0.3, 0.8), 0.0
+        return kind, tape.uniform(0.05, 0.3), 0.0
+    return kind, tape.uniform(0.3, 0.8), 0.0
 
 
 def _pool(table: np.ndarray, z, order: int = 0):
@@ -142,15 +236,17 @@ def check_composition_law(rng: np.random.Generator, n_pairs: int = 100,
     calls then take every pair at once.
     """
     pairs = np.empty((0, 7))
-    while len(pairs) < n_pairs:
-        draws = np.array([(*_draw_pool(rng), *_draw_pool(rng),
-                           rng.uniform(-1.2, 1.2))
-                          for _ in range(n_pairs - len(pairs))])
-        f_tab, g_tab, z = draws[:, 0:3].T, draws[:, 3:6].T, draws[:, 6]
-        u = _pool(f_tab, z)
-        rejected = ((np.abs(_pool(f_tab, z, 1)) < 0.3)
-                    | (np.abs(_pool(g_tab, u, 1)) < 0.3) | (np.abs(u) > 2.5))
-        pairs = np.concatenate([pairs, draws[~rejected]])
+    with _Tape(rng) as tape:
+        while len(pairs) < n_pairs:
+            draws = np.array([(*_draw_pool(tape), *_draw_pool(tape),
+                               tape.uniform(-1.2, 1.2))
+                              for _ in range(n_pairs - len(pairs))])
+            f_tab, g_tab, z = draws[:, 0:3].T, draws[:, 3:6].T, draws[:, 6]
+            u = _pool(f_tab, z)
+            rejected = ((np.abs(_pool(f_tab, z, 1)) < 0.3)
+                        | (np.abs(_pool(g_tab, u, 1)) < 0.3)
+                        | (np.abs(u) > 2.5))
+            pairs = np.concatenate([pairs, draws[~rejected]])
     f_tab, g_tab, z = pairs[:, 0:3].T, pairs[:, 3:6].T, pairs[:, 6]
     f_map = SmoothMap(eval=lambda w: _pool(f_tab, w))
     g_map = SmoothMap(eval=lambda w: _pool(g_tab, w))
@@ -161,13 +257,13 @@ def check_composition_law(rng: np.random.Generator, n_pairs: int = 100,
     return _result("schwarzian_composition", np.max(devs), tolerance)
 
 
-def _draw_shift(rng: np.random.Generator):
+def _draw_shift(tape: _Tape):
     """(n, eta, x, K) with G(x) + K inside (1e-6, _TARGET_CAP)."""
     while True:
-        n = int(rng.integers(1, 4))
-        eta = float(rng.uniform(0.0, 2.0))
-        x = float(rng.uniform(0.1, 10.0))
-        k = float(rng.uniform(-2.0, 3.0))
+        n = tape.integers(1, 4)
+        eta = tape.uniform(0.0, 2.0)
+        x = tape.uniform(0.1, 10.0)
+        k = tape.uniform(-2.0, 3.0)
         xn = x ** n  # G(x), as PolyG.value computes it, with no PolyG per draw
         if 1e-6 < xn * (1.0 + eta * xn) + k < _TARGET_CAP:
             return n, eta, x, k
@@ -180,7 +276,9 @@ def check_translation_property(rng: np.random.Generator, n_samples: int = 400,
     All samples are drawn first; each degree n then takes one ShiftMap
     with arrays of eta and K.
     """
-    n, eta, x, k = np.array([_draw_shift(rng) for _ in range(n_samples)]).T
+    with _Tape(rng) as tape:
+        n, eta, x, k = np.array([_draw_shift(tape)
+                                 for _ in range(n_samples)]).T
     devs = np.empty(n_samples)
     for deg in (1, 2, 3):
         at = n == deg
@@ -197,10 +295,12 @@ def check_semigroup(rng: np.random.Generator, n_samples: int = 200,
     All samples are drawn first; each degree n then takes one ShiftMap per
     side with arrays of eta and K.
     """
-    n, eta, x, k1, k2 = np.array([
-        (int(rng.integers(1, 4)), rng.uniform(0.0, 2.0), rng.uniform(0.2, 5.0),
-         rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0))
-        for _ in range(n_samples)]).T
+    with _Tape(rng) as tape:
+        n, eta, x, k1, k2 = np.array([
+            (tape.integers(1, 4), tape.uniform(0.0, 2.0),
+             tape.uniform(0.2, 5.0), tape.uniform(0.0, 2.0),
+             tape.uniform(0.0, 2.0))
+            for _ in range(n_samples)]).T
     devs = np.empty(n_samples)
     for deg in (1, 2, 3):
         at = n == deg
@@ -282,26 +382,28 @@ def check_fixed_point_for(params: GPParams, k_values=(0.25, 0.5, 1.0),
     """Worst fixed-point deviation of the closed form over every K, for one
     parameter set or one degree's group of them (an array eta).
 
-    One ShiftMap takes the whole (eta, K) grid and is evaluated on all of xs
-    first, so an invalid (K, xs) combination surfaces as NoRealRoot or
-    DomainError instead of being silently trimmed away; the error raised is
-    the first failing (eta, K) pair's.
+    One ShiftMap takes the whole (eta, K) grid and is evaluated on all of xs,
+    so an invalid (K, xs) combination surfaces as NoRealRoot or DomainError
+    instead of being silently trimmed away; the error raised is the first
+    failing (eta, K) pair's. Where is_fixed_point keeps every point, its own
+    roots are that evaluation; otherwise the whole grid is probed first.
     """
-    if xs is None:
-        xs = np.linspace(0.5, 3.0, 101)
+    xs = np.linspace(0.5, 3.0, 101) if xs is None else np.asarray(xs, float)
     etas = np.reshape(params.eta, (-1, 1, 1))
     ks = np.reshape(np.asarray(k_values, dtype=float), (-1, 1))
     p = GPParams.constrained(n=params.n, eta=etas, c=params.c, v=params.v)
     shift = ShiftMap(p.g, ks)
+    bmap, seed = BacklundMap(shift=shift), ClosedFormSolution(p)
+    lo, hi = bmap.effective_domain(seed.domain)
     try:
-        shift.f(xs)  # validity probe for the whole grid
+        if not np.all((xs > lo) & (xs < hi)):
+            shift.f(xs)
+        return is_fixed_point(bmap, seed, xs, tol=tolerance).deviation
     except NumericalError:
         for eta in etas.ravel():
             for k in ks.ravel():
                 ShiftMap(PolyG(p.n, float(eta)), float(k)).f(xs)
         raise
-    return is_fixed_point(BacklundMap(shift=shift), ClosedFormSolution(p), xs,
-                          tol=tolerance).deviation
 
 
 def check_fixed_point(k_values=(0.25, 0.5, 1.0), c: float = 1.0,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpbacklund.calculus import SmoothMap, derivative, schwarzian
-from gpbacklund.errors import DomainError, NoRealRoot, Pole, RangeError
+from gpbacklund.errors import (DomainError, NonFinite, NoRealRoot, Pole,
+                               RangeError)
 from gpbacklund.functional import (Mobius, PolyG, ShiftMap, conjugate_f,
                                    solve_f)
 from gpbacklund.gp import GPParams
@@ -191,6 +193,25 @@ class TestSolveF:
         shift = ShiftMap(PolyG(1, 2.0), -5.0)
         with pytest.raises(NoRealRoot):
             shift.f(0.1)
+
+    @pytest.mark.parametrize("k, x", [
+        (0.5, np.array([1.0, math.nan])),
+        (math.inf, 1.0),
+    ])
+    def test_non_finite_fails_closed(self, k, x):
+        """A NaN point or an infinite K raises, with no RuntimeWarning and
+        no NaN root."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                ShiftMap(PolyG(2, 0.5), k).f(x)
+
+    @pytest.mark.parametrize("n, eta, k", [(2, 2.0, 1e308), (1, 0.0, 1e308)])
+    def test_overflowing_root_fails_closed(self, n, eta, k):
+        """A finite G(x) + K whose root overflows raises, not a NaN root."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFinite):
+                ShiftMap(PolyG(n, eta), k).f(1.0)
 
     def test_negative_target_domain_error(self):
         # eta = 0 keeps the discriminant trivially valid, G(x) + K < 0

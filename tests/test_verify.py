@@ -8,7 +8,7 @@ from gpbacklund.calculus import SmoothMap, compose, derivative, schwarzian
 from gpbacklund.errors import NumericalError
 from gpbacklund.functional import Mobius, PolyG, ShiftMap, solve_f
 from gpbacklund.gp import ClosedFormSolution, GPParams
-from gpbacklund.verify import (_TARGET_CAP, PARAM_SWEEP,
+from gpbacklund.verify import (_TAPE_BLOCK, _TARGET_CAP, PARAM_SWEEP, _Tape,
                                check_closed_form_residual,
                                check_composition_law,
                                check_constraint_activity, check_fixed_point,
@@ -261,3 +261,89 @@ def test_fixed_point_raises_the_loops_first_error(k_values, params):
         reference_fixed_point(k_values=k_values, params=params, xs=GRID)
     assert type(batched.value) is type(looped.value)
     assert str(batched.value) == str(looped.value)
+
+
+# _Tape replays numpy's PCG64 draws from raw output: every value and the
+# final generator state must equal the same calls made on a Generator.
+# (name, args, keyword arguments) of each call, made in order.
+TAPE_CALLS = {
+    "uniform": [("uniform", (lo, hi), {}) for lo, hi in
+                [(0.0, 1.0), (-1.5, 1.5), (0.1, 10.0), (-2.0, 3.0),
+                 (1e-3, 1e3)] for _ in range(40)],
+    "integers": [("integers", span, {}) for span in
+                 [(1, 4), (0, 5), (0, 2)] for _ in range(41)],
+    # Lemire's rejection loop: hi - lo = 2**31 + 1 rejects about half of
+    # the 32-bit draws and 3 * 2**30 a quarter
+    "rejection": [("integers", (0, 2 ** 31 + 1), {}),
+                  ("integers", (5, 5 + 3 * 2 ** 30), {})] * 51,
+    # a uniform draw leaves the buffered upper half of a 32-bit draw alone
+    "interleaved": [call for _ in range(60) for call in
+                    [("integers", (1, 4), {}), ("uniform", (0.0, 2.0), {}),
+                     ("integers", (0, 2), {}), ("uniform", (0.2, 5.0), {})]],
+    "arrays": [("uniform", (-2.0, 2.0), {"size": 600}),
+               ("integers", (0, 5), {}), ("uniform", (-1.5, 1.5), {}),
+               ("uniform", (0.0, 1.0), {"size": 7})],
+    # scalar draws cross the end of the first block, then an array draw
+    # outgrows the grown one
+    "outgrows_block": [("uniform", (0.0, 1.0), {"size": _TAPE_BLOCK - 3})]
+    + [("uniform", (0.0, 1.0), {}), ("integers", (0, 5), {})] * 4
+    + [("uniform", (-2.0, 2.0), {"size": 3 * _TAPE_BLOCK}),
+       ("integers", (1, 4), {})],
+}
+
+
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["empty_buffer", "has_uint32"])
+@pytest.mark.parametrize("calls", TAPE_CALLS.values(), ids=TAPE_CALLS.keys())
+def test_tape_matches_generator(calls, buffered):
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        if buffered:  # a 32-bit draw leaves has_uint32 = 1
+            rng.integers(0, 5)
+            ref.integers(0, 5)
+            assert ref.bit_generator.state["has_uint32"] == 1
+        with _Tape(rng) as tape:
+            got = [getattr(tape, name)(*args, **kw)
+                   for name, args, kw in calls]
+        expected = [getattr(ref, name)(*args, **kw)
+                    for name, args, kw in calls]
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e)
+            assert np.ndim(g) == np.ndim(e)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_tape_runs_the_rejection_loop():
+    with _Tape(np.random.default_rng(3)) as tape:
+        for _ in range(100):
+            tape.integers(0, 2 ** 31 + 1)
+        # without a rejection, 100 draws take 50 raw outputs
+        assert tape.pos > 60
+
+
+def test_tape_rewind_undraws_uniforms():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        with _Tape(rng) as tape:
+            start = tape.pos
+            z = tape.uniform(-2.0, 2.0, size=600)
+            tape.pos = start + 37
+            after = tape.uniform(0.0, 1.0)
+        assert np.array_equal(z[:37], ref.uniform(-2.0, 2.0, size=37))
+        assert after == ref.uniform(0.0, 1.0)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox,
+                                    np.random.SFC64, np.random.PCG64DXSM])
+def test_tape_rejects_other_bit_generators(bitgen):
+    with pytest.raises(TypeError):
+        _Tape(np.random.Generator(bitgen(1)))
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 1), (3, 3), (0, 2 ** 32)])
+def test_tape_rejects_ranges_it_cannot_replay(lo, hi):
+    with pytest.raises(ValueError):
+        _Tape(np.random.default_rng(1)).integers(lo, hi)
