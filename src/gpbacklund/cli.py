@@ -308,26 +308,30 @@ def main(argv=None) -> int:
                            help="comma-separated times, e.g. 0,0.5,1")
 
     args = parser.parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-        if args.command == "wavefunction":
-            t_samples = _parse_t_samples(args.t_samples)
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "solve":
-            return cmd_solve(cfg, out_dir)
-        if args.command == "transform":
-            return cmd_transform(cfg, out_dir)
-        if args.command == "verify":
-            return cmd_verify(cfg, out_dir)
-        return cmd_wavefunction(cfg, out_dir, t_samples)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 3
+    # every stage tests its values and raises NonFinite itself, so numpy's
+    # floating-point warnings add nothing; with warnings as errors they
+    # would turn that exit 3 into a traceback
+    with np.errstate(all="ignore"):
+        try:
+            cfg = load_config(args.config)
+            if args.command == "wavefunction":
+                t_samples = _parse_t_samples(args.t_samples)
+            out_dir = Path(args.out_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            if args.command == "solve":
+                return cmd_solve(cfg, out_dir)
+            if args.command == "transform":
+                return cmd_transform(cfg, out_dir)
+            if args.command == "verify":
+                return cmd_verify(cfg, out_dir)
+            return cmd_wavefunction(cfg, out_dir, t_samples)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except NumericalError as exc:
+            print(f"numerical failure: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -109,12 +109,18 @@ def linear_coefficient_check(p: GPParams, x):
     at a point or an array of points.
 
     The Schwarzian side is evaluated by finite differences of G alone, so
-    the comparison is an independent route to the same coefficient.
+    the comparison is an independent route to the same coefficient. An
+    array eta broadcasts against the points; on the Schwarzian side it
+    broadcasts against the stencil's two trailing axes, at the points
+    broadcast to the result's shape.
     """
     if not np.all(np.asarray(x) > 0.0):
         raise DomainError("linear coefficient is defined for x > 0")
-    g_map = p.g.as_smooth_map(with_derivatives=False)
-    return linear_coefficient(p, x) + 0.5 * schwarzian(g_map, x)
+    eta = np.asarray(p.eta)
+    g_map = PolyG(p.n, eta[..., None, None]).as_smooth_map(
+        with_derivatives=False)
+    z = np.broadcast_to(x, np.broadcast_shapes(eta.shape, np.shape(x)))
+    return linear_coefficient(p, x) + 0.5 * schwarzian(g_map, z)
 
 
 def _shape(p: GPParams, x):

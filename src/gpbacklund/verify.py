@@ -21,14 +21,16 @@ from .gp import (ClosedFormSolution, GPParams, closed_form_residual,
                  linear_coefficient_check)
 
 SWEEP_ETAS = (0.0, 0.5, 1.0)
-PARAM_SWEEP = [(n, eta) for n in (1, 2, 3) for eta in SWEEP_ETAS]
+# the swept etas as a column, one row each against a row of points
+_ETA_ROWS = np.array(SWEEP_ETAS)[:, None]
 
 # double-precision floor of the absolute translation criterion: the computed
 # residual G(f) - G(x) - K cannot beat ~eps * |G| however exact the root is
 _TARGET_CAP = 5e4
 
 # raw generator outputs a _Tape draws at a time: the Mobius kernel's draws
-# and their lookahead take up to about 7,700, every other check under 2,000
+# and their lookahead take up to about 7,700, every other check under 3,000
+# with the rows it decodes ahead of those it keeps
 _TAPE_BLOCK = 8192
 
 
@@ -62,9 +64,11 @@ class _Tape:
     a double is ``(raw >> 11) * 2**-53``, and an integer is Lemire's bounded
     draw on 32-bit outputs, each raw output giving its low half and
     buffering its high half for the next one (PCG64's ``has_uint32`` and
-    ``uinteger``). ``pos`` counts the raw outputs drawn; moving it back
-    un-draws uniforms. ``close`` leaves the generator where the same calls
-    made on it would have left it.
+    ``uinteger``). ``records`` decodes a run of fixed-pattern draws in one
+    array pass, and ``peek`` shows the next uniforms without drawing them.
+    ``pos`` counts the raw outputs drawn; moving it back un-draws uniforms.
+    ``close`` leaves the generator where the same calls made on it would
+    have left it.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -77,6 +81,7 @@ class _Tape:
         self._has_upper = bool(self._start["has_uint32"])
         self._upper = self._start["uinteger"]
         self._raw = bitgen.random_raw(_TAPE_BLOCK)
+        self._units = np.empty(0)  # _raw as uniform(0, 1) draws, for peek
         self.pos = 0
 
     def __enter__(self) -> "_Tape":
@@ -121,10 +126,9 @@ class _Tape:
         """A float, or an array of ``size`` of them, uniform on [lo, hi)."""
         if size is None:
             return lo + (hi - lo) * ((self._next64() >> 11) * 2.0 ** -53)
-        self._reserve(size)
-        raw = self._raw[self.pos:self.pos + size]
+        units = self.peek(size)
         self.pos += size
-        return lo + (hi - lo) * ((raw >> 11) * 2.0 ** -53)
+        return lo + (hi - lo) * units
 
     def integers(self, lo: int, hi: int) -> int:
         """An integer uniform on [lo, hi), for 2 <= hi - lo < 2**32."""
@@ -139,9 +143,77 @@ class _Tape:
                 m = self._next32() * span
         return lo + (m >> 32)
 
+    def peek(self, size: int) -> np.ndarray:
+        """The next ``size`` values of ``uniform(0, 1)``, not drawn."""
+        self._reserve(size)
+        if self._units.size != self._raw.size:
+            self._units = (self._raw >> 11) * 2.0 ** -53
+        return self._units[self.pos:self.pos + size]
+
+    def records(self, lo: int, hi: int, ranges, count: int,
+                accept=None) -> np.ndarray:
+        """``count`` rows, each ``integers(lo, hi)`` then one
+        ``uniform(a, b)`` per ``(a, b)`` in ``ranges``, drawn in that order.
+
+        With ``accept``, a function of a table of rows returning a mask, a
+        row failing it is drawn and discarded. Rows are decoded a batch at
+        a time: the integer of each takes a 32-bit half from the buffer or
+        from a fresh raw output by turns, so every row's place in the block
+        follows from its index and the starting buffer. A row whose half
+        Lemire's draw rejects is drawn by ``integers`` and ``uniform``,
+        then batches resume.
+        """
+        span, m = hi - lo, len(ranges)
+        if not 2 <= span < 2 ** 32:
+            raise ValueError(f"integer range {span} is not a 32-bit range")
+        threshold = (2 ** 32 - span) % span
+        low, high = np.array(ranges, dtype=float).reshape(m, 2).T
+        kept, need = [], count
+        while need:
+            # a filter that keeps most rows is met in one batch
+            size = need if accept is None else 2 * need + 16
+            buffered = int(self._has_upper)
+            # i counts rows from the first that draws a raw output for its
+            # integer; two rows share that output's halves, low then high.
+            # Places in the block count from pos.
+            i = np.arange(-buffered, size - buffered)
+            pair, odd = np.divmod(i, 2)
+            word = buffered * m + pair * (2 * m + 1)  # the integer's output
+            first = word + 1 + odd * m  # the row's first uniform
+            units = self.peek(int(first[-1]) + m)
+            bits = self._raw[self.pos + np.maximum(word, 0)]
+            half = np.where(odd, bits >> 32, bits & 0xFFFFFFFF)
+            if buffered:
+                half[0] = self._upper
+            product = half * np.uint64(span)
+            rejected = np.flatnonzero((product & 0xFFFFFFFF) < threshold)
+            stop = int(rejected[0]) if rejected.size else size
+            rows = np.empty((stop, 1 + m))
+            rows[:, 0] = (product[:stop] >> 32).astype(np.int64) + lo
+            rows[:, 1:] = low + (high - low) * units[first[:stop, None]
+                                                     + np.arange(m)]
+            taken = (np.arange(stop) if accept is None
+                     else np.flatnonzero(accept(rows)))[:need]
+            last = int(taken[-1]) if taken.size == need else stop - 1
+            if last >= 0:  # leave the tape after row `last`
+                self.pos += int(first[last]) + m
+                self._has_upper = not odd[last]
+                if i[last] >= 0:
+                    self._upper = int(bits[last] >> 32)
+            kept.append(rows[taken])
+            need -= taken.size
+            if need and stop < size:
+                row = np.array([[self.integers(lo, hi),
+                                 *(self.uniform(a, b) for a, b in ranges)]])
+                if accept is None or accept(row)[0]:
+                    kept.append(row)
+                    need -= 1
+        return np.concatenate(kept)
+
 
 def random_mobius_with_points(tape: _Tape, n_points: int):
-    """Well-conditioned random Mobius map with evaluation points.
+    """Coefficients (a, b, c, d) of a well-conditioned random Mobius map,
+    with evaluation points.
 
     Conditioning: |det| >= 0.5, moderate denominator, and unit distance from
     the pole (differencing any map is hopeless against the pole's factorial
@@ -150,18 +222,19 @@ def random_mobius_with_points(tape: _Tape, n_points: int):
     point, stopping at the draw that completes the set.
     """
     while True:
-        a, b, c, d = [tape.uniform(-1.5, 1.5) for _ in range(4)]
+        # the coefficients and the points that could follow them, undrawn
+        u = tape.peek(4 + 60 * n_points)
+        a, b, c, d = (-1.5 + 3.0 * u[:4]).tolist()
         if abs(a * d - b * c) < 0.5:
+            tape.pos += 4
             continue
-        start = tape.pos
-        z = tape.uniform(-2.0, 2.0, size=60 * n_points)
+        z = -2.0 + 4.0 * u[4:]
         denom = np.abs(c * z + d)
-        hits = np.flatnonzero((0.7 <= denom) & (denom <= 2.0)
-                              & (denom >= abs(c)))
+        hits = np.flatnonzero((max(0.7, abs(c)) <= denom) & (denom <= 2.0))
         if hits.size >= n_points:
-            # un-draw the points after the last one used
-            tape.pos = start + int(hits[n_points - 1]) + 1
-            return Mobius(a, b, c, d), z[hits[:n_points]]
+            tape.pos += 4 + int(hits[n_points - 1]) + 1
+            return (a, b, c, d), z[hits[:n_points]]
+        tape.pos += u.size
 
 
 def check_mobius_kernel(rng: np.random.Generator, n_maps: int = 100,
@@ -173,12 +246,11 @@ def check_mobius_kernel(rng: np.random.Generator, n_maps: int = 100,
     points as one row of a (maps, points) array.
     """
     with _Tape(rng) as tape:
-        maps, points = zip(*(random_mobius_with_points(tape, n_points)
+        coef, points = zip(*(random_mobius_with_points(tape, n_points)
                              for _ in range(n_maps)))
     # one map per row: the coefficients broadcast over the points and the
     # two stencil axes of the finite differences
-    coef = np.array([(m.a, m.b, m.c, m.d) for m in maps])
-    m = Mobius(*coef.T.reshape(4, n_maps, 1, 1, 1))
+    m = Mobius(*np.array(coef).T.reshape(4, n_maps, 1, 1, 1))
     devs = np.abs(schwarzian(m.as_smooth_map(), np.array(points)))
     return _result("mobius_schwarzian_kernel", np.max(devs), tolerance)
 
@@ -221,9 +293,12 @@ def _pool(table: np.ndarray, z, order: int = 0):
     ``table`` holds rows kind, p, q with one column per map; map i is
     evaluated on row i of z.
     """
-    kind, p, q = table.reshape(table.shape + (1,) * (np.ndim(z) - 1))
-    return np.select([kind == k for k in range(len(_POOL))],
-                     [pair[order](p, q, z) for pair in _POOL])
+    _, p, q = table.reshape(table.shape + (1,) * (np.ndim(z) - 1))
+    out = np.empty(np.broadcast_shapes(p.shape, np.shape(z)))
+    for k, pair in enumerate(_POOL):
+        at = table[0] == k  # each kind on its own rows only
+        out[at] = pair[order](p[at], q[at], z[at])
+    return out
 
 
 def check_composition_law(rng: np.random.Generator, n_pairs: int = 100,
@@ -257,28 +332,28 @@ def check_composition_law(rng: np.random.Generator, n_pairs: int = 100,
     return _result("schwarzian_composition", np.max(devs), tolerance)
 
 
-def _draw_shift(tape: _Tape):
-    """(n, eta, x, K) with G(x) + K inside (1e-6, _TARGET_CAP)."""
-    while True:
-        n = tape.integers(1, 4)
-        eta = tape.uniform(0.0, 2.0)
-        x = tape.uniform(0.1, 10.0)
-        k = tape.uniform(-2.0, 3.0)
-        xn = x ** n  # G(x), as PolyG.value computes it, with no PolyG per draw
-        if 1e-6 < xn * (1.0 + eta * xn) + k < _TARGET_CAP:
-            return n, eta, x, k
+def _in_target(rows: np.ndarray) -> np.ndarray:
+    """Which rows (n, eta, x, K) have G(x) + K inside (1e-6, _TARGET_CAP)."""
+    n, eta, x, k = rows.T
+    # x^n by Python's float pow, as PolyG.value computes it for one float
+    # x: numpy's array pow can differ in the last bit
+    xn = np.array(list(map(pow, x.tolist(), n.tolist())))
+    t = xn * (1.0 + eta * xn) + k
+    return (1e-6 < t) & (t < _TARGET_CAP)
 
 
 def check_translation_property(rng: np.random.Generator, n_samples: int = 400,
                                tolerance: float = 1e-10) -> CheckResult:
     """|G(f(x)) - G(x) - K| stays below the absolute tolerance.
 
-    All samples are drawn first; each degree n then takes one ShiftMap
+    All samples are drawn first, an (n, eta, x, K) row at a time with rows
+    outside the target discarded; each degree n then takes one ShiftMap
     with arrays of eta and K.
     """
     with _Tape(rng) as tape:
-        n, eta, x, k = np.array([_draw_shift(tape)
-                                 for _ in range(n_samples)]).T
+        n, eta, x, k = tape.records(
+            1, 4, [(0.0, 2.0), (0.1, 10.0), (-2.0, 3.0)], n_samples,
+            accept=_in_target).T
     devs = np.empty(n_samples)
     for deg in (1, 2, 3):
         at = n == deg
@@ -296,11 +371,9 @@ def check_semigroup(rng: np.random.Generator, n_samples: int = 200,
     side with arrays of eta and K.
     """
     with _Tape(rng) as tape:
-        n, eta, x, k1, k2 = np.array([
-            (tape.integers(1, 4), tape.uniform(0.0, 2.0),
-             tape.uniform(0.2, 5.0), tape.uniform(0.0, 2.0),
-             tape.uniform(0.0, 2.0))
-            for _ in range(n_samples)]).T
+        n, eta, x, k1, k2 = tape.records(
+            1, 4, [(0.0, 2.0), (0.2, 5.0), (0.0, 2.0), (0.0, 2.0)],
+            n_samples).T
     devs = np.empty(n_samples)
     for deg in (1, 2, 3):
         at = n == deg
@@ -339,10 +412,13 @@ def check_q_identity(k_values=(0.5, 1.0), tolerance: float = 1e-5,
 
 def check_linear_coefficient(tolerance: float = 1e-6,
                              points: int = 19) -> CheckResult:
-    """The equation's linear coefficient equals -(1/2){G, x}."""
+    """The equation's linear coefficient equals -(1/2){G, x}.
+
+    Each degree takes one call, with a row of points per swept eta.
+    """
     xs = np.linspace(0.5, 5.0, points)
-    devs = [np.abs(linear_coefficient_check(
-        GPParams(n=n, eta=eta, b=-1.0, c=1.0), xs)) for n, eta in PARAM_SWEEP]
+    devs = [np.max(np.abs(linear_coefficient_check(
+        GPParams(n=n, eta=_ETA_ROWS, b=-1.0, c=1.0), xs))) for n in (1, 2, 3)]
     return _result("linear_coefficient", np.max(devs), tolerance)
 
 
@@ -350,11 +426,14 @@ def check_closed_form_residual(c: float = 1.0, v: float = 1.0,
                                x_lo: float = 0.5, x_hi: float = 5.0,
                                points: int = 401,
                                tolerance: float = 1e-7) -> CheckResult:
-    """The closed-form amplitude solves the equation under the constraint."""
+    """The closed-form amplitude solves the equation under the constraint.
+
+    Each degree takes one call, with a row of points per swept eta.
+    """
     xs = np.linspace(x_lo, x_hi, points)
     devs = [np.max(np.abs(closed_form_residual(
-        GPParams.constrained(n=n, eta=eta, c=c, v=v), xs)))
-        for n, eta in PARAM_SWEEP]
+        GPParams.constrained(n=n, eta=_ETA_ROWS, c=c, v=v), xs)))
+        for n in (1, 2, 3)]
     return _result("closed_form_residual", np.max(devs), tolerance)
 
 
@@ -366,13 +445,14 @@ def check_constraint_activity(c: float = 1.0, v: float = 1.0,
     """Perturbing b off the constraint must visibly break the residual.
 
     Reversed check: passes when the smallest residual across the sweep is
-    still at least the tolerance.
+    still at least the tolerance. Each degree takes one call, with a row
+    of points per swept eta.
     """
     xs = np.linspace(x_lo, x_hi, points)
     b = -(c * c) / v ** 6 + delta
     devs = [np.max(np.abs(closed_form_residual(
-        GPParams(n=n, eta=eta, b=b, c=c, v=v), xs)))
-        for n, eta in PARAM_SWEEP]
+        GPParams(n=n, eta=_ETA_ROWS, b=b, c=c, v=v), xs)), axis=-1)
+        for n in (1, 2, 3)]
     return _result("constraint_activity", np.min(devs), tolerance,
                    higher_is_better=True)
 

@@ -127,6 +127,32 @@ class TestOverflowingParams:
         assert not (tmp_path / "nan.csv").exists()
 
 
+SHIPPED_FIXED_POINT = (Path(__file__).resolve().parents[1] / "configs"
+                       / "fixed_point.cfg").read_text()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("solve", OVERFLOW_CFG.replace("grid.x_min = 1.0", "grid.x_min = 0.5")),
+    ("solve", OVERFLOW_N2_CFG),
+    ("wavefunction", OVERFLOW_N2_CFG),
+    # a finite K whose target G(x) + K overflows G's inverse
+    ("transform", SHIPPED_FIXED_POINT.replace("k_schedule = 0.5, 0.5",
+                                              "k_schedule = 1e308")),
+], ids=["solve_nan_residual", "solve_overflowing_shape",
+        "wavefunction_overflowing_shape", "transform_overflowing_target"])
+def test_overflow_exits_3_with_warnings_as_errors(tmp_path, capsys, command,
+                                                   text):
+    """The overflowing runs fail closed without a floating-point warning,
+    so they still exit 3 where every warning is an error."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) == 3
+    assert "NonFinite" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 class TestTransform:
     def test_fixed_point_seed(self, tmp_path):
         cfg = write_cfg(tmp_path, CLOSED_FORM_CFG)

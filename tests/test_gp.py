@@ -241,6 +241,58 @@ class TestPhase:
             phase(q, np.linspace(1.0, 2.0, 5), r_source=dense, x_ref=1.0)
 
 
+class TestPinneyExactSolution:
+    """With b = 0 the Liouville variables rho = sqrt(G') r, t = G(x) turn the
+    equation into Ermakov-Pinney, rho_tt = c^2/rho^3, whose solutions are
+    rho^2 = A + 2Bt + Ct^2 with AC - B^2 = c^2 (Pinney 1950). So
+    r = G'^(-1/2) sqrt(A + 2BG + CG^2) and r^2 theta' = c gives
+    theta = theta0 + arctan((CG + B)/c) up to the anchor.
+
+    Integrated from the exact data at x = 0.9 to tolerance 1e-11, the
+    errors were 2.0e-12 relative in r, 1.5e-10 absolute in r' and 1.1e-12
+    in the phase; the bounds are 10, 100 and 10 times the tolerance.
+    """
+
+    TOL = 1e-11
+    A, B, C_ANG = 2.0, 0.4, 1.3
+    C = (C_ANG ** 2 + B ** 2) / A  # AC - B^2 = c^2
+
+    def exact(self, p, x):
+        g, gp, gpp = p.g.value(x), p.g.prime(x), p.g.second(x)
+        q = self.A + 2.0 * self.B * g + self.C * g * g
+        r = np.sqrt(q / gp)
+        rp = ((self.B + self.C * g) * gp / np.sqrt(q)
+              - np.sqrt(q) * gpp / (2.0 * gp)) / np.sqrt(gp)
+        theta = np.arctan((self.C * g + self.B) / self.C_ANG)
+        return r, rp, theta
+
+    def test_integrated_seed_matches_the_exact_solution(self):
+        p = GPParams(n=2, eta=0.7, b=0.0, c=self.C_ANG, theta0=0.3)
+        x0 = 0.9
+        r0, rp0, theta_ref = self.exact(p, x0)
+        dense = integrate(gp_rhs(p), x0, float(r0), float(rp0), 2.0,
+                          ToleranceSpec(self.TOL, self.TOL))
+        xs = np.linspace(x0, 2.0, 401)
+        r, rp = dense.eval_with_derivative(xs)
+        r_ex, rp_ex, theta_ex = self.exact(p, xs)
+        theta = phase(p, xs, r_source=dense, x_ref=x0)
+        assert np.ptp(rp_ex) > 0.5  # far from any constant-amplitude form
+        assert np.max(np.abs(r / r_ex - 1.0)) < 10 * self.TOL
+        assert np.max(np.abs(rp - rp_ex)) < 100 * self.TOL
+        assert np.max(np.abs(theta - (p.theta0 + theta_ex - theta_ref))) \
+            < 10 * self.TOL
+
+    def test_exact_solution_has_zero_residual(self):
+        """The oracle itself: r'' from a fine central difference of the
+        exact r' matches the equation's right-hand side."""
+        p = GPParams(n=2, eta=0.7, b=0.0, c=self.C_ANG)
+        xs = np.linspace(0.9, 2.0, 23)
+        h = 1e-5
+        rpp = (self.exact(p, xs + h)[1] - self.exact(p, xs - h)[1]) / (2 * h)
+        rhs = gp_rhs(p).rhs(xs, self.exact(p, xs)[0])
+        assert np.max(np.abs(rpp - rhs)) < 1e-8
+
+
 def wave_table(tmp_path, p, x_min, x_max, t_samples,
                seed="seed.kind = closed_form"):
     """Rows (x, t, re, im, modulus) the wavefunction command writes for p on

@@ -2,18 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpbacklund.backlund import BacklundMap, is_fixed_point
 from gpbacklund.calculus import SmoothMap, compose, derivative, schwarzian
 from gpbacklund.errors import NumericalError
 from gpbacklund.functional import Mobius, PolyG, ShiftMap, solve_f
-from gpbacklund.gp import ClosedFormSolution, GPParams
-from gpbacklund.verify import (_TAPE_BLOCK, _TARGET_CAP, PARAM_SWEEP, _Tape,
+from gpbacklund.gp import (ClosedFormSolution, GPParams, closed_form_residual,
+                           linear_coefficient_check)
+from gpbacklund.verify import (_TAPE_BLOCK, _TARGET_CAP, SWEEP_ETAS, _Tape,
+                               _in_target,
                                check_closed_form_residual,
                                check_composition_law,
-                               check_constraint_activity, check_fixed_point,
+                               check_constraint_activity,
+                               check_fixed_point, check_linear_coefficient,
                                check_mobius_kernel, check_q_identity,
                                check_semigroup, check_translation_property)
+
+
+PARAM_SWEEP = [(n, eta) for n in (1, 2, 3) for eta in SWEEP_ETAS]
 
 
 class TestFailClosed:
@@ -202,6 +210,27 @@ def reference_fixed_point(k_values=(0.25, 0.5, 1.0), c=1.0, v=1.0,
                    for p in sweep])
 
 
+def reference_linear_coefficient(points=19):
+    xs = np.linspace(0.5, 5.0, points)
+    return np.max([np.abs(linear_coefficient_check(
+        GPParams(n=n, eta=eta, b=-1.0, c=1.0), xs)) for n, eta in PARAM_SWEEP])
+
+
+def reference_closed_form_residual(c=1.0, v=1.0):
+    xs = np.linspace(0.5, 5.0, 401)
+    return np.max([np.max(np.abs(closed_form_residual(
+        GPParams.constrained(n=n, eta=eta, c=c, v=v), xs)))
+        for n, eta in PARAM_SWEEP])
+
+
+def reference_constraint_activity(c=1.0, v=1.0):
+    xs = np.linspace(0.5, 5.0, 401)
+    b = -(c * c) / v ** 6 + 0.01
+    return np.min([np.max(np.abs(closed_form_residual(
+        GPParams(n=n, eta=eta, b=b, c=c, v=v), xs)))
+        for n, eta in PARAM_SWEEP])
+
+
 GRID = np.linspace(0.5, 3.0, 101)
 
 # (per-degree check, reference loop, largest allowed |deviation shift|,
@@ -232,6 +261,19 @@ SWEPT = [
           ((0.25, 0.5, 1.0), GPParams.constrained(n=3, eta=0.3, c=2.0,
                                                   v=1.5)),
       ]),
+    # the closed-form sweeps take one call per degree, with a row of points
+    # per eta; every value is the same elementwise expression, and a
+    # point's Schwarzian stencil does not depend on its neighbours, so the
+    # deviations are bit-identical
+    (check_linear_coefficient, reference_linear_coefficient, 0.0, {}),
+    (check_linear_coefficient, reference_linear_coefficient, 0.0,
+     dict(points=33)),
+    (check_closed_form_residual, reference_closed_form_residual, 0.0, {}),
+    (check_closed_form_residual, reference_closed_form_residual, 0.0,
+     dict(c=1.3, v=0.8)),
+    (check_constraint_activity, reference_constraint_activity, 0.0, {}),
+    (check_constraint_activity, reference_constraint_activity, 0.0,
+     dict(c=0.7, v=1.2)),
 ]
 
 
@@ -347,3 +389,121 @@ def test_tape_rejects_other_bit_generators(bitgen):
 def test_tape_rejects_ranges_it_cannot_replay(lo, hi):
     with pytest.raises(ValueError):
         _Tape(np.random.default_rng(1)).integers(lo, hi)
+
+
+# Tape.records decodes fixed-pattern rows in one array pass: each row must
+# be what integers(lo, hi) and one uniform(a, b) per range return when
+# called one at a time, and the generator must end in the same state.
+RANGES = [(0.0, 2.0), (0.1, 10.0), (-2.0, 3.0), (0.2, 5.0), (-1.5, 1.5)]
+
+
+def _sine_filter(cut):
+    """A deterministic accept mask that depends on every value of a row."""
+    if cut is None:
+        return None
+    return lambda rows: np.sin(7.3 * rows.sum(axis=1)) < cut
+
+
+def _rows_one_at_a_time(draw_int, draw_uniform, lo, hi, ranges, count,
+                        accept):
+    rows = []
+    while len(rows) < count:
+        row = np.array([[draw_int(lo, hi),
+                         *(draw_uniform(a, b) for a, b in ranges)]])
+        if accept is None or accept(row)[0]:
+            rows.append(row[0])
+    return np.array(rows).reshape(count, 1 + len(ranges))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 63), buffered=st.booleans(),
+       span=st.sampled_from([(1, 4), (0, 5), (0, 2), (3, 3 + 2 ** 31 + 1)]),
+       ranges=st.lists(st.sampled_from(RANGES), max_size=5),
+       count=st.integers(1, 400),
+       cut=st.one_of(st.none(), st.floats(-0.8, 0.9)))
+def test_records_match_draws_one_at_a_time(seed, buffered, span, ranges,
+                                           count, cut):
+    rng = np.random.default_rng(seed)
+    ref = np.random.default_rng(seed)
+    if buffered:  # a 32-bit draw leaves has_uint32 = 1
+        rng.integers(0, 5)
+        ref.integers(0, 5)
+    # rows of integers alone may take too few values to pass a filter
+    accept = _sine_filter(cut) if ranges else None
+    with _Tape(rng) as tape:
+        got = tape.records(*span, ranges, count, accept=accept)
+    expected = _rows_one_at_a_time(ref.integers, ref.uniform, *span, ranges,
+                                   count, accept)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _tape_on_block(raw, buffered, upper):
+    """A tape reading the given raw outputs, with the given 32-bit buffer."""
+    tape = _Tape(np.random.default_rng(0))
+    tape._raw = raw.copy()
+    tape._has_upper, tape._upper = buffered, upper
+    return tape
+
+
+@pytest.mark.parametrize("buffered, upper", [(False, 7), (True, 0),
+                                             (True, 12345)])
+@pytest.mark.parametrize("cut", [None, 0.3])
+def test_records_draw_lemire_rejections_one_at_a_time(buffered, upper, cut):
+    """32-bit halves of 0 are the only ones Lemire rejects for a range of
+    3: with zeros in low halves, high halves and both halves of chosen raw
+    outputs, the rows and the tape's position and buffer still equal the
+    draws made one at a time."""
+    raw = np.random.default_rng(11).integers(
+        1, 2 ** 64 - 1, size=4096, dtype=np.uint64, endpoint=True)
+    for word in (0, 9, 40, 41, 100, 333):
+        raw[word] &= np.uint64(0xFFFFFFFF00000000)  # low half 0
+    for word in (4, 18, 57, 210, 500):
+        raw[word] &= np.uint64(0x00000000FFFFFFFF)  # high half 0
+    for word in (27, 28, 150, 640):
+        raw[word] = 0
+    ranges, count, accept = RANGES[:3], 200, _sine_filter(cut)
+
+    tape = _tape_on_block(raw, buffered, upper)
+    got = tape.records(1, 4, ranges, count, accept=accept)
+    ref = _tape_on_block(raw, buffered, upper)
+    halves = []
+    next32 = ref._next32
+    ref._next32 = lambda: halves.append(next32()) or halves[-1]
+    expected = _rows_one_at_a_time(ref.integers, ref.uniform, 1, 4, ranges,
+                                   count, accept)
+    assert halves.count(0) >= 3  # the rejection loop ran
+    assert np.array_equal(got, expected)
+    assert (tape.pos, tape._has_upper, tape._upper) == \
+        (ref.pos, ref._has_upper, ref._upper)
+
+
+@pytest.mark.parametrize("check", [check_translation_property,
+                                   check_semigroup])
+def test_records_checks_make_no_scalar_draw(check, monkeypatch):
+    """Without a Lemire rejection, every sample comes from the array pass."""
+    def scalar_draw(*args, **kwargs):
+        raise AssertionError("scalar tape draw")
+
+    monkeypatch.setattr(_Tape, "integers", scalar_draw)
+    monkeypatch.setattr(_Tape, "uniform", scalar_draw)
+    for seed in range(10):
+        assert check(np.random.default_rng(seed)).passed
+
+
+def test_target_filter_takes_pythons_pow():
+    """The translation samples are filtered as the scalar draw loop filters
+    them, with x^n from Python's float pow, even on rows whose G(x) + K
+    sits within an ulp or two of the lower bound, where numpy's array pow
+    could decide the other way."""
+    rows, expected = [], []
+    for n in (2, 3):
+        for x in np.random.default_rng(5).uniform(0.1, 10.0, 1000).tolist():
+            xn = x ** n
+            k0 = 1e-6 - xn
+            for k in (np.nextafter(k0, -1.0), k0, np.nextafter(k0, 1.0)):
+                rows.append((n, 0.0, x, k))
+                expected.append(1e-6 < xn * (1.0 + 0.0 * xn) + k < _TARGET_CAP)
+    assert any(expected) and not all(expected)
+    assert np.array_equal(_in_target(np.array(rows)), expected)
