@@ -7,21 +7,28 @@
 Runs ``perfbench/run.py`` once per workload of BENCHMARK.json with
 ``--trace 0`` (the end-to-end metrics) and once with ``--trace 1`` (the
 per-layer metrics), all on seed ``SEED`` so that every record draws the
-same configs, and writes ``{env, commit, src_lines, workloads: {name:
-{end_to_end, per_layer, host_ref_s}}}``. Each metric keeps its ``value``
-and ``unit`` as run.py reports them. The end-to-end times are
+same configs, and writes ``{env, commit, src_lines, tests_lines,
+workloads: {name: {end_to_end, per_layer, host_ref_s}}}``. Each metric
+keeps its ``value`` and ``unit`` as run.py reports them. ``env`` also
+records the bytecode-cache state the runs start from:
+``PYTHONDONTWRITEBYTECODE`` (empty when unset) and whether
+``src/gpbacklund/__pycache__`` existed before the first run. With no cache
+written, ``setup_s`` and ``peak_rss_mb`` include compiling the package, so
+two records compare only at the same cache state. The end-to-end times are
 host-normalised by run.py; the per-layer times are wall clock, so
 ``host_ref_s`` records the time of perfbench's host reference kernel
 (``perfbench/hostclock.py``) just before and just after the traced run.
 Exits 1 if any run reports an output that failed its checks.
-``--compare A B`` prints every metric the two files share, with the ratio
-B / A, and the ratio of the two records' host reference times; where both
-records have one, each per-layer time's ratio is also given divided by it,
-which takes the host's change of speed out of the comparison.
+``--compare A B`` prints both records' line counts and cache states, every
+metric the two files share, with the ratio B / A, and the ratio of the two
+records' host reference times; where both records have one, each
+per-layer time's ratio is also given divided by it, which takes the host's
+change of speed out of the comparison.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -55,6 +62,9 @@ def record(seconds: float, workloads) -> tuple[dict, bool]:
     """The record of one run per workload and trace mode, and whether every
     command passed its checks."""
     records, env, correct = {}, None, True
+    cache = {"PYTHONDONTWRITEBYTECODE":
+             os.environ.get("PYTHONDONTWRITEBYTECODE", ""),
+             "src_pycache": (ROOT / "src/gpbacklund/__pycache__").is_dir()}
     for name in workloads:
         runs = {0: run(name, seconds, 0)}
         host_ref_s = [reference_s()]
@@ -65,7 +75,7 @@ def record(seconds: float, workloads) -> tuple[dict, bool]:
                 print(f"{name} --trace {trace}: {r['failed']} of "
                       f"{r['attempted']} commands failed", file=sys.stderr)
                 correct = False
-        env = {**runs[0]["env"], "seed": SEED, "seconds": seconds}
+        env = {**runs[0]["env"], "seed": SEED, "seconds": seconds, **cache}
         records[name] = {"end_to_end": runs[0]["metrics"],
                          "per_layer": runs[1]["metrics"],
                          "host_ref_s": host_ref_s}
@@ -73,15 +83,21 @@ def record(seconds: float, workloads) -> tuple[dict, bool]:
             f"{m} = {v['value']:.6g} {v['unit']}"
             for m, v in runs[0]["metrics"].items()))
     dirty = "+dirty" if git("status", "--porcelain", "--", "src") else ""
-    src_lines = sum(len(p.read_text().splitlines())
-                    for p in (ROOT / "src").rglob("*.py"))
+    lines = {f"{d}_lines": sum(len(p.read_text().splitlines())
+                               for p in (ROOT / d).rglob("*.py"))
+             for d in ("src", "tests")}
     return {"env": env, "commit": git("rev-parse", "--short", "HEAD") + dirty,
-            "src_lines": src_lines, "workloads": records}, correct
+            **lines, "workloads": records}, correct
 
 
 def compare(a: dict, b: dict) -> None:
-    print(f"A: {a['commit']} ({a['src_lines']} src lines), "
-          f"B: {b['commit']} ({b['src_lines']} src lines)")
+    for label, r in (("A", a), ("B", b)):
+        env = r["env"]
+        state = ", ".join(
+            f"{key}={env[key]!r}" if key in env else f"{key} not recorded"
+            for key in ("PYTHONDONTWRITEBYTECODE", "src_pycache"))
+        print(f"{label}: {r['commit']}, {r['src_lines']} src lines, "
+              f"{r.get('tests_lines', 'unrecorded')} tests lines; {state}")
     print("ratio is B / A; host is the ratio divided by B / A of the host "
           "reference time, for per-layer times")
     for name, wa in a["workloads"].items():

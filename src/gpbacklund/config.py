@@ -28,6 +28,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
 def _parse_float_list(text: str) -> list[float]:
     text = text.strip()
     if not text:
@@ -58,7 +65,7 @@ _SCHEMA: dict[str, tuple] = {
     "outputs.solution_csv": (str, "solution.csv"),
     "outputs.wave_csv": (str, "wave.csv"),
     "outputs.report_json": (str, "report.json"),
-    "verify.rng_seed": (int, 0),
+    "verify.rng_seed": (_seed, 0),
 }
 
 

@@ -28,11 +28,6 @@ _ETA_ROWS = np.array(SWEEP_ETAS)[:, None]
 # residual G(f) - G(x) - K cannot beat ~eps * |G| however exact the root is
 _TARGET_CAP = 5e4
 
-# raw generator outputs a _Tape draws at a time: the Mobius kernel's draws
-# and their lookahead take up to about 7,700, every other check under 3,000
-# with the rows it decodes ahead of those it keeps
-_TAPE_BLOCK = 8192
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -56,185 +51,24 @@ def _result(name: str, deviation: float, tolerance: float,
                        passed=bool(passed), higher_is_better=higher_is_better)
 
 
-class _Tape:
-    """numpy's PCG64 draws, replayed from blocks of raw generator output.
-
-    ``uniform`` and ``integers`` return exactly what ``Generator.uniform``
-    and ``Generator.integers`` return for the same calls in the same order:
-    a double is ``(raw >> 11) * 2**-53``, and an integer is Lemire's bounded
-    draw on 32-bit outputs, each raw output giving its low half and
-    buffering its high half for the next one (PCG64's ``has_uint32`` and
-    ``uinteger``). ``records`` decodes a run of fixed-pattern draws in one
-    array pass, and ``peek`` shows the next uniforms without drawing them.
-    ``pos`` counts the raw outputs drawn; moving it back un-draws uniforms.
-    ``close`` leaves the generator where the same calls made on it would
-    have left it.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        bitgen = rng.bit_generator
-        if type(bitgen) is not np.random.PCG64:
-            raise TypeError(f"draws replay PCG64 output, not "
-                            f"{type(bitgen).__name__}")
-        self._bitgen = bitgen
-        self._start = bitgen.state
-        self._has_upper = bool(self._start["has_uint32"])
-        self._upper = self._start["uinteger"]
-        self._raw = bitgen.random_raw(_TAPE_BLOCK)
-        self._units = np.empty(0)  # _raw as uniform(0, 1) draws, for peek
-        self.pos = 0
-
-    def __enter__(self) -> "_Tape":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Rewind the generator, then replay the raw outputs drawn."""
-        bitgen = self._bitgen
-        bitgen.state = self._start
-        bitgen.random_raw(self.pos, output=False)
-        state = bitgen.state
-        state["has_uint32"] = int(self._has_upper)
-        state["uinteger"] = self._upper
-        bitgen.state = state
-
-    def _reserve(self, size: int) -> None:
-        """Extend the block to hold raw outputs pos .. pos + size."""
-        short = self.pos + size - self._raw.size
-        if short > 0:
-            more = self._bitgen.random_raw(max(short, self._raw.size))
-            self._raw = np.concatenate([self._raw, more])
-
-    def _next64(self) -> int:
-        pos = self.pos
-        if pos == self._raw.size:
-            self._reserve(1)
-        self.pos = pos + 1
-        return self._raw.item(pos)
-
-    def _next32(self) -> int:
-        if self._has_upper:
-            self._has_upper = False
-            return self._upper
-        raw = self._next64()
-        self._has_upper, self._upper = True, raw >> 32
-        return raw & 0xFFFFFFFF
-
-    def uniform(self, lo: float, hi: float, size: int | None = None):
-        """A float, or an array of ``size`` of them, uniform on [lo, hi)."""
-        if size is None:
-            return lo + (hi - lo) * ((self._next64() >> 11) * 2.0 ** -53)
-        units = self.peek(size)
-        self.pos += size
-        return lo + (hi - lo) * units
-
-    def integers(self, lo: int, hi: int) -> int:
-        """An integer uniform on [lo, hi), for 2 <= hi - lo < 2**32."""
-        span = hi - lo
-        if not 2 <= span < 2 ** 32:
-            raise ValueError(f"integer range {span} is not a 32-bit range")
-        m = self._next32() * span
-        if m & 0xFFFFFFFF < span:
-            # reject the low products that would bias the result
-            threshold = (2 ** 32 - span) % span
-            while m & 0xFFFFFFFF < threshold:
-                m = self._next32() * span
-        return lo + (m >> 32)
-
-    def peek(self, size: int) -> np.ndarray:
-        """The next ``size`` values of ``uniform(0, 1)``, not drawn."""
-        self._reserve(size)
-        if self._units.size != self._raw.size:
-            self._units = (self._raw >> 11) * 2.0 ** -53
-        return self._units[self.pos:self.pos + size]
-
-    def records(self, lo: int, hi: int, ranges, count: int,
-                accept=None) -> np.ndarray:
-        """``count`` rows, each ``integers(lo, hi)`` then one
-        ``uniform(a, b)`` per ``(a, b)`` in ``ranges``, drawn in that order.
-
-        With ``accept``, a function of a table of rows returning a mask, a
-        row failing it is drawn and discarded. Rows are decoded a batch at
-        a time: the integer of each takes a 32-bit half from the buffer or
-        from a fresh raw output by turns, so every row's place in the block
-        follows from its index and the starting buffer. A row whose half
-        Lemire's draw rejects is drawn by ``integers`` and ``uniform``,
-        then batches resume.
-        """
-        span, m = hi - lo, len(ranges)
-        if not 2 <= span < 2 ** 32:
-            raise ValueError(f"integer range {span} is not a 32-bit range")
-        threshold = (2 ** 32 - span) % span
-        low, high = np.array(ranges, dtype=float).reshape(m, 2).T
-        kept, need = [], count
-        while need:
-            # a filter that keeps most rows is met in one batch
-            size = need if accept is None else 2 * need + 16
-            buffered = int(self._has_upper)
-            # i counts rows from the first that draws a raw output for its
-            # integer; two rows share that output's halves, low then high.
-            # Places in the block count from pos.
-            i = np.arange(-buffered, size - buffered)
-            pair, odd = np.divmod(i, 2)
-            word = buffered * m + pair * (2 * m + 1)  # the integer's output
-            first = word + 1 + odd * m  # the row's first uniform
-            units = self.peek(int(first[-1]) + m)
-            bits = self._raw[self.pos + np.maximum(word, 0)]
-            half = np.where(odd, bits >> 32, bits & 0xFFFFFFFF)
-            if buffered:
-                half[0] = self._upper
-            product = half * np.uint64(span)
-            rejected = np.flatnonzero((product & 0xFFFFFFFF) < threshold)
-            stop = int(rejected[0]) if rejected.size else size
-            rows = np.empty((stop, 1 + m))
-            rows[:, 0] = (product[:stop] >> 32).astype(np.int64) + lo
-            rows[:, 1:] = low + (high - low) * units[first[:stop, None]
-                                                     + np.arange(m)]
-            taken = (np.arange(stop) if accept is None
-                     else np.flatnonzero(accept(rows)))[:need]
-            last = int(taken[-1]) if taken.size == need else stop - 1
-            if last >= 0:  # leave the tape after row `last`
-                self.pos += int(first[last]) + m
-                self._has_upper = not odd[last]
-                if i[last] >= 0:
-                    self._upper = int(bits[last] >> 32)
-            kept.append(rows[taken])
-            need -= taken.size
-            if need and stop < size:
-                row = np.array([[self.integers(lo, hi),
-                                 *(self.uniform(a, b) for a, b in ranges)]])
-                if accept is None or accept(row)[0]:
-                    kept.append(row)
-                    need -= 1
-        return np.concatenate(kept)
-
-
-def random_mobius_with_points(tape: _Tape, n_points: int):
+def random_mobius_with_points(rng: np.random.Generator, n_points: int):
     """Coefficients (a, b, c, d) of a well-conditioned random Mobius map,
     with evaluation points.
 
     Conditioning: |det| >= 0.5, moderate denominator, and unit distance from
     the pole (differencing any map is hopeless against the pole's factorial
     derivative growth). Maps admitting no such points within 60 draws per
-    point are redrawn. The tape advances exactly as with one draw per
-    point, stopping at the draw that completes the set.
+    point are redrawn.
     """
     while True:
-        # the coefficients and the points that could follow them, undrawn
-        u = tape.peek(4 + 60 * n_points)
-        a, b, c, d = (-1.5 + 3.0 * u[:4]).tolist()
+        a, b, c, d = rng.uniform(-1.5, 1.5, 4).tolist()
         if abs(a * d - b * c) < 0.5:
-            tape.pos += 4
             continue
-        z = -2.0 + 4.0 * u[4:]
+        z = rng.uniform(-2.0, 2.0, 60 * n_points)
         denom = np.abs(c * z + d)
-        hits = np.flatnonzero((max(0.7, abs(c)) <= denom) & (denom <= 2.0))
+        hits = z[(max(0.7, abs(c)) <= denom) & (denom <= 2.0)]
         if hits.size >= n_points:
-            tape.pos += 4 + int(hits[n_points - 1]) + 1
-            return (a, b, c, d), z[hits[:n_points]]
-        tape.pos += u.size
+            return (a, b, c, d), hits[:n_points]
 
 
 def check_mobius_kernel(rng: np.random.Generator, n_maps: int = 100,
@@ -245,9 +79,8 @@ def check_mobius_kernel(rng: np.random.Generator, n_maps: int = 100,
     All maps are drawn first; one Schwarzian call then takes every map's
     points as one row of a (maps, points) array.
     """
-    with _Tape(rng) as tape:
-        coef, points = zip(*(random_mobius_with_points(tape, n_points)
-                             for _ in range(n_maps)))
+    coef, points = zip(*(random_mobius_with_points(rng, n_points)
+                         for _ in range(n_maps)))
     # one map per row: the coefficients broadcast over the points and the
     # two stencil axes of the finite differences
     m = Mobius(*np.array(coef).T.reshape(4, n_maps, 1, 1, 1))
@@ -266,25 +99,19 @@ _POOL = (
     (lambda p, q, z: np.tanh(p * z) + z,
      lambda p, q, z: p / np.cosh(p * z) ** 2 + 1.0),
 )
+# the range of each kind's p; kinds 0 and 1 give it a random sign
+_P_RANGES = np.array([(0.7, 1.5), (0.4, 0.9), (-0.5, 0.5), (0.05, 0.3),
+                      (0.3, 0.8)])
 
 
-# a random sign indexes this with integers(0, 2), as rng.choice(_SIGNS) does
-_SIGNS = (-1.0, 1.0)
-
-
-def _draw_pool(tape: _Tape):
-    """Kind and parameters (p, q) of a random map of the pool."""
-    kind = tape.integers(0, 5)
-    if kind == 0:
-        p = tape.uniform(0.7, 1.5) * _SIGNS[tape.integers(0, 2)]
-        return kind, p, tape.uniform(-1.0, 1.0)
-    if kind == 1:
-        return kind, tape.uniform(0.4, 0.9) * _SIGNS[tape.integers(0, 2)], 0.0
-    if kind == 2:
-        return kind, tape.uniform(-0.5, 0.5), 0.0
-    if kind == 3:
-        return kind, tape.uniform(0.05, 0.3), 0.0
-    return kind, tape.uniform(0.3, 0.8), 0.0
+def _draw_pool(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Kinds and parameters of ``size`` random maps of the pool, as a table
+    of rows kind, p, q with one column per map. Only kind 0 has a q."""
+    kind = rng.integers(0, len(_POOL), size)
+    p = rng.uniform(*_P_RANGES[kind].T)
+    p = np.where(kind < 2, p * rng.choice([-1.0, 1.0], size), p)
+    q = np.where(kind == 0, rng.uniform(-1.0, 1.0, size), 0.0)
+    return np.array([kind, p, q])
 
 
 def _pool(table: np.ndarray, z, order: int = 0):
@@ -306,23 +133,21 @@ def check_composition_law(rng: np.random.Generator, n_pairs: int = 100,
     """{g o f, z} = (f')^2 {g, f(z)} + {f, z} for random smooth pairs.
 
     Pairs are drawn in rounds of as many as are still missing, and each
-    round is conditioned in one array pass, so the generator advances as it
-    would drawing one pair at a time. One derivative and three Schwarzian
-    calls then take every pair at once.
+    round is conditioned in one array pass. One derivative and three
+    Schwarzian calls then take every pair at once.
     """
-    pairs = np.empty((0, 7))
-    with _Tape(rng) as tape:
-        while len(pairs) < n_pairs:
-            draws = np.array([(*_draw_pool(tape), *_draw_pool(tape),
-                               tape.uniform(-1.2, 1.2))
-                              for _ in range(n_pairs - len(pairs))])
-            f_tab, g_tab, z = draws[:, 0:3].T, draws[:, 3:6].T, draws[:, 6]
-            u = _pool(f_tab, z)
-            rejected = ((np.abs(_pool(f_tab, z, 1)) < 0.3)
-                        | (np.abs(_pool(g_tab, u, 1)) < 0.3)
-                        | (np.abs(u) > 2.5))
-            pairs = np.concatenate([pairs, draws[~rejected]])
-    f_tab, g_tab, z = pairs[:, 0:3].T, pairs[:, 3:6].T, pairs[:, 6]
+    pairs = np.empty((7, 0))  # rows: f's kind, p, q, then g's, then z
+    while pairs.shape[1] < n_pairs:
+        size = n_pairs - pairs.shape[1]
+        draws = np.concatenate([_draw_pool(rng, size), _draw_pool(rng, size),
+                                rng.uniform(-1.2, 1.2, (1, size))])
+        f_tab, g_tab, z = draws[0:3], draws[3:6], draws[6]
+        u = _pool(f_tab, z)
+        rejected = ((np.abs(_pool(f_tab, z, 1)) < 0.3)
+                    | (np.abs(_pool(g_tab, u, 1)) < 0.3)
+                    | (np.abs(u) > 2.5))
+        pairs = np.concatenate([pairs, draws[:, ~rejected]], axis=1)
+    f_tab, g_tab, z = pairs[0:3], pairs[3:6], pairs[6]
     f_map = SmoothMap(eval=lambda w: _pool(f_tab, w))
     g_map = SmoothMap(eval=lambda w: _pool(g_tab, w))
     fp = derivative(f_map, 1, z)
@@ -332,12 +157,32 @@ def check_composition_law(rng: np.random.Generator, n_pairs: int = 100,
     return _result("schwarzian_composition", np.max(devs), tolerance)
 
 
+def _rows(rng: np.random.Generator, lo: int, hi: int, ranges, count: int,
+          accept=None) -> np.ndarray:
+    """``count`` rows, each an integer uniform on [lo, hi) then one float
+    uniform on [a, b) per ``(a, b)`` in ``ranges``.
+
+    With ``accept``, a function of a table of rows returning a mask, rows
+    failing it are dropped and rounds are drawn until ``count`` remain.
+    """
+    low, high = np.array(ranges, dtype=float).T
+    kept, need = [], count
+    while need:
+        # a filter that keeps most rows is met in one round
+        size = need if accept is None else 2 * need + 16
+        rows = np.column_stack([rng.integers(lo, hi, size),
+                                rng.uniform(low, high, (size, low.size))])
+        if accept is not None:
+            rows = rows[accept(rows)]
+        kept.append(rows[:need])
+        need -= len(kept[-1])
+    return np.concatenate(kept)
+
+
 def _in_target(rows: np.ndarray) -> np.ndarray:
     """Which rows (n, eta, x, K) have G(x) + K inside (1e-6, _TARGET_CAP)."""
     n, eta, x, k = rows.T
-    # x^n by Python's float pow, as PolyG.value computes it for one float
-    # x: numpy's array pow can differ in the last bit
-    xn = np.array(list(map(pow, x.tolist(), n.tolist())))
+    xn = x ** n
     t = xn * (1.0 + eta * xn) + k
     return (1e-6 < t) & (t < _TARGET_CAP)
 
@@ -346,14 +191,12 @@ def check_translation_property(rng: np.random.Generator, n_samples: int = 400,
                                tolerance: float = 1e-10) -> CheckResult:
     """|G(f(x)) - G(x) - K| stays below the absolute tolerance.
 
-    All samples are drawn first, an (n, eta, x, K) row at a time with rows
-    outside the target discarded; each degree n then takes one ShiftMap
-    with arrays of eta and K.
+    All (n, eta, x, K) samples are drawn first, with those outside the
+    target discarded; each degree n then takes one ShiftMap with arrays of
+    eta and K.
     """
-    with _Tape(rng) as tape:
-        n, eta, x, k = tape.records(
-            1, 4, [(0.0, 2.0), (0.1, 10.0), (-2.0, 3.0)], n_samples,
-            accept=_in_target).T
+    n, eta, x, k = _rows(rng, 1, 4, [(0.0, 2.0), (0.1, 10.0), (-2.0, 3.0)],
+                         n_samples, accept=_in_target).T
     devs = np.empty(n_samples)
     for deg in (1, 2, 3):
         at = n == deg
@@ -370,10 +213,9 @@ def check_semigroup(rng: np.random.Generator, n_samples: int = 200,
     All samples are drawn first; each degree n then takes one ShiftMap per
     side with arrays of eta and K.
     """
-    with _Tape(rng) as tape:
-        n, eta, x, k1, k2 = tape.records(
-            1, 4, [(0.0, 2.0), (0.2, 5.0), (0.0, 2.0), (0.0, 2.0)],
-            n_samples).T
+    n, eta, x, k1, k2 = _rows(
+        rng, 1, 4, [(0.0, 2.0), (0.2, 5.0), (0.0, 2.0), (0.0, 2.0)],
+        n_samples).T
     devs = np.empty(n_samples)
     for deg in (1, 2, 3):
         at = n == deg

@@ -228,6 +228,14 @@ class TestVerify:
         assert report["complete"] is False
         assert report["checks"] == []
 
+    def test_negative_rng_seed_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, CLOSED_FORM_CFG + "verify.rng_seed = -1\n")
+        assert main(["verify", "--config", cfg, "--out-dir",
+                     str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert ":12: bad value for 'verify.rng_seed'" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.filterwarnings("ignore")
     def test_nan_deviation_writes_strict_json(self, tmp_path, capsys):
         # c = 1e200 is finite, so the config accepts it; c^2 overflows and

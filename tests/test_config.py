@@ -61,6 +61,13 @@ class TestParsing:
                 f"<config>:2: bad value for {key!r}")):
             parse_config_text(f"params.n = 1\n{line}")
 
+    def test_negative_rng_seed(self):
+        # numpy's generators take only non-negative seeds
+        with pytest.raises(ConfigError, match=re.escape(
+                "<config>:2: bad value for 'verify.rng_seed'")):
+            parse_config_text("params.n = 1\nverify.rng_seed = -1")
+        assert parse_config_text("verify.rng_seed = 0")["verify.rng_seed"] == 0
+
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="expected"):
             parse_config_text("params.n 1")
