@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from gpbacklund import (BacklundMap, ClosedFormSolution, GPParams, ShiftMap,
-                        ToleranceSpec, gp_rhs, integrate_span, is_fixed_point,
-                        orbit, residual_max)
+from gpbacklund import (ClosedFormSolution, GPParams, ShiftMap, ToleranceSpec,
+                        gp_rhs, integrate_span, is_fixed_point, orbit,
+                        residual_max)
 from gpbacklund.cli import write_solution_csv
 
 
@@ -65,7 +65,7 @@ def main() -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
     for j, grid in enumerate(grids, start=1):
         k_sum = float(np.sum(k_schedule[:j]))
-        fp = is_fixed_point(BacklundMap(shift=ShiftMap(p.g, k_sum)), seed, xs)
+        fp = is_fixed_point(ShiftMap(p.g, k_sum), seed, xs)
         print(f"{j:>3} {k_sum:>8.3f} {len(grid):>7} "
               f"{residual_max(ode, grid):>13.3e} {fp.deviation:>13.3e}")
         if out_dir:

@@ -5,7 +5,7 @@ from .calculus import SmoothMap, compose, derivative, fd_weights, schwarzian
 from .functional import Mobius, PolyG, ShiftMap, conjugate_f, solve_f
 from .ode import (DenseSolution, SecondOrderODE, SolutionGrid, ToleranceSpec,
                   integrate, integrate_span, residual, residual_max, sample)
-from .backlund import BacklundMap, FixedPointResult, is_fixed_point, orbit, transform
+from .backlund import FixedPointResult, is_fixed_point, orbit, transform
 from .gp import (ClosedFormSolution, GPParams, closed_form_residual, gp_rhs,
                  linear_coefficient, linear_coefficient_check, phase)
 from . import errors
@@ -17,7 +17,7 @@ __all__ = [
     "Mobius", "PolyG", "ShiftMap", "conjugate_f", "solve_f",
     "DenseSolution", "SecondOrderODE", "SolutionGrid", "ToleranceSpec",
     "integrate", "integrate_span", "residual", "residual_max", "sample",
-    "BacklundMap", "FixedPointResult", "is_fixed_point", "orbit", "transform",
+    "FixedPointResult", "is_fixed_point", "orbit", "transform",
     "ClosedFormSolution", "GPParams", "closed_form_residual", "gp_rhs",
     "linear_coefficient", "linear_coefficient_check", "phase",
     "errors",

@@ -8,7 +8,6 @@ dense integrated solutions, closed-form solutions, or interpolated grids.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,30 +17,7 @@ from .errors import DomainEscape, NegativeJacobian, NumericalError
 from .functional import PolyG, ShiftMap
 from .ode import SolutionGrid
 
-
-@dataclass(frozen=True)
-class BacklundMap:
-    """A single transformation, parameterized by its translation map."""
-
-    shift: ShiftMap
-
-    def effective_domain(self, seed_domain: tuple[float, float]) -> tuple:
-        """Interval on which f is defined and maps into the seed's domain.
-
-        Elementwise for array parameters: the endpoints are then arrays that
-        broadcast against them.
-        """
-        seed_lo, seed_hi = seed_domain
-        shift, g = self.shift, self.shift.g
-        lo, hi = shift.x_min, math.inf
-        # f is increasing, so the preimage of y under f is G^{-1}(G(y) - K)
-        if seed_lo > 0.0:
-            pre = g.inverse_or(g.value(seed_lo) - shift.K, lo)
-            lo = max(lo, pre) if isinstance(pre, float) else np.fmax(lo, pre)
-        if math.isfinite(seed_hi):
-            # no preimage of seed_hi leaves the interval empty
-            hi = g.inverse_or(g.value(seed_hi) - shift.K, lo)
-        return (lo, hi)
+_FIXED_POINT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,28 +29,21 @@ class FixedPointResult:
         return self.is_fixed
 
 
-def transform(bmap: BacklundMap, seed, xs, trim: bool = True) -> SolutionGrid:
+def transform(shift: ShiftMap, seed, xs) -> SolutionGrid:
     """Apply the transformation to a seed solution at the points xs.
 
-    Points where f exits the seed's domain are trimmed (the trimmed
-    interval is recorded in the grid metadata) unless ``trim`` is false,
-    in which case any escaping point raises DomainEscape. The positive
+    Points where f exits the seed's domain are trimmed; the grid metadata
+    records the kept interval and the trimmed count. The positive
     square-root branch is always taken; r1' follows from the closed-form
     chain rule so transformed grids stay usable as integration restarts.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    lo, hi = bmap.effective_domain(seed.domain)
-    mask = (xs > lo) & (xs < hi)
-    if not trim and not np.all(mask):
-        raise DomainEscape(
-            f"f sends points outside the seed domain; valid interval is "
-            f"({lo:.6g}, {hi:.6g})")
-    kept = xs[mask]
+    lo, hi = shift.effective_domain(seed.domain)
+    kept = xs[(xs > lo) & (xs < hi)]
     if kept.size < 2:
         raise DomainEscape(
             f"no usable points: f maps the request outside ({lo:.6g}, {hi:.6g})")
 
-    shift = bmap.shift
     f = shift.f(kept)
     fp = shift.f_prime(kept, f)
     if np.any(fp <= 0.0):
@@ -107,24 +76,22 @@ def orbit(g: PolyG, k_schedule: Sequence[float], seed, xs) -> list[SolutionGrid]
     """
     grids: list[SolutionGrid] = []
     for j, k_sum in enumerate(np.cumsum(np.asarray(k_schedule, dtype=float))):
-        bmap = BacklundMap(shift=ShiftMap(g=g, K=float(k_sum)))
         try:
-            grids.append(transform(bmap, seed, xs))
+            grids.append(transform(ShiftMap(g=g, K=float(k_sum)), seed, xs))
         except NumericalError as exc:
             raise type(exc)(f"orbit element {j + 1} (K={k_sum}): {exc}") from exc
     return grids
 
 
-def is_fixed_point(bmap: BacklundMap, seed, xs,
-                   tol: float = 1e-10) -> FixedPointResult:
+def is_fixed_point(shift: ShiftMap, seed, xs) -> FixedPointResult:
     """Whether the seed reproduces itself under the transformation at xs.
 
-    Checks max |r(x)^2 f'(x) - r(f(x))^2| / max(1, r(f(x))^2) < tol, the
+    Checks max |r(x)^2 f'(x) - r(f(x))^2| / max(1, r(f(x))^2) < 1e-10, the
     maximum taken over every map when the parameters are arrays. A sampled
     grid is passed as ``grid.as_interpolant(), grid.xs``.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    lo, hi = bmap.effective_domain(seed.domain)
+    lo, hi = shift.effective_domain(seed.domain)
     inside = (xs > lo) & (xs < hi)
     # with array parameters a point stays only where every map keeps it, so
     # the batch stays rectangular
@@ -133,11 +100,12 @@ def is_fixed_point(bmap: BacklundMap, seed, xs,
         raise DomainEscape(
             f"no evaluation points inside the valid interval "
             f"({np.max(lo):.6g}, {np.min(hi):.6g})")
-    f = bmap.shift.f(kept)
-    fp = bmap.shift.f_prime(kept, f)
+    f = shift.f(kept)
+    fp = shift.f_prime(kept, f)
     r_here = seed.eval_with_derivative(kept)[0]
     r_there = seed.eval_with_derivative(f)[0]
     target = r_there * r_there
     dev = np.abs(r_here * r_here * fp - target) / np.maximum(1.0, target)
     deviation = float(np.max(dev))
-    return FixedPointResult(is_fixed=deviation < tol, deviation=deviation)
+    return FixedPointResult(is_fixed=deviation < _FIXED_POINT_TOL,
+                            deviation=deviation)

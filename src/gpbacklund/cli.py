@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backlund import BacklundMap, is_fixed_point, orbit
+from .backlund import is_fixed_point, orbit
 from .config import ExperimentConfig, _finite_float, load_config
 from .errors import ConfigError, NonFinite, NumericalError
 from .functional import ShiftMap
@@ -155,7 +155,9 @@ def _orbit_cover(cfg: ExperimentConfig) -> tuple[float, float]:
     lo, hi = cfg.grid.x_min, cfg.grid.x_max
     for k_sum in np.cumsum(cfg.k_schedule):
         shift = ShiftMap(cfg.params.g, float(k_sum))
-        for edge in (cfg.grid.x_min, cfg.grid.x_max):
+        # numpy floats: G of a far edge overflows to inf, which ShiftMap.f
+        # reports as NonFinite, where Python's power raises OverflowError
+        for edge in np.array([cfg.grid.x_min, cfg.grid.x_max]):
             if edge > shift.x_min:
                 try:
                     image = float(shift.f(edge))
@@ -211,8 +213,7 @@ def cmd_transform(cfg: ExperimentConfig, out_dir: Path) -> int:
         res = _grid_residual(cfg, grid)
         k_sum = float(np.sum(cfg.k_schedule[:j]))
         with _stage(f"fixed-point check (element {j})"):
-            fp = is_fixed_point(BacklundMap(shift=ShiftMap(cfg.params.g, k_sum)),
-                                seed, xs)
+            fp = is_fixed_point(ShiftMap(cfg.params.g, k_sum), seed, xs)
         passed = res < cfg.tolerances.residual_pass
         all_pass = all_pass and passed
         elements.append({
@@ -241,10 +242,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     checks = []
     try:
         with _stage("verify"):
-            results = run_identity_checks(
-                rng_seed=cfg.rng_seed, c=cfg.params.c, v=cfg.params.v,
-                k_values=tuple(cfg.k_schedule) or (0.25, 0.5, 1.0),
-                params=cfg.params, xs=cfg.grid.linspace())
+            results = run_identity_checks(cfg.params, cfg.k_schedule,
+                                          cfg.grid.linspace(), cfg.rng_seed)
         checks = [r.as_dict() for r in results]
     except NumericalError:
         _write_json(report_path, {"checks": checks, "params": cfg.raw,

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 from .gp import GPParams
 
@@ -76,7 +78,6 @@ class GridSpec:
     points: int
 
     def linspace(self):
-        import numpy as np
         return np.linspace(self.x_min, self.x_max, self.points)
 
 
@@ -157,6 +158,9 @@ def build_config(values: dict) -> ExperimentConfig:
     if grid.points < 7:
         raise ConfigError(f"grid too small: need at least 7 points, "
                           f"got {grid.points}")
+    if not (np.diff(grid.linspace()) > 0.0).all():
+        raise ConfigError("grid points are not distinct: x_max - x_min is "
+                          "too small for grid.points")
 
     seed = SeedSpec(kind=get("seed.kind"), x0=get("seed.x0"),
                     r0=get("seed.r0"), rp0=get("seed.rp0"))

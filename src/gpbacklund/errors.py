@@ -41,6 +41,10 @@ class StepSizeUnderflow(NumericalError):
     """Adaptive integrator was forced below the smallest usable step."""
 
 
+class StepBudgetExhausted(NumericalError):
+    """Adaptive integrator used up its attempt budget before x_end."""
+
+
 class BlowUp(NumericalError):
     """Integrated state exceeded the blow-up guard."""
 

@@ -204,6 +204,24 @@ class ShiftMap:
         fp = self.f_prime(x, f) if fp is None else fp
         return (self.g.second(x) - self.g.second(f) * fp * fp) / self.g.prime(f)
 
+    def effective_domain(self, seed_domain: tuple[float, float]) -> tuple:
+        """Interval on which f is defined and maps into the seed's domain.
+
+        Elementwise for array parameters: the endpoints are then arrays that
+        broadcast against them.
+        """
+        seed_lo, seed_hi = seed_domain
+        g = self.g
+        lo, hi = self.x_min, math.inf
+        # f is increasing, so the preimage of y under f is G^{-1}(G(y) - K)
+        if seed_lo > 0.0:
+            pre = g.inverse_or(g.value(seed_lo) - self.K, lo)
+            lo = max(lo, pre) if isinstance(pre, float) else np.fmax(lo, pre)
+        if math.isfinite(seed_hi):
+            # no preimage of seed_hi leaves the interval empty
+            hi = g.inverse_or(g.value(seed_hi) - self.K, lo)
+        return (lo, hi)
+
     def as_smooth_map(self) -> SmoothMap:
         return SmoothMap(eval=self.f, domain=(self.x_min, math.inf))
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -65,18 +64,20 @@ class GPParams:
 
     @property
     def constraint_residual(self) -> float:
-        return self.b * self.v ** 6 + self.c * self.c
+        # numpy's power overflows to inf where Python's raises
+        return float(self.b * np.float64(self.v) ** 6 + self.c * self.c)
 
     def satisfies_constraint(self) -> bool:
         scale = max(self.c * self.c, 1.0)
         return abs(self.constraint_residual) <= _CONSTRAINT_RTOL * scale
 
     @classmethod
-    def constrained(cls, n: int, eta: float, c: float, v: float = 1.0,
-                    mu: float = 0.0, theta0: float = 0.0) -> "GPParams":
+    def constrained(cls, n: int, eta: float, c: float,
+                    v: float = 1.0) -> "GPParams":
         """Parameters with b fixed by the closed-form constraint b v^6 + c^2 = 0."""
-        return cls(n=n, eta=eta, b=-(c * c) / v ** 6, c=c, v=v, mu=mu,
-                   theta0=theta0)
+        # numpy's power gives inf or 0 where Python's raises for an extreme v
+        return cls(n=n, eta=eta, b=float(-(c * c) / np.float64(v) ** 6), c=c,
+                   v=v)
 
 
 def linear_coefficient(p: GPParams, x):
@@ -196,26 +197,21 @@ def closed_form_residual(p: GPParams, xs) -> np.ndarray:
     return sol.second_derivative(xs) - ode.rhs(xs, sol.value(xs))
 
 
-def phase(p: GPParams, x, r_source=None, x_ref: Optional[float] = None):
-    """Phase theta(x) from r^2 theta' = c.
+def phase(p: GPParams, x, r_source, x_ref: float):
+    """Phase theta(x) from r^2 theta' = c, equal to theta0 at ``x_ref``.
 
-    For the closed form (``r_source`` omitted) the antiderivative is
-    c G(x) / (n v^2), anchored so the phase vanishes at the origin unless
-    ``x_ref`` overrides the reference point. Numerical sources expose their
+    For a ClosedFormSolution source the antiderivative is c G(x) / (n v^2),
+    and ``x_ref`` may be 0, where G vanishes. Numerical sources expose their
     interpolation nodes ``xs`` and ``eval_with_derivative``; c / r^2 is
-    integrated from an explicit ``x_ref`` in one cumulative pass, with an
-    8-point Gauss-Legendre rule on every interval between consecutive
-    query points, nodes and ``x_ref``.
+    integrated from ``x_ref`` in one cumulative pass, with an 8-point
+    Gauss-Legendre rule on every interval between consecutive query points,
+    nodes and ``x_ref``.
     """
-    if r_source is None or isinstance(r_source, ClosedFormSolution):
+    if isinstance(r_source, ClosedFormSolution):
         scale = p.c / (p.n * p.v * p.v)
-        ref = 0.0
-        if x_ref is not None and x_ref != 0.0:
-            ref = p.g.value(x_ref)
+        ref = 0.0 if x_ref == 0.0 else p.g.value(x_ref)
         return p.theta0 + scale * (p.g.value(x) - ref)
 
-    if x_ref is None:
-        raise ValueError("x_ref is required for numerically sampled amplitudes")
     xq = np.asarray(x, dtype=float)
     ends = np.append(xq, x_ref)
     nodes = np.asarray(r_source.xs)

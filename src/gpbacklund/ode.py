@@ -16,11 +16,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import (AmplitudeCollapse, BlowUp, GridTooSmall, NonFinite,
-                     OutOfRange, StepSizeUnderflow)
+                     OutOfRange, StepBudgetExhausted, StepSizeUnderflow)
 from .calculus import fd_weights
 
 _BLOWUP_LIMIT = 1e12
 _UNDERFLOW_SCALE = 1e-14
+_AMPLITUDE_FLOOR = 1e-6
+# attempted steps per integration: about 20 times the most that any shipped
+# config or benchmark pool needs (4,866), about 1 s on a 2-vCPU VM
+_MAX_ATTEMPTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -208,16 +212,17 @@ _RHS_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 
 
 def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
-              x_end: float, tol: ToleranceSpec = ToleranceSpec(),
-              amplitude_floor: float = 1e-6) -> DenseSolution:
+              x_end: float,
+              tol: ToleranceSpec = ToleranceSpec()) -> DenseSolution:
     """Integrate r'' = rhs(x, r) from (x0, r0, rp0) to x_end.
 
     Local error per step is controlled by err <= atol + rtol * |state| using
     the embedded 4th-order estimate; either direction of integration is
-    supported. Raises StepSizeUnderflow, BlowUp or AmplitudeCollapse on the
-    corresponding failure modes. The pair is FSAL: the last stage of an
-    accepted step is the first stage of the next one, so each attempted
-    step makes 6 rhs calls.
+    supported. Raises StepSizeUnderflow, BlowUp, AmplitudeCollapse (the
+    amplitude falls below 1e-6) or StepBudgetExhausted (more than
+    _MAX_ATTEMPTS attempted steps) on the corresponding failure modes. The
+    pair is FSAL: the last stage of an accepted step is the first stage of
+    the next one, so each attempted step makes 6 rhs calls.
     """
     lo, hi = ode.domain
     if not (lo < x0 < hi and lo < x_end < hi):
@@ -226,8 +231,8 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
         raise ValueError("x_end must differ from x0")
     if not r0 > 0.0:
         raise ValueError("r0 must be positive")
-    if r0 < amplitude_floor:
-        raise AmplitudeCollapse(f"initial amplitude below floor {amplitude_floor}")
+    if r0 < _AMPLITUDE_FLOOR:
+        raise AmplitudeCollapse(f"initial amplitude below floor {_AMPLITUDE_FLOOR}")
 
     rhs = ode.rhs
     atol, rtol = tol.atol, tol.rtol
@@ -334,7 +339,13 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
     nodes_rpp = [k1]
 
     h = direction * min(0.01 * span, span)
+    attempts = 0
     while (x_end - x) * direction > 0.0:
+        attempts += 1
+        if attempts > _MAX_ATTEMPTS:
+            raise StepBudgetExhausted(
+                f"{_MAX_ATTEMPTS} attempted steps reached only x={x:.6g} "
+                f"of x_end={x_end:.6g}")
         last = (x + h - x_end) * direction >= 0.0
         if last:
             h = x_end - x
@@ -347,9 +358,9 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
             x = x_end if last else x + h
             # FSAL: k7 is rhs at the new point, the next step's k1
             r, rp, k1 = r_new, rp_new, k7
-            if r < amplitude_floor:
+            if r < _AMPLITUDE_FLOOR:
                 raise AmplitudeCollapse(
-                    f"amplitude {r:.3e} fell below floor {amplitude_floor} "
+                    f"amplitude {r:.3e} fell below floor {_AMPLITUDE_FLOOR} "
                     f"at x={x:.6g}")
             if abs(r) > _BLOWUP_LIMIT or abs(rp) > _BLOWUP_LIMIT:
                 raise BlowUp(f"state exceeded {_BLOWUP_LIMIT:.1e} at x={x:.6g}")
@@ -377,16 +388,15 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
 
 def integrate_span(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
                    x_lo: float, x_hi: float,
-                   tol: ToleranceSpec = ToleranceSpec(),
-                   amplitude_floor: float = 1e-6) -> DenseSolution:
+                   tol: ToleranceSpec = ToleranceSpec()) -> DenseSolution:
     """Dense solution covering [x_lo, x_hi] from initial data at interior x0."""
     if not (x_lo <= x0 <= x_hi):
         raise ValueError("x0 must lie inside [x_lo, x_hi]")
     parts = []
     if x0 > x_lo:
-        parts.append(integrate(ode, x0, r0, rp0, x_lo, tol, amplitude_floor))
+        parts.append(integrate(ode, x0, r0, rp0, x_lo, tol))
     if x0 < x_hi:
-        parts.append(integrate(ode, x0, r0, rp0, x_hi, tol, amplitude_floor))
+        parts.append(integrate(ode, x0, r0, rp0, x_hi, tol))
     if len(parts) == 1:
         return parts[0]
     left, right = parts

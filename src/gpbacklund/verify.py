@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backlund import BacklundMap, is_fixed_point
+from .backlund import is_fixed_point
 from .calculus import SmoothMap, compose, derivative, schwarzian
 from .errors import NumericalError
 from .functional import Mobius, PolyG, ShiftMap, solve_f
@@ -71,21 +71,19 @@ def random_mobius_with_points(rng: np.random.Generator, n_points: int):
             return (a, b, c, d), hits[:n_points]
 
 
-def check_mobius_kernel(rng: np.random.Generator, n_maps: int = 100,
-                        n_points: int = 10,
-                        tolerance: float = 1e-7) -> CheckResult:
-    """Finite-difference Schwarzian of fractional linear maps vanishes.
+def check_mobius_kernel(rng: np.random.Generator) -> CheckResult:
+    """Finite-difference Schwarzian of 100 fractional linear maps vanishes.
 
-    All maps are drawn first; one Schwarzian call then takes every map's
-    points as one row of a (maps, points) array.
+    All maps are drawn first, with 10 points each; one Schwarzian call then
+    takes every map's points as one row of a (maps, points) array.
     """
-    coef, points = zip(*(random_mobius_with_points(rng, n_points)
-                         for _ in range(n_maps)))
+    coef, points = zip(*(random_mobius_with_points(rng, 10)
+                         for _ in range(100)))
     # one map per row: the coefficients broadcast over the points and the
     # two stencil axes of the finite differences
-    m = Mobius(*np.array(coef).T.reshape(4, n_maps, 1, 1, 1))
+    m = Mobius(*np.array(coef).T.reshape(4, -1, 1, 1, 1))
     devs = np.abs(schwarzian(m.as_smooth_map(), np.array(points)))
-    return _result("mobius_schwarzian_kernel", np.max(devs), tolerance)
+    return _result("mobius_schwarzian_kernel", np.max(devs), 1e-7)
 
 
 # The composition law's pool of smooth maps, one entry per kind: the map
@@ -128,17 +126,16 @@ def _pool(table: np.ndarray, z, order: int = 0):
     return out
 
 
-def check_composition_law(rng: np.random.Generator, n_pairs: int = 100,
-                          tolerance: float = 1e-6) -> CheckResult:
-    """{g o f, z} = (f')^2 {g, f(z)} + {f, z} for random smooth pairs.
+def check_composition_law(rng: np.random.Generator) -> CheckResult:
+    """{g o f, z} = (f')^2 {g, f(z)} + {f, z} for 100 random smooth pairs.
 
     Pairs are drawn in rounds of as many as are still missing, and each
     round is conditioned in one array pass. One derivative and three
     Schwarzian calls then take every pair at once.
     """
     pairs = np.empty((7, 0))  # rows: f's kind, p, q, then g's, then z
-    while pairs.shape[1] < n_pairs:
-        size = n_pairs - pairs.shape[1]
+    while pairs.shape[1] < 100:
+        size = 100 - pairs.shape[1]
         draws = np.concatenate([_draw_pool(rng, size), _draw_pool(rng, size),
                                 rng.uniform(-1.2, 1.2, (1, size))])
         f_tab, g_tab, z = draws[0:3], draws[3:6], draws[6]
@@ -154,7 +151,7 @@ def check_composition_law(rng: np.random.Generator, n_pairs: int = 100,
     devs = np.abs(schwarzian(compose(g_map, f_map), z)
                   - fp * fp * schwarzian(g_map, f_map.eval(z))
                   - schwarzian(f_map, z))
-    return _result("schwarzian_composition", np.max(devs), tolerance)
+    return _result("schwarzian_composition", np.max(devs), 1e-6)
 
 
 def _rows(rng: np.random.Generator, lo: int, hi: int, ranges, count: int,
@@ -187,120 +184,109 @@ def _in_target(rows: np.ndarray) -> np.ndarray:
     return (1e-6 < t) & (t < _TARGET_CAP)
 
 
-def check_translation_property(rng: np.random.Generator, n_samples: int = 400,
-                               tolerance: float = 1e-10) -> CheckResult:
+def check_translation_property(rng: np.random.Generator) -> CheckResult:
     """|G(f(x)) - G(x) - K| stays below the absolute tolerance.
 
-    All (n, eta, x, K) samples are drawn first, with those outside the
+    All 400 (n, eta, x, K) samples are drawn first, with those outside the
     target discarded; each degree n then takes one ShiftMap with arrays of
     eta and K.
     """
     n, eta, x, k = _rows(rng, 1, 4, [(0.0, 2.0), (0.1, 10.0), (-2.0, 3.0)],
-                         n_samples, accept=_in_target).T
-    devs = np.empty(n_samples)
+                         400, accept=_in_target).T
+    devs = np.empty_like(x)
     for deg in (1, 2, 3):
         at = n == deg
         g = PolyG(deg, eta[at])
         f = ShiftMap(g, k[at]).f(x[at])
         devs[at] = np.abs(g.value(f) - g.value(x[at]) - k[at])
-    return _result("translation_property", np.max(devs), tolerance)
+    return _result("translation_property", np.max(devs), 1e-10)
 
 
-def check_semigroup(rng: np.random.Generator, n_samples: int = 200,
-                    tolerance: float = 1e-9) -> CheckResult:
+def check_semigroup(rng: np.random.Generator) -> CheckResult:
     """f_{K1} o f_{K2} = f_{K1+K2} pointwise.
 
-    All samples are drawn first; each degree n then takes one ShiftMap per
-    side with arrays of eta and K.
+    All 200 samples are drawn first; each degree n then takes one ShiftMap
+    per side with arrays of eta and K.
     """
     n, eta, x, k1, k2 = _rows(
         rng, 1, 4, [(0.0, 2.0), (0.2, 5.0), (0.0, 2.0), (0.0, 2.0)],
-        n_samples).T
-    devs = np.empty(n_samples)
+        200).T
+    devs = np.empty_like(x)
     for deg in (1, 2, 3):
         at = n == deg
         g = PolyG(deg, eta[at])
         chained = ShiftMap(g, k1[at]).f(ShiftMap(g, k2[at]).f(x[at]))
         direct = ShiftMap(g, k1[at] + k2[at]).f(x[at])
         devs[at] = np.abs(chained - direct)
-    return _result("translation_semigroup", np.max(devs), tolerance)
+    return _result("translation_semigroup", np.max(devs), 1e-9)
 
 
-def check_q_identity(k_values=(0.5, 1.0), tolerance: float = 1e-5,
-                     x_lo: float = 0.8, x_hi: float = 3.0,
-                     points: int = 12) -> CheckResult:
+def check_q_identity(k_values=(0.5, 1.0)) -> CheckResult:
     """Q(x) = f'^2 Q(f) + {f, x} with Q the Schwarzian of G and {f, x}
     taken by finite differences of the pointwise solver.
 
-    Each degree takes one PolyG and one ShiftMap, with a row of points from
-    max(x_lo, x_min + 0.2) per (eta, K) pair and the parameters shaped
-    (rows, 1, 1, 1) against the stencil nodes of {f, x}.
+    Each degree takes one PolyG and one ShiftMap, with a row of 12 points
+    from max(0.8, x_min + 0.2) to 3 per (eta, K) pair and the parameters
+    shaped (rows, 1, 1, 1) against the stencil nodes of {f, x}.
     """
     devs = []
     for n, etas in [(1, (0.5, 1.0)), (2, (0.5, 1.0)), (3, (0.5,))]:
         eta, k = np.meshgrid(etas, k_values, indexing="ij")
         g = PolyG(n, eta.reshape(-1, 1, 1, 1))
         shift = ShiftMap(g, k.reshape(-1, 1, 1, 1))
-        xs = np.linspace(np.maximum(x_lo, shift.x_min.ravel() + 0.2), x_hi,
-                         points, axis=-1)
+        xs = np.linspace(np.maximum(0.8, shift.x_min.ravel() + 0.2), 3.0, 12,
+                         axis=-1)
         at = xs[..., None, None]  # the points with the nodes' two axes
         g_map = g.as_smooth_map()
         f, fp = solve_f(shift, at)
         devs.append(np.max(np.abs(
             schwarzian(g_map, at) - fp * fp * schwarzian(g_map, f)
             - schwarzian(shift.as_smooth_map(), xs)[..., None, None])))
-    return _result("q_identity", np.max(devs), tolerance)
+    return _result("q_identity", np.max(devs), 1e-5)
 
 
-def check_linear_coefficient(tolerance: float = 1e-6,
-                             points: int = 19) -> CheckResult:
+def check_linear_coefficient() -> CheckResult:
     """The equation's linear coefficient equals -(1/2){G, x}.
 
-    Each degree takes one call, with a row of points per swept eta.
+    Each degree takes one call, with a row of 19 points per swept eta.
     """
-    xs = np.linspace(0.5, 5.0, points)
+    xs = np.linspace(0.5, 5.0, 19)
     devs = [np.max(np.abs(linear_coefficient_check(
         GPParams(n=n, eta=_ETA_ROWS, b=-1.0, c=1.0), xs))) for n in (1, 2, 3)]
-    return _result("linear_coefficient", np.max(devs), tolerance)
+    return _result("linear_coefficient", np.max(devs), 1e-6)
 
 
-def check_closed_form_residual(c: float = 1.0, v: float = 1.0,
-                               x_lo: float = 0.5, x_hi: float = 5.0,
-                               points: int = 401,
-                               tolerance: float = 1e-7) -> CheckResult:
+def check_closed_form_residual(c: float = 1.0, v: float = 1.0) -> CheckResult:
     """The closed-form amplitude solves the equation under the constraint.
 
     Each degree takes one call, with a row of points per swept eta.
     """
-    xs = np.linspace(x_lo, x_hi, points)
+    xs = np.linspace(0.5, 5.0, 401)
     devs = [np.max(np.abs(closed_form_residual(
         GPParams.constrained(n=n, eta=_ETA_ROWS, c=c, v=v), xs)))
         for n in (1, 2, 3)]
-    return _result("closed_form_residual", np.max(devs), tolerance)
+    return _result("closed_form_residual", np.max(devs), 1e-7)
 
 
-def check_constraint_activity(c: float = 1.0, v: float = 1.0,
-                              delta: float = 0.01,
-                              x_lo: float = 0.5, x_hi: float = 5.0,
-                              points: int = 401,
-                              tolerance: float = 1e-3) -> CheckResult:
-    """Perturbing b off the constraint must visibly break the residual.
+def check_constraint_activity(c: float = 1.0, v: float = 1.0) -> CheckResult:
+    """Perturbing b by 0.01 off the constraint must visibly break the
+    residual.
 
     Reversed check: passes when the smallest residual across the sweep is
     still at least the tolerance. Each degree takes one call, with a row
     of points per swept eta.
     """
-    xs = np.linspace(x_lo, x_hi, points)
-    b = -(c * c) / v ** 6 + delta
+    xs = np.linspace(0.5, 5.0, 401)
+    # numpy's power gives inf or 0 where Python's raises for an extreme v
+    b = -(c * c) / np.float64(v) ** 6 + 0.01
     devs = [np.max(np.abs(closed_form_residual(
         GPParams(n=n, eta=_ETA_ROWS, b=b, c=c, v=v), xs)), axis=-1)
         for n in (1, 2, 3)]
-    return _result("constraint_activity", np.min(devs), tolerance,
+    return _result("constraint_activity", np.min(devs), 1e-3,
                    higher_is_better=True)
 
 
-def check_fixed_point_for(params: GPParams, k_values=(0.25, 0.5, 1.0),
-                          xs=None, tolerance: float = 1e-10) -> float:
+def check_fixed_point_for(params: GPParams, k_values, xs) -> float:
     """Worst fixed-point deviation of the closed form over every K, for one
     parameter set or one degree's group of them (an array eta).
 
@@ -310,17 +296,15 @@ def check_fixed_point_for(params: GPParams, k_values=(0.25, 0.5, 1.0),
     failing (eta, K) pair's. Where is_fixed_point keeps every point, its own
     roots are that evaluation; otherwise the whole grid is probed first.
     """
-    xs = np.linspace(0.5, 3.0, 101) if xs is None else np.asarray(xs, float)
     etas = np.reshape(params.eta, (-1, 1, 1))
     ks = np.reshape(np.asarray(k_values, dtype=float), (-1, 1))
     p = GPParams.constrained(n=params.n, eta=etas, c=params.c, v=params.v)
-    shift = ShiftMap(p.g, ks)
-    bmap, seed = BacklundMap(shift=shift), ClosedFormSolution(p)
-    lo, hi = bmap.effective_domain(seed.domain)
+    shift, seed = ShiftMap(p.g, ks), ClosedFormSolution(p)
+    lo, hi = shift.effective_domain(seed.domain)
     try:
         if not np.all((xs > lo) & (xs < hi)):
             shift.f(xs)
-        return is_fixed_point(bmap, seed, xs, tol=tolerance).deviation
+        return is_fixed_point(shift, seed, xs).deviation
     except NumericalError:
         for eta in etas.ravel():
             for k in ks.ravel():
@@ -328,30 +312,27 @@ def check_fixed_point_for(params: GPParams, k_values=(0.25, 0.5, 1.0),
         raise
 
 
-def check_fixed_point(k_values=(0.25, 0.5, 1.0), c: float = 1.0,
-                      v: float = 1.0, params: GPParams | None = None,
-                      xs=None, tolerance: float = 1e-10) -> CheckResult:
+def check_fixed_point(params: GPParams, k_values, xs) -> CheckResult:
     """The closed form is a fixed point of the transformation for every K.
 
-    The configured parameter set (when given) is probed first so its
-    failures are the ones reported; the standard sweep follows, one
-    degree's etas at a time.
+    The configured parameter set is probed first so its failures are the
+    ones reported; the standard sweep at its c and v follows, one degree's
+    etas at a time.
     """
-    groups = [GPParams.constrained(n=n, eta=np.array(SWEEP_ETAS), c=c, v=v)
-              for n in (1, 2, 3)]
-    if params is not None:
-        groups.insert(0, params)
-    devs = [check_fixed_point_for(p, k_values, xs, tolerance) for p in groups]
-    return _result("fixed_point", np.max(devs), tolerance)
+    groups = [params] + [
+        GPParams.constrained(n=n, eta=np.array(SWEEP_ETAS), c=params.c,
+                             v=params.v) for n in (1, 2, 3)]
+    devs = [check_fixed_point_for(p, k_values, xs) for p in groups]
+    return _result("fixed_point", np.max(devs), 1e-10)
 
 
-def run_identity_checks(rng_seed: int = 0, c: float = 1.0, v: float = 1.0,
-                        k_values=(0.25, 0.5, 1.0),
-                        params: GPParams | None = None,
-                        xs=None) -> list[CheckResult]:
-    """The full identity suite in a deterministic order."""
+def run_identity_checks(params: GPParams, k_values, xs,
+                        rng_seed: int) -> list[CheckResult]:
+    """The full identity suite in a deterministic order, at the configured
+    parameters and points; an empty K schedule checks K = 0.25, 0.5, 1."""
     rng = np.random.default_rng(rng_seed)
     k_values = tuple(k_values) or (0.25, 0.5, 1.0)
+    c, v = params.c, params.v
     return [
         check_mobius_kernel(rng),
         check_composition_law(rng),
@@ -361,5 +342,5 @@ def run_identity_checks(rng_seed: int = 0, c: float = 1.0, v: float = 1.0,
         check_linear_coefficient(),
         check_closed_form_residual(c=c, v=v),
         check_constraint_activity(c=c, v=v),
-        check_fixed_point(k_values=k_values, c=c, v=v, params=params, xs=xs),
+        check_fixed_point(params, k_values, xs),
     ]

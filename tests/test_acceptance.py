@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from gpbacklund.backlund import BacklundMap, is_fixed_point, transform
+from gpbacklund.backlund import is_fixed_point, transform
 from gpbacklund.functional import ShiftMap
 from gpbacklund.gp import ClosedFormSolution, GPParams, gp_rhs
 from gpbacklund.ode import SecondOrderODE, ToleranceSpec, integrate, integrate_span, residual_max
@@ -55,52 +55,48 @@ def generic_seeds():
 
 
 def test_criterion_1_schwarzian_kernel():
-    result = check_mobius_kernel(np.random.default_rng(0), n_maps=100,
-                                 n_points=10, tolerance=1e-7)
+    result = check_mobius_kernel(np.random.default_rng(0))
     report_check("1 (Schwarzian kernel)", result)
-    assert result.passed
+    assert result.passed and result.tolerance == 1e-7
 
 
 def test_criterion_2_composition_law():
-    result = check_composition_law(np.random.default_rng(1), n_pairs=100,
-                                   tolerance=1e-6)
+    result = check_composition_law(np.random.default_rng(1))
     report_check("2 (composition law)", result)
-    assert result.passed
+    assert result.passed and result.tolerance == 1e-6
 
 
 def test_criterion_3_translation_property():
     rng = np.random.default_rng(2)
-    trans = check_translation_property(rng, n_samples=400, tolerance=1e-10)
-    semi = check_semigroup(rng, n_samples=200, tolerance=1e-9)
+    trans = check_translation_property(rng)
+    semi = check_semigroup(rng)
     report("3 (translation property)", trans.passed and semi.passed,
            f"translation deviation {trans.deviation:.3e} < 1e-10, "
            f"semigroup deviation {semi.deviation:.3e} < 1e-9")
-    assert trans.passed
-    assert semi.passed
+    assert trans.passed and trans.tolerance == 1e-10
+    assert semi.passed and semi.tolerance == 1e-9
 
 
 def test_criterion_4_q_identity():
-    result = check_q_identity(k_values=K_VALUES, tolerance=1e-5)
+    result = check_q_identity(k_values=K_VALUES)
     report_check("4 (Q-identity)", result)
-    assert result.passed
+    assert result.passed and result.tolerance == 1e-5
 
 
 def test_criterion_5_linear_coefficient():
-    result = check_linear_coefficient(tolerance=1e-6)
+    result = check_linear_coefficient()
     report_check("5 (linear coefficient)", result)
-    assert result.passed
+    assert result.passed and result.tolerance == 1e-6
 
 
 def test_criterion_6_closed_form_solution():
-    solves = check_closed_form_residual(c=1.0, v=1.0, points=401,
-                                        tolerance=1e-7)
-    active = check_constraint_activity(c=1.0, v=1.0, delta=0.01,
-                                       points=401, tolerance=1e-3)
+    solves = check_closed_form_residual(c=1.0, v=1.0)
+    active = check_constraint_activity(c=1.0, v=1.0)
     report("6 (closed-form solution)", solves.passed and active.passed,
            f"residual {solves.deviation:.3e} < 1e-7 under the constraint, "
            f">= {active.deviation:.3e} with b perturbed by 0.01")
-    assert solves.passed
-    assert active.passed
+    assert solves.passed and solves.tolerance == 1e-7
+    assert active.passed and active.tolerance == 1e-3
 
 
 def test_criterion_7_solution_mapping(generic_seeds):
@@ -108,8 +104,8 @@ def test_criterion_7_solution_mapping(generic_seeds):
     for (n, eta), (p, dense) in generic_seeds.items():
         ode = gp_rhs(p)
         for k in K_VALUES:
-            bmap = BacklundMap(shift=ShiftMap(p.g, k))
-            grid = transform(bmap, dense, np.linspace(1.0, 2.3, 4001))
+            shift = ShiftMap(p.g, k)
+            grid = transform(shift, dense, np.linspace(1.0, 2.3, 4001))
             worst = max(worst, residual_max(ode, grid))
     ok = worst < 1e-5
     report("7 (solution mapping)", ok,
@@ -119,20 +115,20 @@ def test_criterion_7_solution_mapping(generic_seeds):
 
 
 def test_criterion_8_fixed_point(generic_seeds):
-    closed = check_fixed_point(k_values=K_VALUES, c=1.0, v=1.0,
-                               tolerance=1e-10)
+    closed = check_fixed_point(GPParams.constrained(n=1, eta=1.0, c=1.0),
+                               K_VALUES, np.linspace(0.5, 3.0, 101))
     generic_floor = math.inf
     for (n, eta), (p, dense) in generic_seeds.items():
         for k in K_VALUES:
-            bmap = BacklundMap(shift=ShiftMap(p.g, k))
-            res = is_fixed_point(bmap, dense, np.linspace(1.0, 2.3, 201))
+            shift = ShiftMap(p.g, k)
+            res = is_fixed_point(shift, dense, np.linspace(1.0, 2.3, 201))
             assert not res.is_fixed
             generic_floor = min(generic_floor, res.deviation)
     ok = closed.passed and generic_floor > 1e-2
     report("8 (fixed point)", ok,
            f"closed-form deviation {closed.deviation:.3e} < 1e-10, "
            f"generic deviation >= {generic_floor:.3e} > 1e-2")
-    assert closed.passed
+    assert closed.passed and closed.tolerance == 1e-10
     assert generic_floor > 1e-2
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpbacklund.backlund import BacklundMap, is_fixed_point, orbit, transform
+from gpbacklund.backlund import is_fixed_point, orbit, transform
 from gpbacklund.errors import DomainEscape
 from gpbacklund.functional import PolyG, ShiftMap
 from gpbacklund.gp import ClosedFormSolution, GPParams, gp_rhs
@@ -29,8 +29,8 @@ class TestTransform:
     def test_zero_shift_is_identity(self):
         seed = closed_form()
         xs = np.linspace(1.0, 2.5, 101)
-        bmap = BacklundMap(shift=ShiftMap(PolyG(1, 1.0), 0.0))
-        grid = transform(bmap, seed, xs)
+        shift = ShiftMap(PolyG(1, 1.0), 0.0)
+        grid = transform(shift, seed, xs)
         assert np.allclose(grid.rs, seed.value(xs), rtol=0, atol=1e-13)
         assert np.allclose(grid.rps, seed.derivative(xs), rtol=0, atol=1e-13)
 
@@ -38,14 +38,14 @@ class TestTransform:
     def test_closed_form_is_reproduced(self, K):
         seed = closed_form()
         xs = np.linspace(0.5, 3.0, 201)
-        bmap = BacklundMap(shift=ShiftMap(PolyG(1, 1.0), K))
-        grid = transform(bmap, seed, xs)
+        shift = ShiftMap(PolyG(1, 1.0), K)
+        grid = transform(shift, seed, xs)
         assert np.max(np.abs(grid.rs - seed.value(grid.xs))) < 1e-10
 
     def test_transforms_generic_solution_to_solution(self):
         p, dense = integrated_seed()
-        bmap = BacklundMap(shift=ShiftMap(p.g, 0.5))
-        grid = transform(bmap, dense, np.linspace(1.0, 2.5, 4001))
+        shift = ShiftMap(p.g, 0.5)
+        grid = transform(shift, dense, np.linspace(1.0, 2.5, 4001))
         assert residual_max(gp_rhs(p), grid) < 1e-5
 
     def test_large_excursion_seed(self):
@@ -55,15 +55,15 @@ class TestTransform:
         ode = gp_rhs(p)
         dense = integrate_span(ode, 1.0, 1.3, 0.0, 1.0, 2.65,
                                ToleranceSpec(1e-12, 1e-12))
-        bmap = BacklundMap(shift=ShiftMap(p.g, 0.5))
-        grid = transform(bmap, dense, np.linspace(1.0, 2.5, 16001))
+        shift = ShiftMap(p.g, 0.5)
+        grid = transform(shift, dense, np.linspace(1.0, 2.5, 16001))
         assert residual_max(ode, grid) < 1e-5
 
     def test_derivative_column_consistent(self):
         # chain-rule r1' must match differentiating the r1 samples
         p, dense = integrated_seed()
-        bmap = BacklundMap(shift=ShiftMap(p.g, 0.5))
-        grid = transform(bmap, dense, np.linspace(1.0, 2.5, 2001))
+        shift = ShiftMap(p.g, 0.5)
+        grid = transform(shift, dense, np.linspace(1.0, 2.5, 2001))
         mid = np.gradient(grid.rs, grid.xs)
         assert np.max(np.abs(mid[5:-5] - grid.rps[5:-5])) < 5e-4
 
@@ -73,34 +73,28 @@ class TestTransform:
         p = seed.params
         dense = integrate_span(gp_rhs(p), 1.0, float(seed.value(1.0)),
                                float(seed.derivative(1.0)), 1.0, 2.0, TOL)
-        bmap = BacklundMap(shift=ShiftMap(p.g, 1.0))
+        shift = ShiftMap(p.g, 1.0)
         xs = np.linspace(0.5, 2.0, 301)
-        grid = transform(bmap, dense, xs)
+        grid = transform(shift, dense, xs)
         lo, hi = grid.meta["interval"]
         assert hi < 2.0
-        fs = bmap.shift.f(grid.xs)
+        fs = shift.f(grid.xs)
         assert np.all((fs >= 1.0) & (fs <= 2.0))
         assert grid.meta["trimmed"] > 0
-
-    def test_trim_false_raises(self):
-        p, dense = integrated_seed()
-        bmap = BacklundMap(shift=ShiftMap(p.g, 1.0))
-        with pytest.raises(DomainEscape):
-            transform(bmap, dense, np.linspace(1.0, 3.2, 101), trim=False)
 
     def test_all_points_escaping_raises(self):
         # f(3.2) > 3.3 for K=1, so every requested point leaves the seed
         p, dense = integrated_seed()
-        bmap = BacklundMap(shift=ShiftMap(p.g, 1.0))
+        shift = ShiftMap(p.g, 1.0)
         with pytest.raises(DomainEscape):
-            transform(bmap, dense, np.linspace(3.2, 3.29, 11))
+            transform(shift, dense, np.linspace(3.2, 3.29, 11))
 
     def test_inverse_shift_returns_seed(self):
         # apply K then -K: the composition is the identity where defined
         p, dense = integrated_seed()
         xs = np.linspace(1.0, 2.5, 2001)
-        step1 = transform(BacklundMap(shift=ShiftMap(p.g, 0.6)), dense, xs)
-        step2 = transform(BacklundMap(shift=ShiftMap(p.g, -0.6)),
+        step1 = transform(ShiftMap(p.g, 0.6), dense, xs)
+        step2 = transform(ShiftMap(p.g, -0.6),
                           step1.as_interpolant(), xs)
         ref, _ = dense.eval_with_derivative(step2.xs)
         assert np.max(np.abs(step2.rs - ref)) < 1e-7
@@ -144,22 +138,22 @@ class TestFixedPoint:
     @pytest.mark.parametrize("K", [0.25, 0.5, 1.0])
     def test_closed_form_is_fixed(self, K):
         seed = closed_form()
-        bmap = BacklundMap(shift=ShiftMap(PolyG(1, 1.0), K))
-        res = is_fixed_point(bmap, seed, np.linspace(0.5, 3.0, 101))
+        shift = ShiftMap(PolyG(1, 1.0), K)
+        res = is_fixed_point(shift, seed, np.linspace(0.5, 3.0, 101))
         assert res.is_fixed
         assert res.deviation < 1e-10
 
     def test_constant_grid_eta_zero(self):
         xs = np.linspace(1.0, 4.0, 101)
         grid = SolutionGrid(xs=xs, rs=np.ones_like(xs), rps=np.zeros_like(xs))
-        bmap = BacklundMap(shift=ShiftMap(PolyG(1, 0.0), 0.7))
-        res = is_fixed_point(bmap, grid.as_interpolant(), grid.xs)
+        shift = ShiftMap(PolyG(1, 0.0), 0.7)
+        res = is_fixed_point(shift, grid.as_interpolant(), grid.xs)
         assert res.is_fixed
 
     def test_generic_seed_is_not_fixed(self):
         p, dense = integrated_seed()
-        bmap = BacklundMap(shift=ShiftMap(p.g, 0.7))
-        res = is_fixed_point(bmap, dense, np.linspace(1.0, 2.3, 101))
+        shift = ShiftMap(p.g, 0.7)
+        res = is_fixed_point(shift, dense, np.linspace(1.0, 2.3, 101))
         assert not res.is_fixed
         assert res.deviation > 1e-2
 
@@ -167,8 +161,8 @@ class TestFixedPoint:
         p = GPParams.constrained(n=1, eta=0.0, c=1.0, v=1.0)
         xs = np.linspace(1.0, 4.0, 51)
         grid = SolutionGrid(xs=xs, rs=np.ones_like(xs), rps=np.zeros_like(xs))
-        bmap = BacklundMap(shift=ShiftMap(p.g, 0.3))
-        res = is_fixed_point(bmap, grid.as_interpolant(), grid.xs)
+        shift = ShiftMap(p.g, 0.3)
+        res = is_fixed_point(shift, grid.as_interpolant(), grid.xs)
         assert res.deviation < 1e-12
 
     def test_array_parameters_give_the_worst_map(self):
@@ -177,12 +171,12 @@ class TestFixedPoint:
         k = np.array([[-0.5], [0.5]])
         xs = np.linspace(0.1, 3.0, 50)
         seed = ClosedFormSolution(GPParams.constrained(n=2, eta=eta, c=1.0))
-        res = is_fixed_point(BacklundMap(shift=ShiftMap(PolyG(2, eta), k)),
+        res = is_fixed_point(ShiftMap(PolyG(2, eta), k),
                              seed, xs)
         common = xs[xs > ShiftMap(PolyG(2, 0.0), -0.5).x_min]
         assert common.size < xs.size
         assert res.deviation == max(
-            is_fixed_point(BacklundMap(shift=ShiftMap(PolyG(2, e), kk)),
+            is_fixed_point(ShiftMap(PolyG(2, e), kk),
                            closed_form(n=2, eta=e), common).deviation
             for e in (0.0, 1.0) for kk in (-0.5, 0.5))
 
@@ -193,13 +187,12 @@ class TestEffectiveDomain:
         # K = 60 maps no point into (0.7, 2.5): an empty interval
         eta = np.array([[0.0], [0.5]])
         k = np.array([-2.0, -0.1, 0.0, 0.4, 60.0])
-        lo, hi = BacklundMap(shift=ShiftMap(PolyG(2, eta), k)
-                             ).effective_domain(seed_domain)
+        lo, hi = ShiftMap(PolyG(2, eta), k).effective_domain(seed_domain)
         hi = np.broadcast_to(hi, lo.shape)
         for i, e in enumerate(eta[:, 0]):
             for j, kk in enumerate(k):
-                expected = BacklundMap(shift=ShiftMap(PolyG(2, e), kk)
-                                       ).effective_domain(seed_domain)
+                expected = ShiftMap(PolyG(2, e), kk).effective_domain(
+                    seed_domain)
                 # numpy's array pow may round an ulp away from the scalar
                 for got, want in zip((lo[i, j], hi[i, j]), expected):
                     assert got == want or abs(got - want) <= np.spacing(want)
@@ -208,7 +201,7 @@ class TestEffectiveDomain:
     def test_scalar_parameters_give_floats(self, k):
         shift = ShiftMap(PolyG(2, 0.5), k)
         assert type(shift.x_min) is float
-        lo, hi = BacklundMap(shift=shift).effective_domain((0.7, 2.5))
+        lo, hi = shift.effective_domain((0.7, 2.5))
         assert type(lo) is float and type(hi) is float
 
 
@@ -219,7 +212,7 @@ class TestSolutionMappingSweep:
         p, dense = integrated_seed(n=n, eta=eta, bump=1.12, x_hi=3.1)
         seed_grid = sample(dense, np.linspace(1.0, 2.3, 4001))
         seed_res = residual_max(gp_rhs(p), seed_grid)
-        grid = transform(BacklundMap(shift=ShiftMap(p.g, 0.5)), dense,
+        grid = transform(ShiftMap(p.g, 0.5), dense,
                          np.linspace(1.0, 2.3, 4001))
         res = residual_max(gp_rhs(p), grid)
         assert res < 100.0 * seed_res + 1e-5

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 import gpbacklund
 from gpbacklund import cli
 from gpbacklund.cli import _write_rows, main, write_solution_csv
-from gpbacklund.errors import NonFinite
+from gpbacklund.errors import ConstraintViolated, NonFinite
 from gpbacklund.gp import GPParams, gp_rhs
 from gpbacklund.ode import SolutionGrid, residual_max
 
@@ -151,6 +151,82 @@ def test_overflow_exits_3_with_warnings_as_errors(tmp_path, capsys, command,
         assert main([command, "--config", cfg, "--out-dir", str(out)]) == 3
     assert "NonFinite" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+V_BIG_CFG = CLOSED_FORM_CFG.replace("params.v = 1.0", "params.v = 1e60")
+
+
+# Finite magnitudes whose powers overflow a Python float: v^6 in the
+# constraint b v^6 + c^2 and G at a far grid edge. They must give exit
+# codes, not tracebacks.
+@pytest.mark.parametrize("command, text, code", [
+    # b v^6 = -inf: the closed form no longer solves the equation, so the
+    # transformed grids fail their residual
+    ("solve", V_BIG_CFG, 0),
+    ("transform", V_BIG_CFG, 3),
+    ("wavefunction", V_BIG_CFG, 0),
+    ("verify", V_BIG_CFG, 3),
+    ("verify", CLOSED_FORM_CFG.replace("params.v = 1.0", "params.v = 1e-60"),
+     3),
+    ("transform", CLOSED_FORM_CFG.replace("params.n = 1", "params.n = 3")
+     .replace("grid.x_max = 3.0", "grid.x_max = 1e200"), 3),
+], ids=["solve_v_1e60", "transform_v_1e60", "wavefunction_v_1e60",
+        "verify_v_1e60", "verify_v_1e-60", "transform_far_grid_edge"])
+@pytest.mark.filterwarnings("ignore::gpbacklund.errors.ConstraintViolated")
+def test_overflowing_powers_exit_cleanly(tmp_path, command, text, code):
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out-dir",
+                 str(tmp_path / "out")]) == code
+
+
+def test_far_integrated_seed_exhausts_the_step_budget(tmp_path, capsys):
+    """Integrating towards x = 1e200 exits 3 once the integrator's attempt
+    budget is spent, instead of stepping until it is killed."""
+    cfg = write_cfg(tmp_path, INTEGRATE_CFG
+                    .replace("params.n = 1", "params.n = 2")
+                    .replace("grid.x_max = 2.3", "grid.x_max = 1e200")
+                    .replace("grid.points = 4001", "grid.points = 201")
+                    .replace("seed.r0 = 0.664", "seed.r0 = 0.5")
+                    .replace("seed.rp0 = -0.2214", "seed.rp0 = 0.0"))
+    assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "StepBudgetExhausted: [seed integration]" in err
+    assert "attempted steps reached only x=" in err
+    assert not (tmp_path / "solution.csv").exists()
+
+
+def _magnitude(signed=False):
+    """Floats log-uniform over 1e-80..1e80, with a random sign if
+    ``signed``."""
+    mag = st.floats(-80.0, 80.0).map(lambda e: 10.0 ** e)
+    if not signed:
+        return mag
+    return st.tuples(st.sampled_from([-1.0, 1.0]), mag).map(
+        lambda sm: sm[0] * sm[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 4), eta=_magnitude(), b=_magnitude(True),
+       c=_magnitude(True), v=_magnitude(), x_min=_magnitude(),
+       x_max=_magnitude(), k=_magnitude(True), points=st.integers(7, 40))
+def test_extreme_closed_form_configs_exit_cleanly(tmp_path_factory, n, eta,
+                                                  b, c, v, x_min, x_max, k,
+                                                  points):
+    """Every subcommand ends in a documented exit code, whatever the
+    magnitudes of a closed-form config."""
+    tmp = tmp_path_factory.mktemp("extreme")
+    x_min, x_max = sorted((x_min, x_max))
+    cfg = write_cfg(tmp, f"params.n = {n}\nparams.eta = {eta!r}\n"
+                         f"params.b = {b!r}\nparams.c = {c!r}\n"
+                         f"params.v = {v!r}\ngrid.x_min = {x_min!r}\n"
+                         f"grid.x_max = {x_max!r}\ngrid.points = {points}\n"
+                         f"seed.kind = closed_form\nk_schedule = {k!r}\n")
+    for command in ("solve", "transform", "verify", "wavefunction"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConstraintViolated)
+            code = main([command, "--config", cfg, "--out-dir",
+                         str(tmp / "out")])
+        assert code in (0, 2, 3)
 
 
 class TestTransform:

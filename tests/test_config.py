@@ -91,6 +91,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="x_min < x_max"):
             config_from("grid.x_min = 5.0\ngrid.x_max = 1.0")
 
+    def test_grid_points_distinct(self):
+        # two ulps between the ends cannot hold 7 distinct points
+        with pytest.raises(ConfigError, match="not distinct"):
+            config_from("grid.x_min = 1.0\ngrid.x_max = 1.0000000000000004\n"
+                        "grid.points = 7")
+
     def test_negative_tolerance(self):
         with pytest.raises(ConfigError, match="strictly positive"):
             config_from("tolerances.ode_abs = -1e-10")

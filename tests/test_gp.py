@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gpbacklund.backlund import BacklundMap, is_fixed_point, transform
+from gpbacklund.backlund import is_fixed_point, transform
 from gpbacklund.errors import ConstraintViolated, DomainError, NonFinite
 from gpbacklund.functional import ShiftMap
 from gpbacklund.cli import main
@@ -167,24 +167,29 @@ class TestClosedForm:
     def test_closed_form_is_transform_fixed_point(self):
         p = GPParams.constrained(n=2, eta=0.5, c=1.0, v=1.0)
         seed = ClosedFormSolution(p)
-        bmap = BacklundMap(shift=ShiftMap(p.g, 0.75))
-        res = is_fixed_point(bmap, seed, np.linspace(0.5, 3.0, 101))
+        shift = ShiftMap(p.g, 0.75)
+        res = is_fixed_point(shift, seed, np.linspace(0.5, 3.0, 101))
         assert res.is_fixed and res.deviation < 1e-10
+
+
+def closed_phase(p, x, x_ref=0.0):
+    """Phase of the closed form of p, anchored at x_ref."""
+    return phase(p, x, ClosedFormSolution(p), x_ref)
 
 
 class TestPhase:
     def test_no_rotation(self):
         p = GPParams(n=1, eta=0.0, b=0.0, c=0.0, theta0=0.4)
-        assert phase(p, 2.0) == pytest.approx(0.4)
+        assert closed_phase(p, 2.0) == pytest.approx(0.4)
 
     def test_linear_phase(self):
         p = GPParams.constrained(n=1, eta=0.0, c=1.0, v=1.0)
-        assert phase(p, 2.0) == pytest.approx(2.0, rel=1e-14)
+        assert closed_phase(p, 2.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_closed_form_antiderivative(self):
         # c G(x)/(n v^2) at n=1, eta=1, x=1: G(1) = 2
         p = GPParams.constrained(n=1, eta=1.0, c=1.0, v=1.0)
-        assert phase(p, 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert closed_phase(p, 1.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_quadrature_matches_closed_form(self):
         p = GPParams.constrained(n=2, eta=0.5, c=1.0, v=1.0)
@@ -193,20 +198,13 @@ class TestPhase:
                           float(ClosedFormSolution(p).derivative(0.5)),
                           3.0, ToleranceSpec(1e-12, 1e-12))
         got = phase(p, 2.5, r_source=dense, x_ref=0.5)
-        want = phase(p, 2.5) - phase(p, 0.5) + p.theta0
+        want = closed_phase(p, 2.5) - closed_phase(p, 0.5) + p.theta0
         assert got == pytest.approx(want, abs=1e-8)
 
     def test_reference_point_offset(self):
         p = GPParams.constrained(n=1, eta=1.0, c=1.0, v=1.0)
-        assert phase(p, 2.0, x_ref=1.0) == pytest.approx(
-            phase(p, 2.0) - phase(p, 1.0), abs=1e-14)
-
-    def test_requires_reference_for_numeric_source(self):
-        p = GPParams.constrained(n=1, eta=0.0, c=1.0, v=1.0)
-        dense = integrate(gp_rhs(p), 1.0, 1.0, 0.0, 2.0,
-                          ToleranceSpec(1e-10, 1e-10))
-        with pytest.raises(ValueError):
-            phase(p, 1.5, r_source=dense)
+        assert closed_phase(p, 2.0, x_ref=1.0) == pytest.approx(
+            closed_phase(p, 2.0) - closed_phase(p, 1.0), abs=1e-14)
 
     @pytest.mark.parametrize("n,eta,k", [(1, 1.0, 0.5), (2, 0.5, 0.75)])
     def test_transformed_phase_is_seed_phase_of_f(self, n, eta, k):
@@ -226,7 +224,8 @@ class TestPhase:
                               ToleranceSpec(1e-10, 1e-10))
         shift = ShiftMap(p.g, k)
         xs = np.linspace(1.0, 2.0, 2001)
-        grid = transform(BacklundMap(shift=shift), seed, xs, trim=False)
+        grid = transform(shift, seed, xs)
+        assert grid.meta["trimmed"] == 0
         theta1 = phase(p, xs, r_source=grid.as_interpolant(), x_ref=1.0)
         theta0_f = phase(p, shift.f(xs), r_source=seed, x_ref=1.0)
         assert np.ptp(theta1) > 4.0
@@ -333,7 +332,7 @@ class TestWavefunction:
         assert im == pytest.approx(math.sin(2.0) / math.sqrt(3.0), rel=1e-12)
 
     def test_modulus_time_invariant(self, tmp_path):
-        p = GPParams.constrained(n=2, eta=0.5, c=1.0, v=1.0, mu=0.7)
+        p = GPParams(n=2, eta=0.5, b=-1.0, c=1.0, v=1.0, mu=0.7)
         table = wave_table(tmp_path, p, 1.3, 2.0, np.linspace(0.0, 20.0, 9))
         mods = table[table[:, 0] == 1.3, 4]
         assert mods.size == 9

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from gpbacklund import ode
 from gpbacklund.errors import (AmplitudeCollapse, BlowUp, GridTooSmall,
-                               OutOfRange, StepSizeUnderflow)
+                               OutOfRange, StepBudgetExhausted,
+                               StepSizeUnderflow)
 from gpbacklund.gp import GPParams, gp_rhs
 from gpbacklund.ode import (_A, _B5, _C, _E, DenseSolution, SecondOrderODE,
                             SolutionGrid, ToleranceSpec, integrate,
@@ -84,6 +86,27 @@ class TestIntegrate:
                               domain=(1e-3, 100.0))
         with pytest.raises(StepSizeUnderflow):
             integrate(jump, 1.0, 1.0, 0.0, 3.0, TOL)
+
+    def test_step_budget(self, monkeypatch):
+        """An integration of n attempted steps passes with a budget of n
+        attempts and raises, naming the x it reached, with n - 1."""
+        calls = 0
+
+        def rhs(x, r):  # r = 2 + sin(x - 1)
+            nonlocal calls
+            calls += 1
+            return 2.0 - r
+
+        wave = SecondOrderODE(rhs=rhs, domain=(1e-3, 100.0))
+        integrate(wave, 1.0, 2.0, 1.0, 50.0, TOL)
+        attempts = (calls - 1) // 6  # one initial call, then 6 per attempt
+        assert attempts > 100
+        monkeypatch.setattr(ode, "_MAX_ATTEMPTS", attempts)
+        integrate(wave, 1.0, 2.0, 1.0, 50.0, TOL)
+        monkeypatch.setattr(ode, "_MAX_ATTEMPTS", attempts - 1)
+        with pytest.raises(StepBudgetExhausted,
+                           match=r"reached only x=4\d\.\d+ of x_end=50"):
+            integrate(wave, 1.0, 2.0, 1.0, 50.0, TOL)
 
     def test_initial_point_outside_domain(self):
         with pytest.raises(OutOfRange):

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpbacklund.backlund import BacklundMap, is_fixed_point, transform
+from gpbacklund.backlund import is_fixed_point, transform
 from gpbacklund.functional import ShiftMap
 from gpbacklund.gp import ClosedFormSolution, GPParams, gp_rhs
 from gpbacklund.ode import ToleranceSpec, integrate_span
@@ -18,9 +18,9 @@ etas = st.floats(0.0, 2.0)
 @given(n=degrees, eta=etas, k=st.floats(-0.5, 2.0), v=st.floats(0.5, 2.0))
 def test_closed_form_stays_a_fixed_point(n, eta, k, v):
     p = GPParams.constrained(n=n, eta=eta, c=1.0, v=v)
-    bmap = BacklundMap(shift=ShiftMap(p.g, k))
-    res = is_fixed_point(bmap, ClosedFormSolution(p),
-                         np.linspace(0.5, 3.0, 101), tol=1e-10)
+    shift = ShiftMap(p.g, k)
+    res = is_fixed_point(shift, ClosedFormSolution(p),
+                         np.linspace(0.5, 3.0, 101))
     assert res.deviation < 1e-10
 
 
@@ -48,12 +48,12 @@ def test_chained_transforms_equal_the_summed_shift(n, eta, k1, k2, bump):
     inner = ShiftMap(p.g, k2)
     ys = np.linspace(float(inner.f(1.0)) - 0.05, float(inner.f(1.5)) + 0.05,
                      2001)
-    first = transform(BacklundMap(shift=ShiftMap(p.g, k1)), seed, ys,
-                      trim=False)
+    first = transform(ShiftMap(p.g, k1), seed, ys)
     xs = np.linspace(1.0, 1.5, 201)
-    chained = transform(BacklundMap(shift=inner), first.as_interpolant(), xs,
-                        trim=False)
-    direct = transform(BacklundMap(shift=direct_shift), seed, xs, trim=False)
+    chained = transform(inner, first.as_interpolant(), xs)
+    direct = transform(direct_shift, seed, xs)
+    for grid in (first, chained, direct):
+        assert grid.meta["trimmed"] == 0
     scale = np.maximum(direct.rs, np.abs(direct.rps))
     assert np.max(np.abs(chained.rs - direct.rs) / direct.rs) < 1e-8
     assert np.max(np.abs(chained.rps - direct.rps) / scale) < 2e-5

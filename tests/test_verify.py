@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpbacklund.backlund import BacklundMap, is_fixed_point
+from gpbacklund.backlund import is_fixed_point
 from gpbacklund.calculus import SmoothMap, compose, derivative, schwarzian
 from gpbacklund.errors import NumericalError
 from gpbacklund.functional import Mobius, PolyG, ShiftMap, solve_f
@@ -179,25 +179,21 @@ def _reference_fixed_point_for(params, k_values, xs):
     for k in k_values:
         shift = ShiftMap(p.g, float(k))
         shift.f(xs)  # validity probe for the whole grid
-        res = is_fixed_point(BacklundMap(shift=shift), seed, xs, tol=1e-10)
+        res = is_fixed_point(shift, seed, xs)
         devs.append(res.deviation)
     return float(np.max(devs))
 
 
-def reference_fixed_point(k_values=(0.25, 0.5, 1.0), c=1.0, v=1.0,
-                          params=None, xs=None):
-    if xs is None:
-        xs = np.linspace(0.5, 3.0, 101)
-    sweep = [GPParams.constrained(n=n, eta=eta, c=c, v=v)
-             for n, eta in PARAM_SWEEP]
-    if params is not None:
-        sweep.insert(0, params)
+def reference_fixed_point(params, k_values, xs):
+    sweep = [params] + [GPParams.constrained(n=n, eta=eta, c=params.c,
+                                             v=params.v)
+                        for n, eta in PARAM_SWEEP]
     return np.max([_reference_fixed_point_for(p, k_values, xs)
                    for p in sweep])
 
 
-def reference_linear_coefficient(points=19):
-    xs = np.linspace(0.5, 5.0, points)
+def reference_linear_coefficient():
+    xs = np.linspace(0.5, 5.0, 19)
     return np.max([np.abs(linear_coefficient_check(
         GPParams(n=n, eta=eta, b=-1.0, c=1.0), xs)) for n, eta in PARAM_SWEEP])
 
@@ -219,7 +215,7 @@ def reference_constraint_activity(c=1.0, v=1.0):
 
 GRID = np.linspace(0.5, 3.0, 101)
 
-# (per-degree check, reference loop, largest allowed |deviation shift|,
+# id: (per-degree check, reference loop, largest allowed |deviation shift|,
 # keyword arguments): K schedules of two and three values, a negative K,
 # and a configured set of each degree. Both checks evaluate the loops'
 # elementwise expressions on the same points, so with K > 0 q_identity is
@@ -231,41 +227,42 @@ GRID = np.linspace(0.5, 3.0, 101)
 # deviations are themselves a few ulps of O(1) terms, so even a grid point
 # kept or trimmed differently at an array x_min stays below 1e-15; every
 # fixed-point set accepts K = -0.05 on GRID.
-SWEPT = [
-    (check_q_identity, reference_q_identity, 0.0,
-     dict(k_values=(0.5, 1.0))),
-    (check_q_identity, reference_q_identity, 0.0,
-     dict(k_values=(0.25, 0.5, 1.0))),
-    (check_q_identity, reference_q_identity, 1e-8,
-     dict(k_values=(0.5, -0.3))),
-    *((check_fixed_point, reference_fixed_point, 1e-15,
-       dict(k_values=ks, params=p, xs=GRID))
-      for ks, p in [
-          ((0.25, 0.5, 1.0), None),
-          ((0.5, 1.0), GPParams.constrained(n=1, eta=1.0, c=1.0)),
-          ((0.5, -0.05), GPParams.constrained(n=2, eta=0.7, c=1.3, v=0.8)),
-          ((0.25, 0.5, 1.0), GPParams.constrained(n=3, eta=0.3, c=2.0,
-                                                  v=1.5)),
-      ]),
+SWEPT = {
+    "check_q_identity-0": (check_q_identity, reference_q_identity, 0.0,
+                           dict(k_values=(0.5, 1.0))),
+    "check_q_identity-1": (check_q_identity, reference_q_identity, 0.0,
+                           dict(k_values=(0.25, 0.5, 1.0))),
+    "check_q_identity-2": (check_q_identity, reference_q_identity, 1e-8,
+                           dict(k_values=(0.5, -0.3))),
+    **{f"check_fixed_point-{i}": (check_fixed_point, reference_fixed_point,
+                                  1e-15, dict(params=p, k_values=ks, xs=GRID))
+       for i, (ks, p) in enumerate([
+           ((0.5, 1.0), GPParams.constrained(n=1, eta=1.0, c=1.0)),
+           ((0.5, -0.05), GPParams.constrained(n=2, eta=0.7, c=1.3, v=0.8)),
+           ((0.25, 0.5, 1.0), GPParams.constrained(n=3, eta=0.3, c=2.0,
+                                                   v=1.5)),
+       ], start=4)},
     # the closed-form sweeps take one call per degree, with a row of points
     # per eta; every value is the same elementwise expression, and a
     # point's Schwarzian stencil does not depend on its neighbours, so the
     # deviations are bit-identical
-    (check_linear_coefficient, reference_linear_coefficient, 0.0, {}),
-    (check_linear_coefficient, reference_linear_coefficient, 0.0,
-     dict(points=33)),
-    (check_closed_form_residual, reference_closed_form_residual, 0.0, {}),
-    (check_closed_form_residual, reference_closed_form_residual, 0.0,
-     dict(c=1.3, v=0.8)),
-    (check_constraint_activity, reference_constraint_activity, 0.0, {}),
-    (check_constraint_activity, reference_constraint_activity, 0.0,
-     dict(c=0.7, v=1.2)),
-]
+    "check_linear_coefficient-7": (check_linear_coefficient,
+                                   reference_linear_coefficient, 0.0, {}),
+    "check_closed_form_residual-9": (check_closed_form_residual,
+                                     reference_closed_form_residual, 0.0, {}),
+    "check_closed_form_residual-10": (check_closed_form_residual,
+                                      reference_closed_form_residual, 0.0,
+                                      dict(c=1.3, v=0.8)),
+    "check_constraint_activity-11": (check_constraint_activity,
+                                     reference_constraint_activity, 0.0, {}),
+    "check_constraint_activity-12": (check_constraint_activity,
+                                     reference_constraint_activity, 0.0,
+                                     dict(c=0.7, v=1.2)),
+}
 
 
-@pytest.mark.parametrize("check, reference, bound, kwargs", SWEPT,
-                         ids=[f"{c.__name__}-{i}"
-                              for i, (c, _, _, _) in enumerate(SWEPT)])
+@pytest.mark.parametrize("check, reference, bound, kwargs", SWEPT.values(),
+                         ids=SWEPT.keys())
 def test_per_degree_check_matches_per_parameter_loop(check, reference, bound,
                                                      kwargs):
     result = check(**kwargs)
@@ -276,17 +273,18 @@ def test_per_degree_check_matches_per_parameter_loop(check, reference, bound,
 @pytest.mark.parametrize("k_values, params", [
     # the configured set passes; the sweep's n = 3 sets raise DomainError
     ((0.5, -0.2), GPParams.constrained(n=1, eta=1.0, c=1.0)),
-    # n = 1: eta = 0 raises DomainError before eta = 1 raises NoRealRoot,
-    # which a probe of the whole group would report
-    ((0.5, -1.0), None),
+    # the configured set passes; in the sweep, n = 1: eta = 0 raises
+    # DomainError before eta = 1 raises NoRealRoot, which a probe of the
+    # whole group would report
+    ((0.5, -1.0), GPParams.constrained(n=1, eta=3.0, c=1.0)),
     # the configured set fails first
     ((-30.0,), GPParams.constrained(n=1, eta=2.0, c=1.0)),
 ])
 def test_fixed_point_raises_the_loops_first_error(k_values, params):
     with pytest.raises(NumericalError) as batched:
-        check_fixed_point(k_values=k_values, params=params, xs=GRID)
+        check_fixed_point(params, k_values, GRID)
     with pytest.raises(NumericalError) as looped:
-        reference_fixed_point(k_values=k_values, params=params, xs=GRID)
+        reference_fixed_point(params, k_values, GRID)
     assert type(batched.value) is type(looped.value)
     assert str(batched.value) == str(looped.value)
 
