@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from gpbacklund import (ClosedFormSolution, GPParams, ShiftMap, ToleranceSpec,
-                        gp_rhs, integrate_span, is_fixed_point, orbit,
+from gpbacklund import (ClosedFormSolution, GPParams, LiouvilleSolution,
+                        ShiftMap, ToleranceSpec, gp_rhs, is_fixed_point, orbit,
                         residual_max)
 from gpbacklund.cli import write_solution_csv
 
@@ -47,16 +47,18 @@ def main() -> None:
 
     cover_hi = float(ShiftMap(p.g, sum(k for k in k_schedule if k > 0))
                      .f(args.x_hi)) + 0.05
-    seed = integrate_span(ode, args.x_lo,
-                          args.bump * float(exact.value(args.x_lo)),
-                          args.bump * float(exact.derivative(args.x_lo)),
-                          args.x_lo, cover_hi,
-                          ToleranceSpec(args.tol, args.tol))
-    print(f"seed: {seed.meta['steps']} steps over "
-          f"[{seed.domain[0]:g}, {seed.domain[1]:g}], "
-          f"r in [{seed.rs.min():.4f}, {seed.rs.max():.4f}]")
-
+    # as the CLI builds an integrated seed: in t = G(x), read back in x
+    seed = LiouvilleSolution(p, args.x_lo,
+                             args.bump * float(exact.value(args.x_lo)),
+                             args.bump * float(exact.derivative(args.x_lo)),
+                             args.x_lo, cover_hi,
+                             ToleranceSpec(args.tol, args.tol))
     xs = np.linspace(args.x_lo, args.x_hi, args.points)
+    rs = seed.eval_with_derivative(xs)[0]
+    print(f"seed: {seed.meta['steps']} steps in t = G(x) over "
+          f"[{seed.domain[0]:g}, {seed.domain[1]:g}], "
+          f"r in [{rs.min():.4f}, {rs.max():.4f}] on the grid")
+
     grids = orbit(p.g, k_schedule, seed, xs)
     print(f"{'j':>3} {'K_sum':>8} {'points':>7} {'residual_max':>13} "
           f"{'fp_deviation':>13}")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """One sha256 per command over everything the command leaves behind.
 
-    python scripts/output_digest.py [--seeds 1 2 3]
+    python scripts/output_digest.py [--seeds 1 2 3] [--keep DIR]
 
 Runs ``gpbacklund.cli.main`` in-process: every subcommand on both shipped
 configs (``configs/*.cfg``), then the command pools that
@@ -14,7 +14,10 @@ command; a last line gives the digest of all the lines before it.
 
 Identical code must print identical lines, from any checkout and in any
 process. Diff two runs to show that, or diff the output of two trees to
-find the commands whose bytes changed.
+find the commands whose bytes changed. ``--keep DIR`` also copies what
+each command left into ``DIR/<command label>/``: its output files and a
+``console.txt`` of its exit code, stdout and stderr, masked as digested;
+``scripts/output_drift.py`` compares two such directories number by number.
 """
 
 import argparse
@@ -22,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import shutil
 import sys
 import tempfile
 import warnings
@@ -53,8 +57,9 @@ def _commands(seeds, tmp: Path):
                 yield label, cmd.argv, cmd.out_dir
 
 
-def _digest(argv, out_dir: Path, masks) -> tuple[str, str]:
-    """(exit code or exception, sha256) of one in-process command."""
+def _digest(argv, out_dir: Path, masks) -> tuple[str, str, list[str]]:
+    """(exit code or exception, sha256, [code, stdout, stderr]) of one
+    in-process command."""
     out, err = io.StringIO(), io.StringIO()
     # a fresh warnings registry per command, so a warning prints as it
     # would in a process of its own
@@ -77,13 +82,15 @@ def _digest(argv, out_dir: Path, masks) -> tuple[str, str]:
     for blob in blobs:
         h.update(len(blob).to_bytes(8, "little"))
         h.update(blob)
-    return code.split(":")[0], h.hexdigest()
+    return code.split(":")[0], h.hexdigest(), parts
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3],
                     help="perfbench workload seeds (default: 1 2 3)")
+    ap.add_argument("--keep", type=Path, default=None, metavar="DIR",
+                    help="copy every command's outputs into DIR")
     args = ap.parse_args()
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as name:
@@ -91,7 +98,11 @@ def main() -> None:
         masks = [(tmp, "<tmp>"), (ROOT, "<root>")]
         for label, argv, out_dir in _commands(args.seeds, tmp):
             out_dir.mkdir(parents=True)
-            code, digest = _digest(argv, out_dir, masks)
+            code, digest, parts = _digest(argv, out_dir, masks)
+            if args.keep is not None:
+                kept = args.keep / label.replace(" ", "_")
+                shutil.copytree(out_dir, kept)
+                (kept / "console.txt").write_text("\n".join(parts))
             line = f"{digest} {code} {label}"
             print(line)
             total.update(line.encode() + b"\n")

@@ -6,8 +6,9 @@ from .functional import Mobius, PolyG, ShiftMap, conjugate_f, solve_f
 from .ode import (DenseSolution, SecondOrderODE, SolutionGrid, ToleranceSpec,
                   integrate, integrate_span, residual, residual_max, sample)
 from .backlund import FixedPointResult, is_fixed_point, orbit, transform
-from .gp import (ClosedFormSolution, GPParams, closed_form_residual, gp_rhs,
-                 linear_coefficient, linear_coefficient_check, phase)
+from .gp import (ClosedFormSolution, GPParams, LiouvilleSolution,
+                 closed_form_residual, energy, gp_rhs, linear_coefficient,
+                 linear_coefficient_check, phase)
 from . import errors
 
 __version__ = "0.1.0"
@@ -18,7 +19,8 @@ __all__ = [
     "DenseSolution", "SecondOrderODE", "SolutionGrid", "ToleranceSpec",
     "integrate", "integrate_span", "residual", "residual_max", "sample",
     "FixedPointResult", "is_fixed_point", "orbit", "transform",
-    "ClosedFormSolution", "GPParams", "closed_form_residual", "gp_rhs",
+    "ClosedFormSolution", "GPParams", "LiouvilleSolution",
+    "closed_form_residual", "energy", "gp_rhs",
     "linear_coefficient", "linear_coefficient_check", "phase",
     "errors",
 ]

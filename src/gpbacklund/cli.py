@@ -19,8 +19,9 @@ from .backlund import is_fixed_point, orbit
 from .config import ExperimentConfig, _finite_float, load_config
 from .errors import ConfigError, NonFinite, NumericalError
 from .functional import ShiftMap
-from .gp import ClosedFormSolution, closed_form_residual, gp_rhs, phase
-from .ode import SolutionGrid, ToleranceSpec, integrate_span, residual_max, sample
+from .gp import (ClosedFormSolution, LiouvilleSolution, closed_form_residual,
+                 gp_rhs, phase)
+from .ode import SolutionGrid, ToleranceSpec, residual_max, sample
 from .verify import run_identity_checks
 
 # CSV values are written exactly as "%.16e" writes them: 17 significant
@@ -139,15 +140,23 @@ def _tolerances(cfg: ExperimentConfig) -> ToleranceSpec:
                          rtol=cfg.tolerances.ode_rel)
 
 
+def _closed_form(cfg: ExperimentConfig) -> ClosedFormSolution:
+    """The closed-form seed; refused where b v^6 + c^2 is not finite, as the
+    closed form then solves no equation the run could check."""
+    p = cfg.params
+    if not math.isfinite(p.constraint_residual):
+        raise NonFinite(f"b*v^6 + c^2 is not finite for v={p.v:g}")
+    return ClosedFormSolution(p)
+
+
 def _build_seed(cfg: ExperimentConfig, cover: tuple[float, float]):
     """Seed solution covering at least the interval ``cover``."""
     if cfg.seed.kind == "closed_form":
-        return ClosedFormSolution(cfg.params)
-    ode = gp_rhs(cfg.params)
-    lo = max(ode.domain[0] * 2.0, cover[0])
+        return _closed_form(cfg)
+    lo = max(gp_rhs(cfg.params).domain[0] * 2.0, cover[0])
     with _stage("seed integration"):
-        return integrate_span(ode, cfg.seed.x0, cfg.seed.r0, cfg.seed.rp0,
-                              lo, cover[1], _tolerances(cfg))
+        return LiouvilleSolution(cfg.params, cfg.seed.x0, cfg.seed.r0,
+                                 cfg.seed.rp0, lo, cover[1], _tolerances(cfg))
 
 
 def _orbit_cover(cfg: ExperimentConfig) -> tuple[float, float]:
@@ -176,7 +185,7 @@ def _grid_residual(cfg: ExperimentConfig, grid: SolutionGrid) -> float:
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     xs = cfg.grid.linspace()
     if cfg.seed.kind == "closed_form":
-        seed = ClosedFormSolution(cfg.params)
+        seed = _closed_form(cfg)
         with _stage("closed-form evaluation"):
             rs, rps = seed.eval_with_derivative(xs)
         grid = SolutionGrid(xs=xs, rs=rs, rps=rps, meta=seed.meta)

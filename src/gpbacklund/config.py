@@ -30,6 +30,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# grid.points cap: over 1000 times the largest benchmark grid (8001 points),
+# and under 100 MB for one column of floats
+_MAX_POINTS = 10_000_000
+
+
+def _points(text: str) -> int:
+    value = int(text)
+    if value > _MAX_POINTS:
+        raise ValueError(f"{value} exceeds the cap of {_MAX_POINTS}")
+    return value
+
+
 def _seed(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -55,7 +67,7 @@ _SCHEMA: dict[str, tuple] = {
     "params.theta0": (_finite_float, 0.0),
     "grid.x_min": (_finite_float, 0.5),
     "grid.x_max": (_finite_float, 5.0),
-    "grid.points": (int, 401),
+    "grid.points": (_points, 401),
     "k_schedule": (_parse_float_list, []),
     "seed.kind": (str, "closed_form"),
     "seed.x0": (_finite_float, None),

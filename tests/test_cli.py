@@ -129,6 +129,16 @@ class TestOverflowingParams:
 
 SHIPPED_FIXED_POINT = (Path(__file__).resolve().parents[1] / "configs"
                        / "fixed_point.cfg").read_text()
+V_BIG_CFG = CLOSED_FORM_CFG.replace("params.v = 1.0", "params.v = 1e60")
+
+
+def far_seed_cfg(n, x_max):
+    return (INTEGRATE_CFG
+            .replace("params.n = 1", f"params.n = {n}")
+            .replace("grid.x_max = 2.3", f"grid.x_max = {x_max}")
+            .replace("grid.points = 4001", "grid.points = 201")
+            .replace("seed.r0 = 0.664", "seed.r0 = 0.5")
+            .replace("seed.rp0 = -0.2214", "seed.rp0 = 0.0"))
 
 
 @pytest.mark.parametrize("command, text", [
@@ -138,8 +148,17 @@ SHIPPED_FIXED_POINT = (Path(__file__).resolve().parents[1] / "configs"
     # a finite K whose target G(x) + K overflows G's inverse
     ("transform", SHIPPED_FIXED_POINT.replace("k_schedule = 0.5, 0.5",
                                               "k_schedule = 1e308")),
+    # b v^6 + c^2 = -inf: the closed form solves no equation
+    ("solve", V_BIG_CFG),
+    ("wavefunction", V_BIG_CFG),
+    # G(1e200) overflows for n = 2, so no seed is integrated in t = G(x)
+    ("solve", far_seed_cfg(2, "1e200")),
+    ("transform", far_seed_cfg(2, "1e200")),
+    ("wavefunction", far_seed_cfg(2, "1e200")),
 ], ids=["solve_nan_residual", "solve_overflowing_shape",
-        "wavefunction_overflowing_shape", "transform_overflowing_target"])
+        "wavefunction_overflowing_shape", "transform_overflowing_target",
+        "solve_v_1e60", "wavefunction_v_1e60", "solve_far_seed",
+        "transform_far_seed", "wavefunction_far_seed"])
 def test_overflow_exits_3_with_warnings_as_errors(tmp_path, capsys, command,
                                                    text):
     """The overflowing runs fail closed without a floating-point warning,
@@ -153,18 +172,15 @@ def test_overflow_exits_3_with_warnings_as_errors(tmp_path, capsys, command,
     assert not list(out.glob("*.csv"))
 
 
-V_BIG_CFG = CLOSED_FORM_CFG.replace("params.v = 1.0", "params.v = 1e60")
-
-
 # Finite magnitudes whose powers overflow a Python float: v^6 in the
 # constraint b v^6 + c^2 and G at a far grid edge. They must give exit
 # codes, not tracebacks.
 @pytest.mark.parametrize("command, text, code", [
-    # b v^6 = -inf: the closed form no longer solves the equation, so the
-    # transformed grids fail their residual
-    ("solve", V_BIG_CFG, 0),
+    # b v^6 = -inf: the closed form solves no equation, so every command
+    # that builds it refuses it
+    ("solve", V_BIG_CFG, 3),
     ("transform", V_BIG_CFG, 3),
-    ("wavefunction", V_BIG_CFG, 0),
+    ("wavefunction", V_BIG_CFG, 3),
     ("verify", V_BIG_CFG, 3),
     ("verify", CLOSED_FORM_CFG.replace("params.v = 1.0", "params.v = 1e-60"),
      3),
@@ -180,18 +196,15 @@ def test_overflowing_powers_exit_cleanly(tmp_path, command, text, code):
 
 
 def test_far_integrated_seed_exhausts_the_step_budget(tmp_path, capsys):
-    """Integrating towards x = 1e200 exits 3 once the integrator's attempt
-    budget is spent, instead of stepping until it is killed."""
-    cfg = write_cfg(tmp_path, INTEGRATE_CFG
-                    .replace("params.n = 1", "params.n = 2")
-                    .replace("grid.x_max = 2.3", "grid.x_max = 1e200")
-                    .replace("grid.points = 4001", "grid.points = 201")
-                    .replace("seed.r0 = 0.664", "seed.r0 = 0.5")
-                    .replace("seed.rp0 = -0.2214", "seed.rp0 = 0.0"))
+    """Integrating towards x = 1e100, t = G(x) = 1e200, exits 3 once the
+    integrator's attempt budget is spent, instead of stepping until it is
+    killed; the message names t, the variable it integrates in."""
+    cfg = write_cfg(tmp_path, far_seed_cfg(1, "1e100"))
     assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "StepBudgetExhausted: [seed integration]" in err
-    assert "attempted steps reached only x=" in err
+    assert "attempted steps reached only t=" in err
+    assert "of t_end=1e+200" in err
     assert not (tmp_path / "solution.csv").exists()
 
 

@@ -97,6 +97,16 @@ class TestValidation:
             config_from("grid.x_min = 1.0\ngrid.x_max = 1.0000000000000004\n"
                         "grid.points = 7")
 
+    def test_grid_points_capped(self, monkeypatch):
+        # refused while parsing, with its line number, before any linspace
+        monkeypatch.setattr("numpy.linspace", None)
+        with pytest.raises(ConfigError,
+                           match=r"<config>:2: .*'grid.points'.*cap of "
+                                 r"10000000"):
+            parse_config_text("params.n = 1\ngrid.points = 1000000000000000")
+        assert parse_config_text("grid.points = 10000000") == {
+            "grid.points": 10_000_000}
+
     def test_negative_tolerance(self):
         with pytest.raises(ConfigError, match="strictly positive"):
             config_from("tolerances.ode_abs = -1e-10")

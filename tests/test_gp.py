@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from gpbacklund.backlund import is_fixed_point, transform
-from gpbacklund.errors import ConstraintViolated, DomainError, NonFinite
+from gpbacklund.errors import (ConstraintViolated, DomainError, NonFinite,
+                               OutOfRange)
 from gpbacklund.functional import ShiftMap
 from gpbacklund.cli import main
-from gpbacklund.gp import (ClosedFormSolution, GPParams, closed_form_residual,
-                           gp_rhs, linear_coefficient, linear_coefficient_check,
-                           phase)
+from gpbacklund.gp import (ClosedFormSolution, GPParams, LiouvilleSolution,
+                           closed_form_residual, energy, gp_rhs,
+                           linear_coefficient, linear_coefficient_check, phase)
 from gpbacklund.ode import (ToleranceSpec, integrate, integrate_span,
                             residual_max)
 
@@ -281,6 +282,22 @@ class TestPinneyExactSolution:
         assert np.max(np.abs(theta - (p.theta0 + theta_ex - theta_ref))) \
             < 10 * self.TOL
 
+    def test_liouville_seed_matches_the_exact_solution(self):
+        """The same data integrated in t = G(x) meets the same bounds."""
+        p = GPParams(n=2, eta=0.7, b=0.0, c=self.C_ANG, theta0=0.3)
+        x0 = 0.9
+        r0, rp0, theta_ref = self.exact(p, x0)
+        seed = LiouvilleSolution(p, x0, float(r0), float(rp0), x0, 2.0,
+                                 ToleranceSpec(self.TOL, self.TOL))
+        xs = np.linspace(x0, 2.0, 401)
+        r, rp = seed.eval_with_derivative(xs)
+        r_ex, rp_ex, theta_ex = self.exact(p, xs)
+        theta = phase(p, xs, r_source=seed, x_ref=x0)
+        assert np.max(np.abs(r / r_ex - 1.0)) < 10 * self.TOL
+        assert np.max(np.abs(rp - rp_ex)) < 100 * self.TOL
+        assert np.max(np.abs(theta - (p.theta0 + theta_ex - theta_ref))) \
+            < 10 * self.TOL
+
     def test_exact_solution_has_zero_residual(self):
         """The oracle itself: r'' from a fine central difference of the
         exact r' matches the equation's right-hand side."""
@@ -290,6 +307,114 @@ class TestPinneyExactSolution:
         rpp = (self.exact(p, xs + h)[1] - self.exact(p, xs - h)[1]) / (2 * h)
         rhs = gp_rhs(p).rhs(xs, self.exact(p, xs)[0])
         assert np.max(np.abs(rpp - rhs)) < 1e-8
+
+
+def closed_form_seed(p, x0, x_lo, x_hi, tol=1e-10):
+    """A seed integrated in t from the closed form's data at x0."""
+    cf = ClosedFormSolution(p)
+    return LiouvilleSolution(p, x0, float(cf.value(x0)),
+                             float(cf.derivative(x0)), x_lo, x_hi,
+                             ToleranceSpec(tol, tol))
+
+
+class TestLiouvilleSolution:
+    """rho = sqrt(G') r in t = G(x): the closed form is the equilibrium
+    rho = v sqrt(n) and the transform is the translation t -> t + K."""
+
+    def test_closed_form_start_stays_on_it(self):
+        p = GPParams.constrained(n=2, eta=0.7, c=1.0)
+        x_hi = float(p.g.inverse(p.g.value(1.0) + 4.0))
+        seed = closed_form_seed(p, 1.0, 1.0, x_hi)
+        xs = np.linspace(1.0, x_hi, 501)
+        r, rp = seed.eval_with_derivative(xs)
+        cf = ClosedFormSolution(p)
+        assert seed.meta["steps"] <= 10
+        assert np.max(np.abs(r / cf.value(xs) - 1.0)) < 1e-14
+        assert np.max(np.abs(rp - cf.derivative(xs))) < 1e-13
+
+    def test_closed_form_start_over_a_long_span(self):
+        """A t span of 1120 is about 360 periods of the linearised
+        oscillation; the step bound keeps the rounding error from growing
+        (it reached 7e-9 with unbounded steps)."""
+        p = GPParams.constrained(n=3, eta=1.5, c=1.2, v=0.7)
+        seed = closed_form_seed(p, 1.1, 0.8, 3.0)
+        xs = np.linspace(0.8, 3.0, 2001)
+        r = seed.eval_with_derivative(xs)[0]
+        assert np.max(np.abs(r / ClosedFormSolution(p).value(xs) - 1.0)) \
+            < 1e-14
+
+    def test_no_less_accurate_than_integrating_in_x(self):
+        """The benchmark's orbit seed with the largest error ratio (orbit
+        pool of seed 2, case orbit2, rounded): against integrate_span at
+        1e-14, the seed's worst errors in r and r' are 0.91 times those of
+        integrating in x at the same tolerance. Dividing the tolerance by
+        2 instead of 3 gives 1.37 times."""
+        p = GPParams(n=1, eta=0.8518, b=-1.0, c=1.0)
+        data = (0.9484, 0.618, -0.2013, 0.9484, 4.654)
+        xs = np.linspace(0.9484, 4.654, 4001)
+        ref = integrate_span(gp_rhs(p), *data, ToleranceSpec(1e-14, 1e-14))
+        r_ref, rp_ref = ref.eval_with_derivative(xs)
+        tol = ToleranceSpec(1e-11, 1e-11)
+        errors = []
+        for seed in (integrate_span(gp_rhs(p), *data, tol),
+                     LiouvilleSolution(p, *data, tol)):
+            r, rp = seed.eval_with_derivative(xs)
+            errors.append((np.max(np.abs(r / r_ref - 1.0)),
+                           np.max(np.abs(rp - rp_ref))))
+        (x_r, x_rp), (t_r, t_rp) = errors
+        assert t_r < x_r and t_rp < x_rp
+
+    def test_transform_is_a_translation_in_t(self):
+        p = GPParams.constrained(n=2, eta=0.5, c=1.0)
+        cf = ClosedFormSolution(p)
+        seed = LiouvilleSolution(p, 1.0, 1.1 * float(cf.value(1.0)),
+                                 1.1 * float(cf.derivative(1.0)), 0.9, 2.5,
+                                 ToleranceSpec(1e-10, 1e-10))
+        K = 0.7
+        grid = transform(ShiftMap(p.g, K), seed, np.linspace(0.9, 2.0, 401))
+        assert grid.meta["trimmed"] == 0
+        rho = seed.rho.evaluate(p.g.value(grid.xs) + K)[0]
+        want = rho / np.sqrt(p.g.prime(grid.xs))
+        assert np.max(np.abs(grid.rs / want - 1.0)) < 1e-12
+
+    def test_seed_protocol_in_x(self):
+        p = GPParams.constrained(n=2, eta=0.5, c=1.0)
+        seed = closed_form_seed(p, 1.2, 0.9, 2.0)
+        assert seed.domain == (0.9, 2.0)
+        assert seed.meta["x0"] == 1.2 and seed.meta["frame"] == "t = G(x)"
+        np.testing.assert_allclose(p.g.value(seed.xs), seed.rho.xs,
+                                   rtol=1e-15)
+        r, rp = seed.eval_with_derivative(np.array([0.9, 2.0]))
+        assert r.shape == rp.shape == (2,)
+        with pytest.raises(OutOfRange, match=r"outside \[0\.9, 2\.0\]"):
+            seed.eval_with_derivative([2.5])
+
+    def test_overflowing_g_raises(self):
+        p = GPParams.constrained(n=2, eta=0.5, c=1.0)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFinite, match=r"\[1, 1e\+200\]"):
+            closed_form_seed(p, 1.0, 1.0, 1e200)
+
+
+class TestEnergy:
+    def test_closed_form_sits_at_the_equilibrium(self):
+        """rho = v sqrt(n): E = c^2/(2 n v^2) - b v^4/(4 n)."""
+        p = GPParams.constrained(n=2, eta=0.5, c=1.3, v=0.8)
+        cf = ClosedFormSolution(p)
+        xs = np.linspace(0.5, 3.0, 11)
+        e = energy(p, xs, cf.value(xs), cf.derivative(xs))
+        want = p.c ** 2 / (2 * 2 * 0.8 ** 2) - p.b * 0.8 ** 4 / (4 * 2)
+        np.testing.assert_allclose(e, want, rtol=1e-14)
+
+    def test_pinney_energy(self):
+        """b = 0, rho^2 = A + 2Bt + Ct^2: E = C/2, from rho_t^2 rho^2 =
+        (B + Ct)^2 and AC - B^2 = c^2."""
+        pin = TestPinneyExactSolution
+        p = GPParams(n=2, eta=0.7, b=0.0, c=pin.C_ANG)
+        xs = np.linspace(0.9, 2.0, 11)
+        r, rp, _ = pin().exact(p, xs)
+        np.testing.assert_allclose(energy(p, xs, r, rp), pin.C / 2,
+                                   rtol=1e-13)
 
 
 def wave_table(tmp_path, p, x_min, x_max, t_samples,

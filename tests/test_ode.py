@@ -108,6 +108,18 @@ class TestIntegrate:
                            match=r"reached only x=4\d\.\d+ of x_end=50"):
             integrate(wave, 1.0, 2.0, 1.0, 50.0, TOL)
 
+    def test_max_step_bounds_every_step(self):
+        """r'' = 0 with r' = 0 has a zero error estimate, so only the bound
+        stops the step from growing fivefold per step."""
+        bounded = SecondOrderODE(rhs=FREE.rhs, domain=FREE.domain,
+                                 max_step=0.1)
+        dense = integrate(bounded, 1.0, 1.0, 0.0, 3.0, TOL)
+        assert np.max(np.diff(dense.xs)) <= 0.1 * (1 + 1e-15)
+        assert dense.xs.size - 1 >= 20
+        assert integrate(FREE, 1.0, 1.0, 0.0, 3.0, TOL).xs.size < 10
+        with pytest.raises(ValueError, match="max_step"):
+            SecondOrderODE(rhs=FREE.rhs, domain=FREE.domain, max_step=0.0)
+
     def test_initial_point_outside_domain(self):
         with pytest.raises(OutOfRange):
             integrate(FREE, 1e-5, 1.0, 0.0, 1.0, TOL)
