@@ -6,15 +6,17 @@
 A and B are directories written by ``scripts/output_digest.py --keep``,
 one subdirectory per command. For every file that differs between them,
 prints its path and the largest relative change of its numbers,
-|a - b| / max(|a|, |b|), taken over the numbers in the same places; a file
-whose text differs outside its numbers, or that only one tree holds, is
-named as such. Then one line per kind of file, a subcommand (the end of
+|a - b| / max(|a|, |b|), taken over the numbers in the same places, or
+inf where a number became or ceased to be nan or inf; a file whose text
+differs outside its numbers, or that only one tree holds, is named as
+such. Then one line per kind of file, a subcommand (the end of
 each directory name) with a file name whose digits read '#', gives the
 count of differing files and their largest change.
 Exits 1 if anything differs, 0 if the trees hold the same bytes.
 """
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
@@ -36,8 +38,11 @@ def _drift(a: bytes, b: bytes):
         return None
     worst = 0.0
     for x, y in zip(nums_a, nums_b):
-        if x != y:
-            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return math.inf  # a number became or ceased to be nan or inf
+        worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
     return worst
 
 

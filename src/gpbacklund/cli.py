@@ -19,8 +19,8 @@ from .backlund import is_fixed_point, orbit
 from .config import ExperimentConfig, _finite_float, load_config
 from .errors import ConfigError, NonFinite, NumericalError
 from .functional import ShiftMap
-from .gp import (ClosedFormSolution, LiouvilleSolution, closed_form_residual,
-                 gp_rhs, phase)
+from .gp import (_X_FLOOR, ClosedFormSolution, LiouvilleSolution,
+                 closed_form_residual, gp_rhs, phase)
 from .ode import SolutionGrid, ToleranceSpec, residual_max, sample
 from .verify import run_identity_checks
 
@@ -153,7 +153,7 @@ def _build_seed(cfg: ExperimentConfig, cover: tuple[float, float]):
     """Seed solution covering at least the interval ``cover``."""
     if cfg.seed.kind == "closed_form":
         return _closed_form(cfg)
-    lo = max(gp_rhs(cfg.params).domain[0] * 2.0, cover[0])
+    lo = max(2.0 * _X_FLOOR, cover[0])
     with _stage("seed integration"):
         return LiouvilleSolution(cfg.params, cfg.seed.x0, cfg.seed.r0,
                                  cfg.seed.rp0, lo, cover[1], _tolerances(cfg))

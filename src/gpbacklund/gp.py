@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import schwarzian
-from .errors import ConstraintViolated, DomainError, NonFinite, OutOfRange
+from .errors import (ConstraintViolated, DomainError, NonFinite,
+                     NumericalError, OutOfRange)
 from .functional import PolyG
 from .ode import SecondOrderODE, ToleranceSpec, integrate_span
 
@@ -222,8 +223,8 @@ class LiouvilleSolution:
     ``rho`` is the dense solution (rho, rho_t) of rho_tt = c^2/rho^3 +
     beta rho^3 over [G(x_lo), G(x_hi)], integrated by ``integrate_span``
     from the data (r0, rp0) at x0 at ``tol`` divided by _T_TOL_DIVISOR; its
-    failures name t. The seed protocol stays in x: ``domain`` is
-    (x_lo, x_hi), ``xs`` are G^{-1} of the t nodes, and
+    failures say that they happened in t. The seed protocol stays in x:
+    ``domain`` is (x_lo, x_hi), ``xs`` are G^{-1} of the t nodes, and
     ``eval_with_derivative`` returns r = rho(G)/sqrt(G') and
     r' = rho_t sqrt(G') - r G''/(2 G').
     """
@@ -245,23 +246,29 @@ class LiouvilleSolution:
             rho3 = rho * rho * rho
             return c2 / rho3 + beta * rho3
 
-        # Steps are bounded by 1/omega, omega^2 = |3 c^2/rho^4 - 3 beta rho^2|
-        # the linearised frequency at rho0. A seed on or near the closed form
-        # is nearly constant in t, and with unbounded steps its rounding
-        # error grew to 7e-9 over a t span of 1120 (n = 3, tolerance 1e-10;
-        # 1.4e-11 in x); with the bound it stays at 1e-15. Where omega is 0
-        # or not finite, integrate's own checks decide.
-        with np.errstate(all="ignore"):
-            omega = np.sqrt(np.abs(3.0 * c2 / rho0 ** 4
-                                   - 3.0 * beta * rho0 ** 2))
+        # Near the equilibrium rho_eq (beta rho_eq^6 = -c^2, the closed form)
+        # a solution is nearly constant in t: the error estimate stays near
+        # zero while the step outgrows the pair's stability limit, and a
+        # seed on the closed form then lost 7e-9 over a t span of 1120
+        # (n = 3, tolerance 1e-10; 1.4e-11 in x). Steps are bounded by
+        # 1/omega, omega^2 = 6 c^2/rho_eq^4 = 6 (|c| |beta|)^(2/3) the
+        # frequency of small oscillations there, which keeps that seed at
+        # 1e-15; away from the equilibrium the error estimate bounds them.
+        # Without an equilibrium (beta >= 0 or c = 0) they are unbounded.
+        omega = math.sqrt(6.0) * (abs(p.c) * -beta) ** (1.0 / 3.0) \
+            if beta < 0.0 else 0.0
         # autonomous: any positive floor below G(x_lo) serves
         ode = SecondOrderODE(rhs=rhs, domain=(0.5 * t_lo, math.inf),
-                             variable="t", max_step=float(1.0 / omega)
+                             max_step=1.0 / omega
                              if 0.0 < omega < math.inf else math.inf)
-        self.rho = integrate_span(
-            ode, float(t0), float(rho0), float(rho_t0), float(t_lo),
-            float(t_hi), ToleranceSpec(tol.atol / _T_TOL_DIVISOR,
-                                       tol.rtol / _T_TOL_DIVISOR))
+        try:
+            self.rho = integrate_span(
+                ode, float(t0), float(rho0), float(rho_t0), float(t_lo),
+                float(t_hi), ToleranceSpec(tol.atol / _T_TOL_DIVISOR,
+                                           tol.rtol / _T_TOL_DIVISOR))
+        except NumericalError as exc:  # name the frame: its x is t here
+            raise type(exc)(f"seed integrated in t = G(x) (x here is t): "
+                            f"{exc}") from exc
         self.domain = (x_lo, x_hi)
         self.xs = g.inverse(self.rho.xs)
         self.meta = {**self.rho.meta, "frame": "t = G(x)", "x0": x0,

@@ -44,15 +44,13 @@ class SecondOrderODE:
     """r'' = rhs(x, r) on an open interval with positive left endpoint.
 
     ``rhs`` is a numpy callable: arrays xs, rs give an array of their shape.
-    ``variable`` names the independent variable in the integrator's error
-    messages. ``max_step`` bounds every step: where the solution is nearly
+    ``max_step`` bounds every step: where the solution is nearly
     constant the error estimate stays near zero while the step outgrows
     the pair's stability limit, and a perturbation then grows unseen.
     """
 
     rhs: Callable
     domain: tuple[float, float]
-    variable: str = "x"
     max_step: float = math.inf
 
     def __post_init__(self) -> None:
@@ -242,7 +240,7 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
     if r0 < _AMPLITUDE_FLOOR:
         raise AmplitudeCollapse(f"initial amplitude below floor {_AMPLITUDE_FLOOR}")
 
-    rhs, var = ode.rhs, ode.variable
+    rhs = ode.rhs
     atol, rtol = tol.atol, tol.rtol
     isfinite, inf = math.isfinite, math.inf
     _, c2, c3, c4, c5, _, _ = _C  # c6 = c7 = 1: those stages sit at x + h
@@ -339,7 +337,7 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
     except _RHS_ERRORS:
         k1 = inf
     if not isfinite(k1):
-        raise NonFinite(f"rhs non-finite at the initial point {var}={x0}")
+        raise NonFinite(f"rhs non-finite at the initial point x={x0}")
 
     nodes_x = [x]
     nodes_r = [r]
@@ -353,14 +351,14 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
         attempts += 1
         if attempts > _MAX_ATTEMPTS:
             raise StepBudgetExhausted(
-                f"{_MAX_ATTEMPTS} attempted steps reached only {var}={x:.6g} "
-                f"of {var}_end={x_end:.6g}")
+                f"{_MAX_ATTEMPTS} attempted steps reached only x={x:.6g} "
+                f"of x_end={x_end:.6g}")
         last = (x + h - x_end) * direction >= 0.0
         if last:
             h = x_end - x
         if abs(h) < _UNDERFLOW_SCALE * max(1.0, abs(x)) or x + h == x:
             raise StepSizeUnderflow(
-                f"step {h:.3e} underflowed at {var}={x:.6g}")
+                f"step {h:.3e} underflowed at x={x:.6g}")
 
         err, r_new, rp_new, k7 = attempt(x, r, rp, k1, h)
         if err <= 1.0:
@@ -370,10 +368,9 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
             if r < _AMPLITUDE_FLOOR:
                 raise AmplitudeCollapse(
                     f"amplitude {r:.3e} fell below floor {_AMPLITUDE_FLOOR} "
-                    f"at {var}={x:.6g}")
+                    f"at x={x:.6g}")
             if abs(r) > _BLOWUP_LIMIT or abs(rp) > _BLOWUP_LIMIT:
-                raise BlowUp(
-                    f"state exceeded {_BLOWUP_LIMIT:.1e} at {var}={x:.6g}")
+                raise BlowUp(f"state exceeded {_BLOWUP_LIMIT:.1e} at x={x:.6g}")
             nodes_x.append(x)
             nodes_r.append(r)
             nodes_rp.append(rp)

@@ -198,14 +198,31 @@ def test_overflowing_powers_exit_cleanly(tmp_path, command, text, code):
 def test_far_integrated_seed_exhausts_the_step_budget(tmp_path, capsys):
     """Integrating towards x = 1e100, t = G(x) = 1e200, exits 3 once the
     integrator's attempt budget is spent, instead of stepping until it is
-    killed; the message names t, the variable it integrates in."""
+    killed; the message says that its x is t, the variable it integrates
+    in."""
     cfg = write_cfg(tmp_path, far_seed_cfg(1, "1e100"))
     assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "StepBudgetExhausted: [seed integration]" in err
-    assert "attempted steps reached only t=" in err
-    assert "of t_end=1e+200" in err
+    assert ("StepBudgetExhausted: [seed integration] seed integrated in "
+            "t = G(x) (x here is t): 100000 attempted steps reached only x="
+            in err)
+    assert "of x_end=1e+200" in err
     assert not (tmp_path / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "wavefunction"])
+def test_seed_near_its_turning_point_completes(tmp_path, command):
+    """A seed started at r0 = 0.01, near its inner turning point, moves fast
+    there and slowly elsewhere; its steps are bounded only near the closed
+    form, not by its fast start, so it completes well inside the budget."""
+    cfg = write_cfg(tmp_path, CLOSED_FORM_CFG
+                    .replace("grid.x_min = 1.0", "grid.x_min = 0.5")
+                    .replace("grid.x_max = 3.0", "grid.x_max = 7.0")
+                    .replace("seed.kind = closed_form",
+                             "seed.kind = integrate\nseed.x0 = 1.0\n"
+                             "seed.r0 = 0.01\nseed.rp0 = 0.0"))
+    assert main([command, "--config", cfg, "--out-dir",
+                 str(tmp_path / "out")]) == 0
 
 
 def _magnitude(signed=False):
