@@ -76,11 +76,17 @@ def _first(values, flagged) -> float:
     return float(np.ravel(values)[np.argmax(flagged)])
 
 
-def _fd_derivative(f: SmoothMap, order: int, z: np.ndarray) -> np.ndarray:
-    points, h = default_stencil(order, z)
-    weights, offsets = _central_weights(points, order)
+def _fd_derivatives(f: SmoothMap, orders: tuple[int, ...],
+                    z: np.ndarray) -> list[np.ndarray]:
+    """Estimates of the given orders at z from one evaluation of f.
+
+    The orders must share a stencil, as 1 and 2 do: the same points and the
+    same step. Each order takes its own weights and its own np.dot.
+    """
+    points, h = default_stencil(orders[0], z)
     # both Richardson steps in one evaluation, shape (..., 2, points)
     steps = np.multiply.outer(h, (1.0, 0.5))
+    offsets = _central_weights(points, orders[0])[1]
     nodes = z[..., None, None] + offsets * steps[..., None]
     # the domain broadcasts against the nodes, as the map's parameters do,
     # so it is held to the coarse stencil's two end nodes z -/+ half * h
@@ -101,16 +107,46 @@ def _fd_derivative(f: SmoothMap, order: int, z: np.ndarray) -> np.ndarray:
         near = np.broadcast_to(z[..., None, None], nodes.shape)
         raise NonFinite(f"map returned a non-finite value near "
                         f"z={_first(near, ~finite)!r}")
-    # np.dot of a 3-D array takes one dot product per stencil, so a point's
-    # estimate does not depend on how many points share the call
-    sums = np.dot(vals.reshape(-1, 2, offsets.size), weights)
-    est = sums.reshape(steps.shape) / steps ** order
-    coarse, fine = est[..., 0], est[..., 1]
-    # accuracy order of the symmetric stencil (odd orders round up to even)
-    p = points - order
-    p += p % 2
-    fac = 2.0 ** p
-    return (fac * fine - coarse) / (fac - 1.0)
+    stencils = vals.reshape(-1, 2, offsets.size)
+    out = []
+    for order in orders:
+        # np.dot of a 3-D array takes one dot product per stencil, so a
+        # point's estimate does not depend on how many points share the call
+        sums = np.dot(stencils, _central_weights(points, order)[0])
+        est = sums.reshape(steps.shape) / steps ** order
+        coarse, fine = est[..., 0], est[..., 1]
+        # accuracy order of the symmetric stencil (odd orders round up to
+        # even)
+        p = points - order
+        p += p % 2
+        fac = 2.0 ** p
+        out.append((fac * fine - coarse) / (fac - 1.0))
+    return out
+
+
+def _derivatives(f: SmoothMap, orders: tuple[int, ...], z: np.ndarray):
+    """Derivatives of the given orders at z, each a float or an array like z.
+
+    Closed forms are taken in turn; the orders without one are taken from
+    one shared finite-difference evaluation, made where the first of them
+    comes, so errors are raised in the order of ``orders``.
+    """
+    fd = [k for k in orders if f.closed_form(k) is None]
+    shared = {}
+    out = []
+    for order in orders:
+        closed = f.closed_form(order)
+        if closed is None:
+            if not shared:
+                shared = dict(zip(fd, _fd_derivatives(f, fd, z)))
+            val = shared[order]
+        else:
+            val = closed(z)
+            if not np.all(np.isfinite(val)):
+                raise NonFinite(f"closed-form derivative non-finite at "
+                                f"z={_first(z, ~np.isfinite(val))!r}")
+        out.append(float(val) if z.ndim == 0 else val)
+    return out
 
 
 def derivative(f: SmoothMap, order: int, z):
@@ -121,28 +157,21 @@ def derivative(f: SmoothMap, order: int, z):
     """
     if order not in (1, 2, 3):
         raise ValueError("derivative order must be 1, 2 or 3")
-    z = np.asarray(z, dtype=float)
-    closed = f.closed_form(order)
-    if closed is None:
-        val = _fd_derivative(f, order, z)
-    else:
-        val = closed(z)
-        if not np.all(np.isfinite(val)):
-            raise NonFinite(f"closed-form derivative non-finite at "
-                            f"z={_first(z, ~np.isfinite(val))!r}")
-    return float(val) if z.ndim == 0 else val
+    return _derivatives(f, (order,), np.asarray(z, dtype=float))[0]
 
 
 def schwarzian(f: SmoothMap, z):
     """Schwarzian derivative f'''/f' - (3/2)(f''/f')^2 at z.
+
+    f' and f'' share their stencil, so a map without closed forms for them
+    is evaluated once for both and once more for f'''.
 
     Raises CriticalPoint when |f'| falls below _CRITICAL_TOL, relative to
     |f''| times the stencil step, at any point; the expression is singular
     there and a huge return value would silently corrupt downstream
     residuals.
     """
-    f1 = derivative(f, 1, z)
-    f2 = derivative(f, 2, z)
+    f1, f2 = _derivatives(f, (1, 2), np.asarray(z, dtype=float))
     h = default_stencil(2, z)[1]
     critical = np.abs(f1) < _CRITICAL_TOL * np.fmax(1.0, np.abs(f2) * h)
     if np.any(critical):
