@@ -51,24 +51,60 @@ def _result(name: str, deviation: float, tolerance: float,
                        passed=bool(passed), higher_is_better=higher_is_better)
 
 
-def random_mobius_with_points(rng: np.random.Generator, n_points: int):
-    """Coefficients (a, b, c, d) of a well-conditioned random Mobius map,
-    with evaluation points.
+def _fits(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Which points of each row of z keep |c z + d| in [max(0.7, |c|), 2]
+    for that row's coefficients (a, b, c, d)."""
+    c, d = coef[:, 2:3], coef[:, 3:4]
+    denom = np.abs(c * z + d)
+    return (np.maximum(0.7, np.abs(c)) <= denom) & (denom <= 2.0)
+
+
+def _first_hits(z: np.ndarray, hits: np.ndarray, n_points: int):
+    """(filled, points): which rows of z have at least ``n_points`` hits,
+    and the first ``n_points`` hits of each such row, one row each."""
+    taken = hits & (np.cumsum(hits, axis=1) <= n_points)
+    filled = np.count_nonzero(taken, axis=1) == n_points
+    return filled, z[taken & filled[:, None]].reshape(-1, n_points)
+
+
+def random_mobius_with_points(rng: np.random.Generator, n_maps: int,
+                              n_points: int):
+    """Coefficients (a, b, c, d) of ``n_maps`` well-conditioned random
+    Mobius maps, shape (n_maps, 4), with ``n_points`` evaluation points
+    each, shape (n_maps, n_points).
 
     Conditioning: |det| >= 0.5, moderate denominator, and unit distance from
     the pole (differencing any map is hopeless against the pole's factorial
-    derivative growth). Maps admitting no such points within 60 draws per
-    point are redrawn.
+    derivative growth). A map's points are its first ``n_points`` hits
+    among 60 draws per point; a map with fewer is redrawn. Each round draws
+    a batch of candidate maps, the first 10 draws per point for every map
+    with a large enough |det|, and the other 50 only for the maps still
+    short of hits. Maps keep their candidate order, so the first
+    ``n_maps`` are independent draws of the rule above.
     """
-    while True:
-        a, b, c, d = rng.uniform(-1.5, 1.5, 4).tolist()
-        if abs(a * d - b * c) < 0.5:
-            continue
-        z = rng.uniform(-2.0, 2.0, 60 * n_points)
-        denom = np.abs(c * z + d)
-        hits = z[(max(0.7, abs(c)) <= denom) & (denom <= 2.0)]
-        if hits.size >= n_points:
-            return (a, b, c, d), hits[:n_points]
+    coef, points = np.empty((0, 4)), np.empty((0, n_points))
+    while len(coef) < n_maps:
+        need = n_maps - len(coef)
+        cand = rng.uniform(-1.5, 1.5, (2 * need + 8, 4))
+        a, b, c, d = cand.T
+        cand = cand[np.abs(a * d - b * c) >= 0.5]
+        z = rng.uniform(-2.0, 2.0, (len(cand), 10 * n_points))
+        hits = _fits(cand, z)
+        filled, first = _first_hits(z, hits, n_points)
+        drawn = np.empty((len(cand), n_points))
+        drawn[filled] = first
+        short = np.flatnonzero(~filled)
+        if short.size:
+            more = rng.uniform(-2.0, 2.0, (short.size, 50 * n_points))
+            late, first = _first_hits(
+                np.concatenate([z[short], more], axis=1),
+                np.concatenate([hits[short], _fits(cand[short], more)],
+                               axis=1), n_points)
+            drawn[short[late]] = first
+            filled[short[late]] = True
+        coef = np.concatenate([coef, cand[filled]])
+        points = np.concatenate([points, drawn[filled]])
+    return coef[:n_maps], points[:n_maps]
 
 
 def check_mobius_kernel(rng: np.random.Generator) -> CheckResult:
@@ -77,12 +113,11 @@ def check_mobius_kernel(rng: np.random.Generator) -> CheckResult:
     All maps are drawn first, with 10 points each; one Schwarzian call then
     takes every map's points as one row of a (maps, points) array.
     """
-    coef, points = zip(*(random_mobius_with_points(rng, 10)
-                         for _ in range(100)))
+    coef, points = random_mobius_with_points(rng, 100, 10)
     # one map per row: the coefficients broadcast over the points and the
     # two stencil axes of the finite differences
-    m = Mobius(*np.array(coef).T.reshape(4, -1, 1, 1, 1))
-    devs = np.abs(schwarzian(m.as_smooth_map(), np.array(points)))
+    m = Mobius(*coef.T.reshape(4, -1, 1, 1, 1))
+    devs = np.abs(schwarzian(m.as_smooth_map(), points))
     return _result("mobius_schwarzian_kernel", np.max(devs), 1e-7)
 
 

@@ -132,6 +132,68 @@ class TestSchwarzian:
                 schwarzian(SQUARE, z), abs=1e-6)
 
 
+class TestSharedStencil:
+    """f' and f'' share one evaluation of the map on their stencil."""
+
+    def test_two_evaluations_per_schwarzian(self):
+        calls = []
+
+        def ev(z):
+            calls.append(z.shape)
+            return np.exp(z)
+
+        schwarzian(smooth(ev), np.array([0.1, 0.7]))
+        # one for orders 1 and 2, one for the 7-point order 3
+        assert calls == [(2, 2, 5), (2, 2, 7)]
+
+    @pytest.mark.parametrize("m, zs", [
+        (Mobius(1.2, 0.3, 0.2, 0.9).as_smooth_map(), [-1.0, 0.4, 2.0]),
+        (EXP, [-1.0, 0.0, 0.9, 2.0]),
+        (compose(EXP, smooth(np.sin)), [-0.6, 0.3, 1.1]),
+    ], ids=["mobius", "exp", "composed"])
+    def test_equals_three_derivative_calls(self, m, zs):
+        def from_derivatives(z):
+            f1, f2, f3 = (derivative(m, k, z) for k in (1, 2, 3))
+            ratio = f2 / f1
+            return f3 / f1 - 1.5 * ratio * ratio
+
+        for z in zs:
+            assert schwarzian(m, z) == from_derivatives(z)
+        assert (schwarzian(m, np.array(zs)).tobytes()
+                == from_derivatives(np.array(zs)).tobytes())
+
+    # (map, points, error and message); the messages are those raised
+    # when each order was evaluated on its own, first order first
+    @pytest.mark.parametrize("m, z, error, message", [
+        (smooth(np.log, domain=(0.0, math.inf)), 1e-3, DomainError,
+         "stencil of half-width 4.922e-03 around z=0.001 exits the declared "
+         "domain (0.0, inf)"),
+        (smooth(np.log, domain=(0.0, math.inf)), [1.0, 2e-3, 1e-3],
+         DomainError, "stencil of half-width 4.922e-03 around z=0.002 exits "
+         "the declared domain (0.0, inf)"),
+        (smooth(np.sqrt), [[1.0, 2.0], [3.0, -0.5]], NonFinite,
+         "map returned a non-finite value near z=-0.5"),
+        (SQUARE, 0.0, CriticalPoint, "|f'(0.0)| = 8.584e-20 is numerically "
+         "zero"),
+        (SQUARE, [1.0, 1e-12], CriticalPoint, "|f'(1e-12)| = 2.000e-12 is "
+         "numerically zero"),
+        # a closed-form f' is evaluated before the stencil of f''
+        (SmoothMap(eval=np.log, d1=lambda z: 1.0 / z,
+                   domain=(0.0, math.inf)), [1.0, 0.0], NonFinite,
+         "closed-form derivative non-finite at z=0.0"),
+        (SmoothMap(eval=np.log, d2=lambda z: np.full_like(z, np.inf),
+                   domain=(0.0, math.inf)), 1e-3, DomainError,
+         "stencil of half-width 4.922e-03 around z=0.001 exits the declared "
+         "domain (0.0, inf)"),
+    ], ids=["domain", "domain_array", "non_finite", "critical",
+            "critical_array", "closed_d1_first", "fd_d1_first"])
+    def test_errors_keep_their_messages(self, m, z, error, message):
+        with np.errstate(all="ignore"):
+            with pytest.raises(error) as raised:
+                schwarzian(m, np.array(z) if isinstance(z, list) else z)
+        assert str(raised.value) == message
+
+
 class TestCompose:
     def test_eval_chains(self):
         c = compose(EXP, SQUARE)
