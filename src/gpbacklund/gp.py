@@ -26,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import schwarzian
-from .errors import (ConstraintViolated, DomainError, NonFinite,
-                     NumericalError, OutOfRange)
+from .errors import (AmplitudeCollapse, ConstraintViolated, DomainError,
+                     NonFinite, NumericalError, OutOfRange)
 from .functional import PolyG
-from .ode import SecondOrderODE, ToleranceSpec, integrate_span
+from .ode import (_AMPLITUDE_FLOOR, SecondOrderODE, ToleranceSpec,
+                  integrate_span)
 
 _X_FLOOR = 1e-8
 _CONSTRAINT_RTOL = 1e-10
@@ -240,6 +241,12 @@ class LiouvilleSolution:
         if not 0.0 < t_lo < t_hi:
             raise DomainError(f"t = G(x) does not resolve [{x_lo:g}, "
                               f"{x_hi:g}] in floating point")
+        # integrate's floor holds the amplitude it integrates, rho here
+        if rho0 < _AMPLITUDE_FLOOR:
+            raise AmplitudeCollapse(
+                f"seed integrated in t = G(x): initial amplitude rho0 = "
+                f"sqrt(G'(x0)) r0 = {rho0:.3e} at x0={x0:g}, r0={r0:g} is "
+                f"below floor {_AMPLITUDE_FLOOR}")
         c2, beta = p.c * p.c, p.b / p.n ** 3
 
         def rhs(t, rho):

@@ -229,6 +229,16 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
     _MAX_ATTEMPTS attempted steps) on the corresponding failure modes. The
     pair is FSAL: the last stage of an accepted step is the first stage of
     the next one, so each attempted step makes 6 rhs calls.
+
+    An attempt whose rhs raises, or whose new state, last stage or error
+    is not finite, is rejected. One test after the last stage serves every
+    stage: a non-finite k_i reaches rp_{i+1} through a_{i+1,i} (a32, a43,
+    a54, a65 are nonzero) and then r_new through b_{i+1} (b3-b6 are
+    nonzero), or reaches rp_new directly for k6; a non-finite rp_i reaches
+    r_new through b_i for i >= 3, and the stage amplitude r_i (and, through
+    r3, rp2) reaches the test through k_i = rhs(x_i, r_i). So an rhs that
+    is not finite where its amplitude is not, as every rhs of this package,
+    rejects exactly the attempts a test after each stage rejected.
     """
     lo, hi = ode.domain
     if not (lo < x0 < hi and lo < x_end < hi):
@@ -250,85 +260,6 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
     b1, _, b3, b4, b5, b6, _ = _B5
     e1, _, e3, e4, e5, e6, e7 = _E
 
-    def attempt(x, r, rp, k1, h):
-        """One step of size h from (x, r, rp), where rhs is k1.
-
-        Returns (err, r_new, rp_new, k7), k7 being rhs at the new point.
-        err is inf where a stage is non-finite or rhs raised. Every sum
-        starts at 0.0, adds left to right and skips the zero weights: that
-        order fixes the rounding, and tests/test_ode.py pins it against a
-        generic tableau loop.
-        """
-        r2 = r + h * (0.0 + a21 * rp)
-        rp2 = rp + h * (0.0 + a21 * k1)
-        try:
-            k2 = float(rhs(x + c2 * h, r2))
-        except _RHS_ERRORS:
-            k2 = inf
-        if not (isfinite(r2) and isfinite(rp2) and isfinite(k2)):
-            return inf, r, rp, k1
-
-        r3 = r + h * (0.0 + a31 * rp + a32 * rp2)
-        rp3 = rp + h * (0.0 + a31 * k1 + a32 * k2)
-        try:
-            k3 = float(rhs(x + c3 * h, r3))
-        except _RHS_ERRORS:
-            k3 = inf
-        if not (isfinite(r3) and isfinite(rp3) and isfinite(k3)):
-            return inf, r, rp, k1
-
-        r4 = r + h * (0.0 + a41 * rp + a42 * rp2 + a43 * rp3)
-        rp4 = rp + h * (0.0 + a41 * k1 + a42 * k2 + a43 * k3)
-        try:
-            k4 = float(rhs(x + c4 * h, r4))
-        except _RHS_ERRORS:
-            k4 = inf
-        if not (isfinite(r4) and isfinite(rp4) and isfinite(k4)):
-            return inf, r, rp, k1
-
-        r5 = r + h * (0.0 + a51 * rp + a52 * rp2 + a53 * rp3 + a54 * rp4)
-        rp5 = rp + h * (0.0 + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
-        try:
-            k5 = float(rhs(x + c5 * h, r5))
-        except _RHS_ERRORS:
-            k5 = inf
-        if not (isfinite(r5) and isfinite(rp5) and isfinite(k5)):
-            return inf, r, rp, k1
-
-        r6 = r + h * (0.0 + a61 * rp + a62 * rp2 + a63 * rp3 + a64 * rp4
-                      + a65 * rp5)
-        rp6 = rp + h * (0.0 + a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4
-                        + a65 * k5)
-        try:
-            k6 = float(rhs(x + h, r6))
-        except _RHS_ERRORS:
-            k6 = inf
-        if not (isfinite(r6) and isfinite(rp6) and isfinite(k6)):
-            return inf, r, rp, k1
-
-        r_new = r + h * (0.0 + b1 * rp + b3 * rp3 + b4 * rp4 + b5 * rp5
-                         + b6 * rp6)
-        rp_new = rp + h * (0.0 + b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5
-                           + b6 * k6)
-        try:
-            k7 = float(rhs(x + h, r_new))
-        except _RHS_ERRORS:
-            k7 = inf
-        if not (isfinite(r_new) and isfinite(rp_new) and isfinite(k7)):
-            return inf, r, rp, k1
-
-        er = 0.0 + e1 * rp + e3 * rp3 + e4 * rp4 + e5 * rp5 + e6 * rp6 \
-            + e7 * rp_new
-        erp = 0.0 + e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7
-        sc_r = atol + rtol * max(abs(r), abs(r_new))
-        sc_rp = atol + rtol * max(abs(rp), abs(rp_new))
-        q1 = h * er / sc_r
-        q2 = h * erp / sc_rp
-        err = math.sqrt(0.5 * (q1 * q1 + q2 * q2))
-        if not isfinite(err):
-            err = inf
-        return err, r_new, rp_new, k7
-
     direction = 1.0 if x_end > x0 else -1.0
     span = abs(x_end - x0)
     x, r, rp = float(x0), float(r0), float(rp0)
@@ -339,11 +270,7 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
     if not isfinite(k1):
         raise NonFinite(f"rhs non-finite at the initial point x={x0}")
 
-    nodes_x = [x]
-    nodes_r = [r]
-    nodes_rp = [rp]
-    nodes_rpp = [k1]
-
+    nodes = [(x, r, rp, k1)]
     h_max = ode.max_step
     h = direction * min(0.01 * span, h_max)
     attempts = 0
@@ -360,7 +287,47 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
             raise StepSizeUnderflow(
                 f"step {h:.3e} underflowed at x={x:.6g}")
 
-        err, r_new, rp_new, k7 = attempt(x, r, rp, k1, h)
+        # One attempt from (x, r, rp), where rhs is k1. Every sum starts at
+        # 0.0, adds left to right and skips the zero weights: that order
+        # fixes the rounding, and tests/test_ode.py pins it against a
+        # generic tableau loop.
+        try:
+            r2 = r + h * (0.0 + a21 * rp)
+            rp2 = rp + h * (0.0 + a21 * k1)
+            k2 = float(rhs(x + c2 * h, r2))
+            r3 = r + h * (0.0 + a31 * rp + a32 * rp2)
+            rp3 = rp + h * (0.0 + a31 * k1 + a32 * k2)
+            k3 = float(rhs(x + c3 * h, r3))
+            r4 = r + h * (0.0 + a41 * rp + a42 * rp2 + a43 * rp3)
+            rp4 = rp + h * (0.0 + a41 * k1 + a42 * k2 + a43 * k3)
+            k4 = float(rhs(x + c4 * h, r4))
+            r5 = r + h * (0.0 + a51 * rp + a52 * rp2 + a53 * rp3 + a54 * rp4)
+            rp5 = rp + h * (0.0 + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
+            k5 = float(rhs(x + c5 * h, r5))
+            r6 = r + h * (0.0 + a61 * rp + a62 * rp2 + a63 * rp3 + a64 * rp4
+                          + a65 * rp5)
+            rp6 = rp + h * (0.0 + a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4
+                            + a65 * k5)
+            k6 = float(rhs(x + h, r6))
+            r_new = r + h * (0.0 + b1 * rp + b3 * rp3 + b4 * rp4 + b5 * rp5
+                             + b6 * rp6)
+            rp_new = rp + h * (0.0 + b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5
+                               + b6 * k6)
+            k7 = float(rhs(x + h, r_new))
+        except _RHS_ERRORS:
+            err = inf
+        else:
+            er = 0.0 + e1 * rp + e3 * rp3 + e4 * rp4 + e5 * rp5 + e6 * rp6 \
+                + e7 * rp_new
+            erp = 0.0 + e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 \
+                + e7 * k7
+            q1 = h * er / (atol + rtol * max(abs(r), abs(r_new)))
+            q2 = h * erp / (atol + rtol * max(abs(rp), abs(rp_new)))
+            err = math.sqrt(0.5 * (q1 * q1 + q2 * q2))
+            if not (isfinite(r_new) and isfinite(rp_new) and isfinite(k7)
+                    and isfinite(err)):
+                err = inf
+
         if err <= 1.0:
             x = x_end if last else x + h
             # FSAL: k7 is rhs at the new point, the next step's k1
@@ -371,23 +338,19 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
                     f"at x={x:.6g}")
             if abs(r) > _BLOWUP_LIMIT or abs(rp) > _BLOWUP_LIMIT:
                 raise BlowUp(f"state exceeded {_BLOWUP_LIMIT:.1e} at x={x:.6g}")
-            nodes_x.append(x)
-            nodes_r.append(r)
-            nodes_rp.append(rp)
-            nodes_rpp.append(k1)
+            nodes.append((x, r, rp, k1))
 
-        if err == 0.0:
+        # the step factor 0.9 err^(-1/5), clamped to [0.2, 5]
+        factor = 0.9 * err ** -0.2 if err else 5.0
+        if factor > 5.0:
             factor = 5.0
-        else:
-            factor = min(5.0, max(0.2, 0.9 * err ** -0.2))
+        elif factor < 0.2:
+            factor = 0.2
         h *= factor
         if abs(h) > h_max:
             h = direction * h_max
 
-    xs = np.array(nodes_x)
-    rs = np.array(nodes_r)
-    rps = np.array(nodes_rp)
-    rpps = np.array(nodes_rpp)
+    xs, rs, rps, rpps = np.array(nodes).T.copy()
     if direction < 0.0:
         xs, rs, rps, rpps = xs[::-1], rs[::-1], rps[::-1], rpps[::-1]
     meta = {"kind": "integrated", "x0": x0, "r0": r0, "rp0": rp0,

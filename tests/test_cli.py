@@ -225,6 +225,28 @@ def test_seed_near_its_turning_point_completes(tmp_path, command):
                  str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("command", ["solve", "transform", "wavefunction"])
+def test_seed_below_the_floor_in_t_names_its_frame(tmp_path, capsys,
+                                                   command):
+    """At x0 = 1e-7 with n = 4, rho0 = sqrt(G'(x0)) r0 is 3.2e-11 while r0
+    is 0.5: the seed stops before integrating, with exit 3, and the message
+    names the frame, x0, r0 and rho0."""
+    cfg = write_cfg(tmp_path, INTEGRATE_CFG
+                    .replace("params.n = 1", "params.n = 4")
+                    .replace("grid.x_min = 1.0", "grid.x_min = 1e-7")
+                    .replace("grid.points = 4001", "grid.points = 201")
+                    .replace("seed.x0 = 1.0", "seed.x0 = 1e-7")
+                    .replace("seed.r0 = 0.664", "seed.r0 = 0.5")
+                    .replace("seed.rp0 = -0.2214", "seed.rp0 = 0.0"))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 3
+    assert ("AmplitudeCollapse: [seed integration] seed integrated in "
+            "t = G(x): initial amplitude rho0 = sqrt(G'(x0)) r0 = 3.162e-11 "
+            "at x0=1e-07, r0=0.5 is below floor 1e-06"
+            in capsys.readouterr().err)
+    assert not list(out.glob("*.csv"))
+
+
 def _magnitude(signed=False):
     """Floats log-uniform over 1e-80..1e80, with a random sign if
     ``signed``."""

@@ -378,8 +378,16 @@ KINKED = SecondOrderODE(
                       + 0.0 * math.sqrt(1.6 - r)),
     domain=(1e-3, 1e3))
 
+# a unit oscillation about r = 1 whose rhs returns inf, without raising, at
+# the third stage of the first attempted step only, x = 1 + (3/10) 0.02
+MIDDLE_STAGE_X = 1.0 + 0.3 * (0.01 * 2.0)
+MIDDLE_STAGE_INF = SecondOrderODE(
+    rhs=lambda x, r: math.inf if x == MIDDLE_STAGE_X else 1.0 - r,
+    domain=(1e-3, 1e3))
+
 # (ode, x0, r0, rp0, x_end, tol)
 PINNED = {
+    "middle_stage_inf": (MIDDLE_STAGE_INF, 1.0, 1.5, 0.0, 3.0, TOL),
     "gp_n1_forward": (_gp_ode(1, 1.0), 1.0, 0.664, -0.2214, 3.0,
                       ToleranceSpec(1e-10, 1e-10)),
     "gp_n1_backward": (_gp_ode(1, 0.5), 2.0, 0.5, 0.1, 0.3,
@@ -436,6 +444,16 @@ class TestPinnedBits:
         integrate(counting, x0, r0, rp0, x_end, tol)
         attempts = reference_integrate(ode, x0, r0, rp0, x_end, tol)[4]
         assert calls[0] == 1 + 6 * attempts
+
+    def test_non_finite_middle_stage_rejects_the_step(self):
+        ode, x0, r0, rp0, x_end, tol = PINNED["middle_stage_inf"]
+        counting, calls = _counting(ode)
+        dense = integrate(counting, x0, r0, rp0, x_end, tol)
+        # the first attempt runs all its stages, and is rejected: the first
+        # step, 0.01 * span, shrinks by 0.2
+        assert calls[0] == 1 + 6 * reference_integrate(*PINNED[
+            "middle_stage_inf"])[4]
+        assert dense.xs[1] == pytest.approx(1.0 + 0.2 * 0.02, rel=1e-15)
 
     def test_failure_at_the_last_stage_only_rejects_the_step(self):
         # call 1 is the initial point, calls 2-6 the stages of the first
