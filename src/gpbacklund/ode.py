@@ -270,7 +270,7 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
     if not isfinite(k1):
         raise NonFinite(f"rhs non-finite at the initial point x={x0}")
 
-    nodes = [(x, r, rp, k1)]
+    nodes_x, nodes_r, nodes_rp, nodes_rpp = [x], [r], [rp], [k1]
     h_max = ode.max_step
     h = direction * min(0.01 * span, h_max)
     attempts = 0
@@ -338,7 +338,10 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
                     f"at x={x:.6g}")
             if abs(r) > _BLOWUP_LIMIT or abs(rp) > _BLOWUP_LIMIT:
                 raise BlowUp(f"state exceeded {_BLOWUP_LIMIT:.1e} at x={x:.6g}")
-            nodes.append((x, r, rp, k1))
+            nodes_x.append(x)
+            nodes_r.append(r)
+            nodes_rp.append(rp)
+            nodes_rpp.append(k1)
 
         # the step factor 0.9 err^(-1/5), clamped to [0.2, 5]
         factor = 0.9 * err ** -0.2 if err else 5.0
@@ -350,7 +353,8 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
         if abs(h) > h_max:
             h = direction * h_max
 
-    xs, rs, rps, rpps = np.array(nodes).T.copy()
+    xs, rs, rps, rpps = (np.array(nodes_x), np.array(nodes_r),
+                         np.array(nodes_rp), np.array(nodes_rpp))
     if direction < 0.0:
         xs, rs, rps, rpps = xs[::-1], rs[::-1], rps[::-1], rpps[::-1]
     meta = {"kind": "integrated", "x0": x0, "r0": r0, "rp0": rp0,
