@@ -76,13 +76,9 @@ def _first(values, flagged) -> float:
     return float(np.ravel(values)[np.argmax(flagged)])
 
 
-def _fd_derivatives(f: SmoothMap, orders: tuple[int, ...],
-                    z: np.ndarray) -> list[np.ndarray]:
-    """Estimates of the given orders at z from one evaluation of f.
-
-    The orders must share a stencil, as 1 and 2 do: the same points and the
-    same step. Each order takes its own weights and its own np.dot.
-    """
+def _fd_derivatives(f: SmoothMap, orders: list[int], z: np.ndarray) -> dict:
+    """Estimates at z, by order, of orders that share a stencil (as 1 and 2
+    do), from one evaluation of f; each order takes its own weights."""
     points, h = default_stencil(orders[0], z)
     # both Richardson steps in one evaluation, shape (..., 2, points)
     steps = np.multiply.outer(h, (1.0, 0.5))
@@ -108,38 +104,35 @@ def _fd_derivatives(f: SmoothMap, orders: tuple[int, ...],
         raise NonFinite(f"map returned a non-finite value near "
                         f"z={_first(near, ~finite)!r}")
     stencils = vals.reshape(-1, 2, offsets.size)
-    out = []
+    out = {}
     for order in orders:
         # np.dot of a 3-D array takes one dot product per stencil, so a
         # point's estimate does not depend on how many points share the call
         sums = np.dot(stencils, _central_weights(points, order)[0])
         est = sums.reshape(steps.shape) / steps ** order
         coarse, fine = est[..., 0], est[..., 1]
-        # accuracy order of the symmetric stencil (odd orders round up to
-        # even)
+        # accuracy order of the symmetric stencil (odd orders round up)
         p = points - order
         p += p % 2
         fac = 2.0 ** p
-        out.append((fac * fine - coarse) / (fac - 1.0))
+        out[order] = (fac * fine - coarse) / (fac - 1.0)
     return out
 
 
 def _derivatives(f: SmoothMap, orders: tuple[int, ...], z: np.ndarray):
     """Derivatives of the given orders at z, each a float or an array like z.
 
-    Closed forms are taken in turn; the orders without one are taken from
-    one shared finite-difference evaluation, made where the first of them
-    comes, so errors are raised in the order of ``orders``.
+    The orders without a closed form share one evaluation of f, made where
+    the first of them comes, so errors are raised in the order of ``orders``.
     """
-    fd = [k for k in orders if f.closed_form(k) is None]
-    shared = {}
-    out = []
+    fd, out = None, []
     for order in orders:
         closed = f.closed_form(order)
         if closed is None:
-            if not shared:
-                shared = dict(zip(fd, _fd_derivatives(f, fd, z)))
-            val = shared[order]
+            if fd is None:
+                fd = _fd_derivatives(f, [k for k in orders
+                                         if f.closed_form(k) is None], z)
+            val = fd[order]
         else:
             val = closed(z)
             if not np.all(np.isfinite(val)):

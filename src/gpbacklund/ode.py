@@ -270,7 +270,11 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
     if not isfinite(k1):
         raise NonFinite(f"rhs non-finite at the initial point x={x0}")
 
-    nodes_x, nodes_r, nodes_rp, nodes_rpp = [x], [r], [rp], [k1]
+    nodes_x = [x]
+    nodes_r = [r]
+    nodes_rp = [rp]
+    nodes_rpp = [k1]
+
     h_max = ode.max_step
     h = direction * min(0.01 * span, h_max)
     attempts = 0
@@ -353,8 +357,10 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
         if abs(h) > h_max:
             h = direction * h_max
 
-    xs, rs, rps, rpps = (np.array(nodes_x), np.array(nodes_r),
-                         np.array(nodes_rp), np.array(nodes_rpp))
+    xs = np.array(nodes_x)
+    rs = np.array(nodes_r)
+    rps = np.array(nodes_rp)
+    rpps = np.array(nodes_rpp)
     if direction < 0.0:
         xs, rs, rps, rpps = xs[::-1], rs[::-1], rps[::-1], rpps[::-1]
     meta = {"kind": "integrated", "x0": x0, "r0": r0, "rp0": rp0,
