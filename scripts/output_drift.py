@@ -11,7 +11,10 @@ inf where a number became or ceased to be nan or inf; a file whose text
 differs outside its numbers, or that only one tree holds, is named as
 such. Then one line per kind of file, a subcommand (the end of
 each directory name) with a file name whose digits read '#', gives the
-count of differing files and their largest change.
+count of differing files and their largest change. With ``--columns``, a
+line per column of every kind of CSV file follows: the largest change of
+that column in a differing file, |a - b| relative to the column's largest
+|value| in that file, so that values crossing zero do not swamp it.
 Exits 1 if anything differs, 0 if the trees hold the same bytes.
 """
 
@@ -46,15 +49,42 @@ def _drift(a: bytes, b: bytes):
     return worst
 
 
+def _column_drift(a: bytes, b: bytes):
+    """{column name: largest |a - b| in the column over its largest |value|}
+    of two CSV files with the same header and shape, or None."""
+    head, _, body_a = a.partition(b"\n")
+    head_b, _, body_b = b.partition(b"\n")
+    names = head.decode().split(",")
+    try:
+        rows = [[[float(v) for v in line.split(b",")]
+                 for line in body.splitlines()] for body in (body_a, body_b)]
+    except ValueError:
+        return None
+    if head != head_b or len(rows[0]) != len(rows[1]) or any(
+            len(row) != len(names) for table in rows for row in table):
+        return None
+    change = {}
+    for j, name in enumerate(names):
+        col_a, col_b = ([row[j] for row in table] for table in rows)
+        scale = max(map(abs, col_a + col_b), default=0.0)
+        diff = max((abs(x - y) for x, y in zip(col_a, col_b)), default=0.0)
+        change[name] = diff / scale if scale else diff
+    return change
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a", type=Path)
     ap.add_argument("b", type=Path)
+    ap.add_argument("--columns", action="store_true",
+                    help="also the largest change of every CSV column, "
+                         "relative to the column's largest |value|")
     args = ap.parse_args()
     files = {p.relative_to(root).as_posix()
              for root in (args.a, args.b) for p in root.rglob("*")
              if p.is_file()}
     kinds: dict[str, list] = {}
+    columns: dict[tuple[str, str], float] = {}
     for rel in sorted(files):
         pa, pb = args.a / rel, args.b / rel
         if not (pa.is_file() and pb.is_file()):
@@ -70,11 +100,17 @@ def main() -> int:
         command, name = rel.split("/", 1)
         kind = f"{command.rsplit('_', 1)[-1]} {re.sub(r'[0-9]+', '#', name)}"
         kinds.setdefault(kind, []).append(change)
+        if args.columns and change is not None and rel.endswith(".csv"):
+            for name, col in (_column_drift(da, db) or {}).items():
+                columns[kind, name] = max(columns.get((kind, name), 0.0), col)
     for kind, changes in sorted(kinds.items()):
         numeric = [c for c in changes if c is not None]
         worst = f"{max(numeric):.3e}" if numeric else "none numeric"
         print(f"{kind}: {len(changes)} differ, largest relative change "
               f"{worst}")
+    for (kind, name), col in sorted(columns.items()):
+        print(f"{kind} column {name}: largest change {col:.3e} of its "
+              f"largest |value|")
     return 1 if kinds else 0
 
 

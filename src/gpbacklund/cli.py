@@ -7,6 +7,7 @@ failure (the message names the failing stage and error class).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -300,7 +301,10 @@ def _parse_t_samples(text: str) -> list[float]:
     return vals
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, and building it costs about a millisecond a command."""
     parser = argparse.ArgumentParser(
         prog="gpbacklund",
         description="Solve the reduced Gross-Pitaevskii amplitude equation, "
@@ -314,8 +318,11 @@ def main(argv=None) -> int:
         if name == "wavefunction":
             p.add_argument("--t-samples", default="0",
                            help="comma-separated times, e.g. 0,0.5,1")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     # every stage tests its values and raises NonFinite itself, so numpy's
     # floating-point warnings add nothing; with warnings as errors they
     # would turn that exit 3 into a traceback

@@ -4,11 +4,17 @@ evaluation of sampled solutions.
 The integrator is an explicit embedded 5(4) pair on the first-order system
 (r, r'). Dense output is a per-step quintic Hermite interpolant matching
 (r, r', r'') at both step endpoints, which is what lets transformed
-solutions be evaluated at arbitrary off-node points.
+solutions be evaluated at arbitrary off-node points. Each solution keeps a
+table of every step's polynomial coefficients in the local coordinate
+s in [0, 1], built on its first evaluation; a query gathers its step's
+column and evaluates r and r' in Horner form. A node gives back its stored
+r and r' bit for bit, and r' carries no cancellation between the step's end
+values, so it is accurate to about one eps of max|r'|.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -94,19 +100,19 @@ class SolutionGrid:
 
 
 class _HermiteGrid:
-    """Seed adapter: evaluates a SolutionGrid between its nodes."""
+    """Seed adapter: evaluates a SolutionGrid between its nodes, as the
+    cubic Hermite of its (r, r') in the dense output's Horner form."""
 
     def __init__(self, grid: SolutionGrid) -> None:
         if len(grid) < 2:
             raise GridTooSmall("interpolation needs at least two samples")
-        self.xs, self.rs, self.rps = grid.xs, grid.rs, grid.rps
+        self.xs = grid.xs
         self.domain = grid.domain
         self.meta = dict(grid.meta)
+        self._table = _coefficients(grid.xs, grid.rs, grid.rps)
 
     def eval_with_derivative(self, xs):
-        idx, h, s = _locate(self.xs, np.asarray(xs, dtype=float))
-        return _hermite3(s, h, self.rs[idx], self.rps[idx],
-                         self.rs[idx + 1], self.rps[idx + 1])
+        return _evaluate(self.xs, self._table, np.asarray(xs, dtype=float))
 
 
 # Dormand-Prince 5(4) tableau.
@@ -130,7 +136,12 @@ class DenseSolution:
     """Piecewise quintic Hermite interpolant produced by ``integrate``.
 
     Continuous with continuous first derivative across segment boundaries;
-    second derivatives at nodes equal rhs(x, r) there.
+    second derivatives at nodes equal rhs(x, r) there. The first evaluation
+    builds the table of ``_coefficients``: with h the step, s = (x - x_i)/h
+    and r = c0 + c1 s + ... + c5 s^5, c0 = r_i, c1 = h r'_i and
+    c2 = h^2 r''_i / 2, and c3, c4, c5 fit r, r' and r'' at x_{i+1}. Every
+    later evaluation gathers its steps' columns and evaluates r by Horner
+    and r' as r'_i + s (2 c2 + s (3 c3 + s (4 c4 + 5 c5 s))) / h.
     """
 
     xs: np.ndarray
@@ -143,15 +154,15 @@ class DenseSolution:
     def domain(self) -> tuple[float, float]:
         return (float(self.xs[0]), float(self.xs[-1]))
 
+    @functools.cached_property
+    def _table(self) -> np.ndarray:
+        return _coefficients(self.xs, self.rs, self.rps, self.rpps)
+
     def evaluate(self, x):
         """(r, r') at x; scalar in, scalar out."""
         scalar = np.isscalar(x) or np.ndim(x) == 0
-        idx, h, s = _locate(self.xs, np.atleast_1d(np.asarray(x, dtype=float)))
-        val, der = _hermite5(
-            s, h,
-            self.rs[idx], self.rps[idx], self.rpps[idx],
-            self.rs[idx + 1], self.rps[idx + 1], self.rpps[idx + 1],
-        )
+        val, der = _evaluate(self.xs, self._table,
+                             np.atleast_1d(np.asarray(x, dtype=float)))
         if scalar:
             return float(val[0]), float(der[0])
         return val, der
@@ -162,56 +173,69 @@ class DenseSolution:
 
 
 def _locate(nodes: np.ndarray, xq: np.ndarray):
-    """Segment index, width and local coordinate in [0, 1] of each query.
+    """Node index at or left of each query, and the query in that step.
 
-    Points within a relative 1e-12 of the ends are clamped onto them;
-    points further out raise OutOfRange.
+    Points within a relative 1e-12 below the first node are clamped onto
+    it; those within it above the last node find the last node's column,
+    which is constant. A NaN raises NonFinite, naming the first one, ahead
+    of OutOfRange for points further out.
     """
     lo, hi = float(nodes[0]), float(nodes[-1])
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-    if np.any(xq < lo - slack) or np.any(xq > hi + slack):
+    inside = (xq >= lo - slack) & (xq <= hi + slack)  # False at NaN
+    if not inside.all():
+        nan = np.isnan(xq)
+        if nan.any():
+            i = int(np.argmax(nan))
+            raise NonFinite(f"query point {i} of {xq.size} is nan")
         raise OutOfRange(f"requested points outside [{lo}, {hi}]")
-    xq = np.clip(xq, lo, hi)
-    idx = np.clip(np.searchsorted(nodes, xq, side="right") - 1,
-                  0, nodes.size - 2)
-    h = nodes[idx + 1] - nodes[idx]
-    return idx, h, (xq - nodes[idx]) / h
+    xq = np.maximum(xq, lo)
+    return np.searchsorted(nodes, xq, side="right") - 1, xq
 
 
-def _hermite3(s, h, y0, d0, y1, d1):
-    """Cubic Hermite basis matching value and first derivative at both ends."""
-    s2 = s * s
-    s3 = s2 * s
-    val = ((1.0 - 3.0 * s2 + 2.0 * s3) * y0 + (s - 2.0 * s2 + s3) * h * d0
-           + (3.0 * s2 - 2.0 * s3) * y1 + (s3 - s2) * h * d1)
-    der = (6.0 * (s2 - s) * (y0 - y1) / h + (1.0 - 4.0 * s + 3.0 * s2) * d0
-           + (3.0 * s2 - 2.0 * s) * d1)
-    return val, der
+def _coefficients(xs, rs, rps, rpps=None) -> np.ndarray:
+    """Rows (h, c0, ..., c5, d0) of every step's polynomial in s in [0, 1].
+
+    Column i holds step i from xs[i], of width h, as r = sum c_k s^k, and
+    its first derivative d0 = r'(xs[i]). The quintic matches r, r' and
+    r'' = rpps at both ends of the step; without rpps the cubic matches r
+    and r' (c4 = c5 = 0). The last column is the last node as a constant
+    (h = 1, every c_k but c0 zero), so every node is its own column.
+    """
+    table = np.zeros((8, xs.size))
+    table[0, :-1] = h = np.diff(xs)
+    table[0, -1] = 1.0
+    table[1] = rs
+    table[7] = rps
+    y0, y1, d0, d1 = rs[:-1], rs[1:], rps[:-1], rps[1:]
+    table[2, :-1] = c1 = h * d0
+    if rpps is None:
+        delta = y1 - y0 - c1
+        dd = h * (d1 - d0)
+        table[3, :-1] = 3.0 * delta - dd
+        table[4, :-1] = dd - 2.0 * delta
+        return table
+    a0 = rpps[:-1]
+    table[3, :-1] = c2 = h * h * a0 / 2.0
+    delta = y1 - y0 - c1 - c2
+    dd = h * (d1 - d0 - h * a0)
+    aa = h * h * (rpps[1:] - a0)
+    table[4, :-1] = 10.0 * delta - 4.0 * dd + aa / 2.0
+    table[5, :-1] = -15.0 * delta + 7.0 * dd - aa
+    table[6, :-1] = 6.0 * delta - 3.0 * dd + aa / 2.0
+    return table
 
 
-def _hermite5(s, h, y0, d0, a0, y1, d1, a1):
-    """Quintic Hermite basis matching value/1st/2nd derivative at both ends."""
-    s2 = s * s
-    s3 = s2 * s
-    s4 = s3 * s
-    s5 = s4 * s
-    h00 = 1.0 - 10.0 * s3 + 15.0 * s4 - 6.0 * s5
-    h10 = s - 6.0 * s3 + 8.0 * s4 - 3.0 * s5
-    h20 = 0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5
-    h01 = 10.0 * s3 - 15.0 * s4 + 6.0 * s5
-    h11 = -4.0 * s3 + 7.0 * s4 - 3.0 * s5
-    h21 = 0.5 * s3 - s4 + 0.5 * s5
-    val = (h00 * y0 + h10 * h * d0 + h20 * h * h * a0
-           + h01 * y1 + h11 * h * d1 + h21 * h * h * a1)
-    g00 = -30.0 * s2 + 60.0 * s3 - 30.0 * s4
-    g10 = 1.0 - 18.0 * s2 + 32.0 * s3 - 15.0 * s4
-    g20 = s - 4.5 * s2 + 6.0 * s3 - 2.5 * s4
-    g01 = 30.0 * s2 - 60.0 * s3 + 30.0 * s4
-    g11 = -12.0 * s2 + 28.0 * s3 - 15.0 * s4
-    g21 = 1.5 * s2 - 4.0 * s3 + 2.5 * s4
-    der = (g00 * y0 + g01 * y1) / h + (g10 * d0 + g11 * d1) \
-        + (g20 * h * a0 + g21 * h * a1)
-    return val, der
+def _evaluate(nodes: np.ndarray, table: np.ndarray, xq: np.ndarray):
+    """(r, r') at every query from the table of ``_coefficients``, in
+    Horner form: a node gives back its own r and r' bit for bit."""
+    idx, xq = _locate(nodes, xq)
+    h, c0, c1, c2, c3, c4, c5, d0 = table.take(idx, axis=1)
+    s = (xq - nodes[idx]) / h
+    r = c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
+    rp = d0 + s * (2.0 * c2 + s * (3.0 * c3 + s * (4.0 * c4 + 5.0 * c5 * s))) \
+        / h
+    return r, rp
 
 
 _RHS_ERRORS = (ZeroDivisionError, OverflowError, ValueError)

@@ -592,6 +592,70 @@ class TestDeterminismAndRoundTrip:
         assert np.array_equal(grid.rs, grid2.rs)
 
 
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+SUBCOMMANDS = ("solve", "transform", "verify", "wavefunction")
+
+
+class TestInProcessReuse:
+    """Every subcommand on both shipped configs, twice in one process and in
+    two orders, then once per fresh process: the parser and the dense
+    solutions' coefficient tables built in one command change no later
+    command's exit code, output or files."""
+
+    @staticmethod
+    def _outcome(code, stdout, out_dir):
+        return code, stdout, {p.name: p.read_bytes()
+                              for p in sorted(out_dir.iterdir())}
+
+    def _in_process(self, root, commands, capsys):
+        outcomes = {}
+        for cfg, sub in commands:
+            out = Path(f"{cfg.stem}_{sub}")
+            capsys.readouterr()
+            code = main([sub, "--config", str(cfg), "--out-dir", str(out)])
+            outcomes[cfg, sub] = self._outcome(code, capsys.readouterr().out,
+                                               root / out)
+        return outcomes
+
+    def test_rounds_and_fresh_processes_agree(self, tmp_path, monkeypatch,
+                                              capsys):
+        commands = [(cfg, sub) for cfg in SHIPPED for sub in SUBCOMMANDS]
+        rounds = []
+        for name, order in (("first", commands), ("second", commands[::-1])):
+            root = tmp_path / name
+            root.mkdir()
+            monkeypatch.chdir(root)
+            rounds.append(self._in_process(root, order, capsys))
+        assert rounds[0] == rounds[1]
+
+        root = tmp_path / "fresh"
+        root.mkdir()
+        src = Path(gpbacklund.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        for cfg, sub in commands:
+            out = Path(f"{cfg.stem}_{sub}")
+            proc = subprocess.run(
+                [sys.executable, "-m", "gpbacklund.cli", sub, "--config",
+                 str(cfg), "--out-dir", str(out)],
+                cwd=root, env=env, capture_output=True, text=True)
+            assert self._outcome(proc.returncode, proc.stdout, root / out) \
+                == rounds[0][cfg, sub], (cfg.name, sub)
+
+    def test_usage_errors_and_help_repeat(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        seen = []
+        for _ in range(2):
+            for argv in (["--help"], ["wavefunction", "--help"], ["solve"],
+                         ["bogus", "--config", "x"]):
+                with pytest.raises(SystemExit) as exit_:
+                    main(argv)
+                seen.append((argv, exit_.value.code, capsys.readouterr()))
+        assert seen[:4] == seen[4:]
+        assert [code for _, code, _ in seen[:4]] == [0, 0, 2, 2]
+        assert "--t-samples" in seen[1][2].out
+        assert "required: --config" in seen[2][2].err
+
+
 class TestImport:
     def test_no_scipy(self):
         code = ("import sys, gpbacklund; "
@@ -601,6 +665,15 @@ class TestImport:
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.stdout.strip() == "[]"
+
+    def test_package_import_leaves_the_cli_unloaded(self):
+        code = ("import sys, gpbacklund; "
+                "print('gpbacklund.cli' in sys.modules)")
+        src = Path(gpbacklund.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stdout.strip() == "False"
 
     def test_all_names_resolve(self):
         names = gpbacklund.__all__

@@ -5,9 +5,9 @@ import pytest
 
 from gpbacklund import ode
 from gpbacklund.errors import (AmplitudeCollapse, BlowUp, GridTooSmall,
-                               OutOfRange, StepBudgetExhausted,
+                               NonFinite, OutOfRange, StepBudgetExhausted,
                                StepSizeUnderflow)
-from gpbacklund.gp import GPParams, gp_rhs
+from gpbacklund.gp import GPParams, LiouvilleSolution, gp_rhs
 from gpbacklund.ode import (_A, _B5, _C, _E, DenseSolution, SecondOrderODE,
                             SolutionGrid, ToleranceSpec, integrate,
                             integrate_span, residual, residual_max, sample)
@@ -173,6 +173,105 @@ class TestDenseOutput:
         dense = sine_problem()
         with pytest.raises(OutOfRange):
             dense.evaluate(99.0)
+
+
+def _hermite5(s, h, y0, d0, a0, y1, d1, a1):
+    """Quintic Hermite basis matching value/1st/2nd derivative at both ends:
+    the evaluator's former form, the oracle here in np.longdouble."""
+    s2 = s * s
+    s3 = s2 * s
+    s4 = s3 * s
+    s5 = s4 * s
+    h00 = 1.0 - 10.0 * s3 + 15.0 * s4 - 6.0 * s5
+    h10 = s - 6.0 * s3 + 8.0 * s4 - 3.0 * s5
+    h20 = 0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5
+    h01 = 10.0 * s3 - 15.0 * s4 + 6.0 * s5
+    h11 = -4.0 * s3 + 7.0 * s4 - 3.0 * s5
+    h21 = 0.5 * s3 - s4 + 0.5 * s5
+    val = (h00 * y0 + h10 * h * d0 + h20 * h * h * a0
+           + h01 * y1 + h11 * h * d1 + h21 * h * h * a1)
+    g00 = -30.0 * s2 + 60.0 * s3 - 30.0 * s4
+    g10 = 1.0 - 18.0 * s2 + 32.0 * s3 - 15.0 * s4
+    g20 = s - 4.5 * s2 + 6.0 * s3 - 2.5 * s4
+    g01 = 30.0 * s2 - 60.0 * s3 + 30.0 * s4
+    g11 = -12.0 * s2 + 28.0 * s3 - 15.0 * s4
+    g21 = 1.5 * s2 - 4.0 * s3 + 2.5 * s4
+    der = (g00 * y0 + g01 * y1) / h + (g10 * d0 + g11 * d1) \
+        + (g20 * h * a0 + g21 * h * a1)
+    return val, der
+
+
+# (n, G(x_max), tolerance) of integrated seeds like the orbit benchmark's;
+# eta, x_min and the factor off the closed form are drawn per seed
+_ORBIT_LIKE = ((1, 12.0, 1e-10), (2, 12.0, 1e-11), (1, 22.0, 1e-11),
+               (2, 22.0, 1e-12), (1, 40.0, 1e-12), (2, 40.0, 1e-10))
+
+
+def _orbit_like_seed(i):
+    n, g_max, tol = _ORBIT_LIKE[i]
+    rng = np.random.default_rng(150 + i)
+    eta, x_min = rng.uniform(0.5, 1.5), rng.uniform(0.8, 1.2)
+    factor = rng.uniform(0.85, 1.2)
+    # the closed form r = 1/sqrt(s), s = x^(n-1) (1 + 2 eta x^n), v = 1
+    s = x_min ** (n - 1) * (1.0 + 2.0 * eta * x_min ** n)
+    s1 = (n - 1) * x_min ** (n - 2) + 2.0 * eta * (2 * n - 1) \
+        * x_min ** (2 * n - 2)
+    p = GPParams(n=n, eta=eta, b=-1.0, c=1.0)
+    x_max = float(p.g.inverse(g_max))
+    return LiouvilleSolution(p, x_min, factor * s ** -0.5,
+                             -0.5 * factor * s1 * s ** -1.5, x_min, x_max,
+                             ToleranceSpec(tol, tol)), rng
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                    reason="np.longdouble is no wider than binary64 here")
+class TestHornerAccuracy:
+    """The Horner form against the same quintic Hermite in np.longdouble.
+    The basis form it replaced took r' as (g00 y0 + g01 y1)/h, which
+    cancels: it was off by 300-1100 eps of max|r'| on these seeds."""
+
+    @pytest.mark.parametrize("i", range(len(_ORBIT_LIKE)))
+    def test_matches_longdouble_hermite(self, i):
+        seed, rng = _orbit_like_seed(i)
+        dense = seed.rho
+        tq = rng.uniform(dense.xs[0], dense.xs[-1], 4000)
+        r, rp = dense.evaluate(tq)
+        k = np.clip(np.searchsorted(dense.xs, tq, side="right") - 1,
+                    0, dense.xs.size - 2)
+        xs, rs, rps, rpps = (a.astype(np.longdouble) for a in
+                             (dense.xs, dense.rs, dense.rps, dense.rpps))
+        h = xs[k + 1] - xs[k]
+        val, der = _hermite5((tq - xs[k]) / h, h, rs[k], rps[k], rpps[k],
+                             rs[k + 1], rps[k + 1], rpps[k + 1])
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(r - val) <= 2.0 * eps * np.abs(val))
+        assert np.max(np.abs(rp - der)) <= 8.0 * eps * np.max(np.abs(der))
+
+
+class TestNaNQueries:
+    """A NaN query raises NonFinite naming its index, ahead of OutOfRange:
+    every comparison with NaN is False, so a range test alone passes it."""
+
+    def test_dense_scalar_and_array(self):
+        dense = sine_problem()
+        with pytest.raises(NonFinite, match="query point 0 of 1 is nan"):
+            dense.evaluate(math.nan)
+        xq = np.array([0.1, 99.0, 0.2, math.nan, math.nan])
+        with pytest.raises(NonFinite, match="query point 3 of 5 is nan"):
+            dense.eval_with_derivative(xq)
+
+    def test_grid_interpolant(self):
+        grid = sample(sine_problem(), np.linspace(0.05, 1.4, 11))
+        with pytest.raises(NonFinite, match="query point 1 of 2 is nan"):
+            grid.as_interpolant().eval_with_derivative([0.5, math.nan])
+
+    def test_liouville_seed_is_not_out_of_range(self):
+        seed, _ = _orbit_like_seed(0)
+        xq = np.array([seed.domain[0], math.nan])
+        with pytest.raises(NonFinite, match="query point 1 of 2 is nan"):
+            seed.eval_with_derivative(xq)
+        with pytest.raises(NonFinite, match="query point 0 of 1 is nan"):
+            sample(seed, [math.nan])
 
 
 class TestSample:

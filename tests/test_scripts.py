@@ -32,6 +32,14 @@ class TestOutputDrift:
     def test_nan_in_the_same_place_is_no_drift(self):
         assert self.drift(b"nan,2.0\n", b"nan,2.00\n") == 0.0
 
+    def test_column_change_is_relative_to_the_column(self):
+        columns = _load("output_drift")._column_drift
+        a = b"x,r\n1.0,-4.0\n2.0,1e-20\n"
+        b = b"x,r\n1.0,-4.0\n2.0,2e-20\n"
+        assert columns(a, b) == {"x": 0.0, "r": 1e-20 / 4.0}
+        assert columns(a, b"x,r\n1.0,-4.0\n") is None
+        assert columns(a, b"x,s\n1.0,-4.0\n2.0,1e-20\n") is None
+
     def test_reports_and_exits_1_on_non_finite_drift(self, tmp_path):
         for tree, value in (("a", "0.5"), ("b", "nan")):
             (tmp_path / tree / "x_solve").mkdir(parents=True)
