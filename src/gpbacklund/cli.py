@@ -304,7 +304,7 @@ def _parse_t_samples(text: str) -> list[float]:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as
-    it was, and building it costs about a millisecond a command."""
+    it was, and building it again would cost about 0.5 ms a command."""
     parser = argparse.ArgumentParser(
         prog="gpbacklund",
         description="Solve the reduced Gross-Pitaevskii amplitude equation, "
