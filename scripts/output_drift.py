@@ -11,10 +11,11 @@ inf where a number became or ceased to be nan or inf; a file whose text
 differs outside its numbers, or that only one tree holds, is named as
 such. Then one line per kind of file, a subcommand (the end of
 each directory name) with a file name whose digits read '#', gives the
-count of differing files and their largest change. With ``--columns``, a
-line per column of every kind of CSV file follows: the largest change of
-that column in a differing file, |a - b| relative to the column's largest
-|value| in that file, so that values crossing zero do not swamp it.
+count of differing files and their largest change. A line per column of
+every kind of CSV file follows: the largest change of that column in a
+differing file, |a - b| relative to the column's largest finite |value| in
+that file, so that values crossing zero do not swamp it, or inf where a
+value of the column became or ceased to be nan or inf.
 Exits 1 if anything differs, 0 if the trees hold the same bytes.
 """
 
@@ -65,9 +66,15 @@ def _column_drift(a: bytes, b: bytes):
         return None
     change = {}
     for j, name in enumerate(names):
-        col_a, col_b = ([row[j] for row in table] for table in rows)
-        scale = max(map(abs, col_a + col_b), default=0.0)
-        diff = max((abs(x - y) for x, y in zip(col_a, col_b)), default=0.0)
+        pairs = [(row_a[j], row_b[j]) for row_a, row_b in zip(*rows)]
+        moved = [(x, y) for x, y in pairs
+                 if not (x == y or (math.isnan(x) and math.isnan(y)))]
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in moved):
+            change[name] = math.inf  # became or ceased to be nan or inf
+            continue
+        scale = max((abs(v) for pair in pairs for v in pair
+                     if math.isfinite(v)), default=0.0)
+        diff = max((abs(x - y) for x, y in moved), default=0.0)
         change[name] = diff / scale if scale else diff
     return change
 
@@ -76,9 +83,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a", type=Path)
     ap.add_argument("b", type=Path)
-    ap.add_argument("--columns", action="store_true",
-                    help="also the largest change of every CSV column, "
-                         "relative to the column's largest |value|")
     args = ap.parse_args()
     files = {p.relative_to(root).as_posix()
              for root in (args.a, args.b) for p in root.rglob("*")
@@ -100,7 +104,7 @@ def main() -> int:
         command, name = rel.split("/", 1)
         kind = f"{command.rsplit('_', 1)[-1]} {re.sub(r'[0-9]+', '#', name)}"
         kinds.setdefault(kind, []).append(change)
-        if args.columns and change is not None and rel.endswith(".csv"):
+        if change is not None and rel.endswith(".csv"):
             for name, col in (_column_drift(da, db) or {}).items():
                 columns[kind, name] = max(columns.get((kind, name), 0.0), col)
     for kind, changes in sorted(kinds.items()):

@@ -39,6 +39,15 @@ class TestOutputDrift:
         assert columns(a, b) == {"x": 0.0, "r": 1e-20 / 4.0}
         assert columns(a, b"x,r\n1.0,-4.0\n") is None
         assert columns(a, b"x,s\n1.0,-4.0\n2.0,1e-20\n") is None
+        # nan in the same place is no change and not part of the scale; a
+        # value turning non-finite makes its column infinite in any row
+        assert columns(b"x,r\n1.0,nan\n2.0,2.0\n",
+                       b"x,r\n1.0,nan\n2.0,2.5\n") == {"x": 0.0, "r": 0.2}
+        for old, new in ((b"3.0", b"nan"), (b"inf", b"3.0")):
+            for r in ((old, b"2.0"), (b"2.0", old)):
+                a = b"x,r\n1.0,%s\n2.0,%s\n" % r
+                b = a.replace(old, new)
+                assert columns(a, b) == {"x": 0.0, "r": math.inf}
 
     def test_reports_and_exits_1_on_non_finite_drift(self, tmp_path):
         for tree, value in (("a", "0.5"), ("b", "nan")):
@@ -51,4 +60,8 @@ class TestOutputDrift:
         assert run.returncode == 1
         assert run.stdout.splitlines() == [
             "x_solve/solution.csv inf",
-            "solve solution.csv: 1 differ, largest relative change inf"]
+            "solve solution.csv: 1 differ, largest relative change inf",
+            "solve solution.csv column r: largest change inf of its largest "
+            "|value|",
+            "solve solution.csv column x: largest change 0.000e+00 of its "
+            "largest |value|"]
