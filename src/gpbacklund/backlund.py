@@ -29,6 +29,30 @@ class FixedPointResult:
         return self.is_fixed
 
 
+def _pull_back(shift: ShiftMap, seed, xs, least: int = 1):
+    """(kept, f, f'): the points of xs that f maps into the seed's domain
+    [lo, hi], closed since every seed evaluates its own ends, with f and f'
+    there. f is solved where x > 0 and G(x) + K > 0. With array parameters
+    a point stays only where every map keeps it, so the batch stays
+    rectangular. Raises DomainEscape when fewer than ``least`` are kept.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    lo, hi = seed.domain
+
+    def common(mask):  # the points every map keeps
+        return mask.all(axis=tuple(range(mask.ndim - 1)))
+
+    solvable = xs[common((xs > 0.0) & (shift.g._value(xs) + shift.K > 0.0))]
+    f = shift.f(solvable)
+    inside = common((f >= lo) & (f <= hi))
+    # compress keeps f C-contiguous, where f[..., inside] would not
+    kept, f = solvable[inside], np.compress(inside, f, axis=-1)
+    if kept.size < least:
+        raise DomainEscape(f"no usable points: f maps the request outside "
+                           f"the seed's domain [{lo:.6g}, {hi:.6g}]")
+    return kept, f, shift.f_prime(kept, f)
+
+
 def transform(shift: ShiftMap, seed, xs) -> SolutionGrid:
     """Apply the transformation to a seed solution at the points xs.
 
@@ -37,15 +61,7 @@ def transform(shift: ShiftMap, seed, xs) -> SolutionGrid:
     square-root branch is always taken; r1' follows from the closed-form
     chain rule so transformed grids stay usable as integration restarts.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    lo, hi = shift.effective_domain(seed.domain)
-    kept = xs[(xs > lo) & (xs < hi)]
-    if kept.size < 2:
-        raise DomainEscape(
-            f"no usable points: f maps the request outside ({lo:.6g}, {hi:.6g})")
-
-    f = shift.f(kept)
-    fp = shift.f_prime(kept, f)
+    kept, f, fp = _pull_back(shift, seed, xs, least=2)
     if np.any(fp <= 0.0):
         raise NegativeJacobian("f'(x) <= 0 on the transform domain")
     f2 = shift.f_second(kept, f, fp)
@@ -61,7 +77,7 @@ def transform(shift: ShiftMap, seed, xs) -> SolutionGrid:
         "n": shift.g.n,
         "eta": shift.g.eta,
         "interval": (float(kept[0]), float(kept[-1])),
-        "trimmed": int(xs.size - kept.size),
+        "trimmed": np.size(xs) - kept.size,
         "seed": dict(getattr(seed, "meta", {}) or {}),
     }
     return SolutionGrid(xs=kept, rs=r1, rps=r1p, meta=meta)
@@ -90,18 +106,7 @@ def is_fixed_point(shift: ShiftMap, seed, xs) -> FixedPointResult:
     maximum taken over every map when the parameters are arrays. A sampled
     grid is passed as ``grid.as_interpolant(), grid.xs``.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    lo, hi = shift.effective_domain(seed.domain)
-    inside = (xs > lo) & (xs < hi)
-    # with array parameters a point stays only where every map keeps it, so
-    # the batch stays rectangular
-    kept = xs[inside.reshape((-1,) + xs.shape).all(axis=0)]
-    if kept.size == 0:
-        raise DomainEscape(
-            f"no evaluation points inside the valid interval "
-            f"({np.max(lo):.6g}, {np.min(hi):.6g})")
-    f = shift.f(kept)
-    fp = shift.f_prime(kept, f)
+    kept, f, fp = _pull_back(shift, seed, xs)
     r_here = seed.eval_with_derivative(kept)[0]
     r_there = seed.eval_with_derivative(f)[0]
     target = r_there * r_there

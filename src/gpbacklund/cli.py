@@ -161,21 +161,15 @@ def _build_seed(cfg: ExperimentConfig, cover: tuple[float, float]):
 
 
 def _orbit_cover(cfg: ExperimentConfig) -> tuple[float, float]:
-    """Interval the seed must cover so every orbit element stays inside."""
-    lo, hi = cfg.grid.x_min, cfg.grid.x_max
-    for k_sum in np.cumsum(cfg.k_schedule):
-        shift = ShiftMap(cfg.params.g, float(k_sum))
-        # numpy floats: G of a far edge overflows to inf, which ShiftMap.f
-        # reports as NonFinite, where Python's power raises OverflowError
-        for edge in np.array([cfg.grid.x_min, cfg.grid.x_max]):
-            if edge > shift.x_min:
-                try:
-                    image = float(shift.f(edge))
-                except NumericalError:
-                    continue
-                lo = min(lo, image)
-                hi = max(hi, image)
-    return lo, hi
+    """Interval the seed must cover so every orbit element stays inside:
+    the grid and the images G^{-1}(G(edge) + K) of its edges for every
+    partial sum K whose target is finite and positive."""
+    g, edges = cfg.params.g, np.array([cfg.grid.x_min, cfg.grid.x_max])
+    targets = g.value(edges) + np.cumsum(cfg.k_schedule)[:, None]
+    # a root that overflows the solver is nan, which nanmin and nanmax skip
+    cover = np.append(edges, g.inverse(
+        targets[np.isfinite(targets) & (targets > 0.0)]))
+    return float(np.nanmin(cover)), float(np.nanmax(cover))
 
 
 def _grid_residual(cfg: ExperimentConfig, grid: SolutionGrid) -> float:
@@ -221,7 +215,7 @@ def cmd_transform(cfg: ExperimentConfig, out_dir: Path) -> int:
         path = out_dir / f"{stem.stem}_k{j}{stem.suffix}"
         write_solution_csv(path, grid)
         res = _grid_residual(cfg, grid)
-        k_sum = float(np.sum(cfg.k_schedule[:j]))
+        k_sum = grid.meta["K"]
         with _stage(f"fixed-point check (element {j})"):
             fp = is_fixed_point(ShiftMap(cfg.params.g, k_sum), seed, xs)
         passed = res < cfg.tolerances.residual_pass

@@ -89,14 +89,6 @@ class PolyG:
         # land on it
         return _require_positive(x)
 
-    def inverse_or(self, y, fallback):
-        """G^{-1}(y) where y > 0 and ``fallback`` elsewhere, elementwise."""
-        if isinstance(y, (int, float)):  # scalar path: no array dispatch
-            return float(self.inverse(y)) if y > 0.0 else fallback
-        ok = y > 0.0
-        # G^{-1} of a stand-in 1 where y <= 0, whose root is discarded
-        return np.where(ok, self.inverse(np.where(ok, y, 1.0)), fallback)
-
     def as_smooth_map(self, with_derivatives: bool = True) -> SmoothMap:
         domain = (0.0, math.inf)
         if with_derivatives:
@@ -170,7 +162,10 @@ class ShiftMap:
 
     @cached_property
     def x_min(self) -> float | np.ndarray:
-        return self.g.inverse_or(-self.K, 0.0)
+        ok = self.K < 0.0
+        # G^{-1} of a stand-in 1 where K >= 0, whose root is discarded
+        return np.where(ok, self.g.inverse(np.where(ok, -self.K, 1.0)),
+                        0.0)[()]
 
     def _target(self, x):
         t = self.g.value(x) + self.K
@@ -203,24 +198,6 @@ class ShiftMap:
         f = self.f(x) if fval is None else fval
         fp = self.f_prime(x, f) if fp is None else fp
         return (self.g.second(x) - self.g.second(f) * fp * fp) / self.g.prime(f)
-
-    def effective_domain(self, seed_domain: tuple[float, float]) -> tuple:
-        """Interval on which f is defined and maps into the seed's domain.
-
-        Elementwise for array parameters: the endpoints are then arrays that
-        broadcast against them.
-        """
-        seed_lo, seed_hi = seed_domain
-        g = self.g
-        lo, hi = self.x_min, math.inf
-        # f is increasing, so the preimage of y under f is G^{-1}(G(y) - K)
-        if seed_lo > 0.0:
-            pre = g.inverse_or(g.value(seed_lo) - self.K, lo)
-            lo = max(lo, pre) if isinstance(pre, float) else np.fmax(lo, pre)
-        if math.isfinite(seed_hi):
-            # no preimage of seed_hi leaves the interval empty
-            hi = g.inverse_or(g.value(seed_hi) - self.K, lo)
-        return (lo, hi)
 
     def as_smooth_map(self) -> SmoothMap:
         return SmoothMap(eval=self.f, domain=(self.x_min, math.inf))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -277,7 +278,6 @@ class LiouvilleSolution:
             raise type(exc)(f"seed integrated in t = G(x) (x here is t): "
                             f"{exc}") from exc
         self.domain = (x_lo, x_hi)
-        self.xs = g.inverse(self.rho.xs)
         self.meta = {**self.rho.meta, "frame": "t = G(x)", "x0": x0,
                      "r0": r0, "rp0": rp0}
 
@@ -293,6 +293,11 @@ class LiouvilleSolution:
                              f"[{self.domain[0]}, {self.domain[1]}]") from exc
         r = rho / root
         return r, rho_t * root - 0.5 * r * g.second(xs) / d1
+
+    @cached_property
+    def xs(self) -> np.ndarray:
+        """G^{-1} of the t nodes, built on first read: only phase reads it."""
+        return self._g.inverse(self.rho.xs)
 
 
 def closed_form_residual(p: GPParams, xs) -> np.ndarray:

@@ -337,9 +337,8 @@ def check_fixed_point_for(params: GPParams, k_values, xs) -> float:
     ks = np.reshape(np.asarray(k_values, dtype=float), (-1, 1))
     p = GPParams.constrained(n=params.n, eta=etas, c=params.c, v=params.v)
     shift, seed = ShiftMap(p.g, ks), ClosedFormSolution(p)
-    lo, hi = shift.effective_domain(seed.domain)
     try:
-        if not np.all((xs > lo) & (xs < hi)):
+        if not np.all(p.g.value(xs) + ks > 0.0):
             shift.f(xs)
         return is_fixed_point(shift, seed, xs).deviation
     except NumericalError:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gpbacklund.backlund import is_fixed_point, orbit, transform
+from gpbacklund.backlund import (_pull_back, is_fixed_point, orbit,
+                                 transform)
 from gpbacklund.errors import DomainEscape
 from gpbacklund.functional import PolyG, ShiftMap
 from gpbacklund.gp import ClosedFormSolution, GPParams, gp_rhs
@@ -181,28 +182,55 @@ class TestFixedPoint:
             for e in (0.0, 1.0) for kk in (-0.5, 0.5))
 
 
-class TestEffectiveDomain:
-    @pytest.mark.parametrize("seed_domain", [(0.0, np.inf), (0.7, 2.5)])
-    def test_array_parameters_match_scalar_parameters(self, seed_domain):
-        # K = 60 maps no point into (0.7, 2.5): an empty interval
-        eta = np.array([[0.0], [0.5]])
-        k = np.array([-2.0, -0.1, 0.0, 0.4, 60.0])
-        lo, hi = ShiftMap(PolyG(2, eta), k).effective_domain(seed_domain)
-        hi = np.broadcast_to(hi, lo.shape)
-        for i, e in enumerate(eta[:, 0]):
-            for j, kk in enumerate(k):
-                expected = ShiftMap(PolyG(2, e), kk).effective_domain(
-                    seed_domain)
-                # numpy's array pow may round an ulp away from the scalar
-                for got, want in zip((lo[i, j], hi[i, j]), expected):
-                    assert got == want or abs(got - want) <= np.spacing(want)
+class DomainOnly:
+    """A seed stand-in for the pull-back, which reads only ``domain``."""
 
-    @pytest.mark.parametrize("k", [-0.7, 0.0, 0.7, 60.0])
-    def test_scalar_parameters_give_floats(self, k):
-        shift = ShiftMap(PolyG(2, 0.5), k)
-        assert type(shift.x_min) is float
-        lo, hi = shift.effective_domain((0.7, 2.5))
-        assert type(lo) is float and type(hi) is float
+    def __init__(self, domain):
+        self.domain = domain
+
+
+class TestPullBack:
+    @pytest.mark.parametrize("seed_domain", [(0.0, np.inf), (0.7, 2.5)])
+    @pytest.mark.parametrize("k", [[-2.0, -0.1, 0.0, 0.4, 60.0],
+                                   [-2.0, -0.1, 0.0, 0.4]])
+    def test_array_parameters_keep_what_every_map_keeps(self, seed_domain,
+                                                         k):
+        eta, k = np.array([[[0.0]], [[0.5]]]), np.array(k)[:, None]
+        seed = DomainOnly(seed_domain)
+        xs = np.linspace(0.05, 3.0, 60)
+        common = np.ones(xs.size, dtype=bool)
+        for e in eta.ravel():
+            for kk in k.ravel():
+                try:
+                    kept = _pull_back(ShiftMap(PolyG(2, e), kk), seed, xs)[0]
+                except DomainEscape:
+                    kept = np.array([])
+                common &= np.isin(xs, kept)
+        shift = ShiftMap(PolyG(2, eta), k)
+        if not common.any():
+            # K = 60 maps no point into (0.7, 2.5)
+            assert 60.0 in k and seed_domain[1] < np.inf
+            with pytest.raises(DomainEscape):
+                _pull_back(shift, seed, xs)
+            return
+        kept, f, fp = _pull_back(shift, seed, xs)
+        assert np.array_equal(kept, xs[common])
+        assert f.shape == fp.shape == (2, k.size, kept.size)
+        assert np.all((f >= seed_domain[0]) & (f <= seed_domain[1]))
+
+    def test_nonpositive_points_are_trimmed(self):
+        seed = closed_form()
+        xs = np.linspace(-1.0, 2.0, 31)  # holds x = 0 and ten points below
+        grid = transform(ShiftMap(PolyG(1, 1.0), 0.5), seed, xs)
+        assert np.array_equal(grid.xs, xs[xs > 0.0])
+        assert grid.meta["trimmed"] == 11
+        kept = _pull_back(ShiftMap(PolyG(1, 1.0), -0.5), seed, xs)[0]
+        assert np.all(PolyG(1, 1.0).value(kept) > 0.5)
+
+    def test_escape_names_the_seed_domain(self):
+        p, dense = integrated_seed()
+        with pytest.raises(DomainEscape, match=r"domain \[1, 3\.3\]"):
+            transform(ShiftMap(p.g, 1.0), dense, np.linspace(3.2, 3.29, 11))
 
 
 class TestSolutionMappingSweep:

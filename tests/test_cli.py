@@ -310,6 +310,37 @@ class TestTransform:
         assert element["residual_pass"] is True
         assert element["fixed_point"] is False
 
+    def test_reports_the_k_each_element_was_transformed_with(self, tmp_path,
+                                                             capsys):
+        # numpy's pairwise sum of eight or nine 0.1s rounds to 0.8 and 0.9,
+        # where the orbit's cumulative sum gives 0.7999999999999999 and
+        # 0.8999999999999999
+        schedule = [0.1] * 9
+        cfg = write_cfg(tmp_path, CLOSED_FORM_CFG.replace(
+            "k_schedule = 2.0", "k_schedule = " + ", ".join(map(str,
+                                                                schedule))))
+        assert main(["transform", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        k_sums = [e["k_sum"] for e in report["elements"]]
+        assert k_sums == np.cumsum(schedule).tolist()
+        assert k_sums[7] != float(np.sum(schedule[:8]))
+        assert all(e["fixed_point"] for e in report["elements"])
+
+    def test_shipped_generic_seed_keeps_every_point(self, tmp_path):
+        """The seed is integrated over the grid's images, so no element
+        trims a point, the grid's right edge included."""
+        cfg = Path(__file__).resolve().parents[1] / "configs/generic_seed.cfg"
+        assert main(["transform", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        for element in report["elements"]:
+            rows = np.loadtxt(tmp_path / element["csv"], delimiter=",",
+                              skiprows=1)
+            assert element["points"] == len(rows) == 4001
+            assert element["interval"] == [1.0, 2.3] == [rows[0, 0],
+                                                          rows[-1, 0]]
+
 
 class TestVerify:
     def test_all_checks_pass(self, tmp_path):
