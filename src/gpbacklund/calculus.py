@@ -1,8 +1,7 @@
 """Derivatives and Schwarzian derivatives of scalar maps.
 
-Closed-form derivatives are used whenever a map carries them; otherwise the
-estimate is a central finite difference (5 points for orders 1 and 2, 7
-points for order 3) sharpened by one step of Richardson extrapolation.
+Every estimate is a central finite difference (5 points for orders 1 and 2,
+7 points for order 3) sharpened by one step of Richardson extrapolation.
 Every function here takes a scalar or an array of points and returns a
 float or an array of the same shape.
 """
@@ -12,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -26,22 +25,14 @@ _CRITICAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """Scalar map of one real variable with an optional derivative tower.
+    """Scalar map of one real variable.
 
-    ``eval`` and ``d1``..``d3`` are numpy callables: an array in gives an
-    array of the same shape out. ``d1``..``d3`` are closed-form
-    derivatives; any subset may be supplied. ``domain`` is the open
-    interval on which ``eval`` is defined.
+    ``eval`` is a numpy callable: an array in gives an array of the same
+    shape out. ``domain`` is the open interval on which ``eval`` is defined.
     """
 
     eval: Callable
-    d1: Optional[Callable] = None
-    d2: Optional[Callable] = None
-    d3: Optional[Callable] = None
     domain: tuple[float, float] = (-math.inf, math.inf)
-
-    def closed_form(self, order: int) -> Optional[Callable]:
-        return (self.d1, self.d2, self.d3)[order - 1]
 
 
 def default_stencil(order: int, z):
@@ -76,9 +67,10 @@ def _first(values, flagged) -> float:
     return float(np.ravel(values)[np.argmax(flagged)])
 
 
-def _fd_derivatives(f: SmoothMap, orders: list[int], z: np.ndarray) -> dict:
-    """Estimates at z, by order, of orders that share a stencil (as 1 and 2
-    do), from one evaluation of f; each order takes its own weights."""
+def _fd_derivatives(f: SmoothMap, orders: tuple[int, ...], z: np.ndarray):
+    """Estimates at z, one per order, of orders that share a stencil (as 1
+    and 2 do), from one evaluation of f; each order takes its own weights,
+    and each estimate is a float or an array like z."""
     points, h = default_stencil(orders[0], z)
     # both Richardson steps in one evaluation, shape (..., 2, points)
     steps = np.multiply.outer(h, (1.0, 0.5))
@@ -104,7 +96,7 @@ def _fd_derivatives(f: SmoothMap, orders: list[int], z: np.ndarray) -> dict:
         raise NonFinite(f"map returned a non-finite value near "
                         f"z={_first(near, ~finite)!r}")
     stencils = vals.reshape(-1, 2, offsets.size)
-    out = {}
+    out = []
     for order in orders:
         # np.dot of a 3-D array takes one dot product per stencil, so a
         # point's estimate does not depend on how many points share the call
@@ -115,56 +107,31 @@ def _fd_derivatives(f: SmoothMap, orders: list[int], z: np.ndarray) -> dict:
         p = points - order
         p += p % 2
         fac = 2.0 ** p
-        out[order] = (fac * fine - coarse) / (fac - 1.0)
-    return out
-
-
-def _derivatives(f: SmoothMap, orders: tuple[int, ...], z: np.ndarray):
-    """Derivatives of the given orders at z, each a float or an array like z.
-
-    The orders without a closed form share one evaluation of f, made where
-    the first of them comes, so errors are raised in the order of ``orders``.
-    """
-    fd, out = None, []
-    for order in orders:
-        closed = f.closed_form(order)
-        if closed is None:
-            if fd is None:
-                fd = _fd_derivatives(f, [k for k in orders
-                                         if f.closed_form(k) is None], z)
-            val = fd[order]
-        else:
-            val = closed(z)
-            if not np.all(np.isfinite(val)):
-                raise NonFinite(f"closed-form derivative non-finite at "
-                                f"z={_first(z, ~np.isfinite(val))!r}")
-        out.append(float(val) if z.ndim == 0 else val)
+        est = (fac * fine - coarse) / (fac - 1.0)
+        out.append(float(est) if z.ndim == 0 else est)
     return out
 
 
 def derivative(f: SmoothMap, order: int, z):
-    """Derivative of the given order at z, a float or an array like z.
-
-    Uses the closed form when the map carries one for that order, otherwise
-    a Richardson-extrapolated central difference.
-    """
+    """Derivative of the given order at z, a float or an array like z, by a
+    Richardson-extrapolated central difference."""
     if order not in (1, 2, 3):
         raise ValueError("derivative order must be 1, 2 or 3")
-    return _derivatives(f, (order,), np.asarray(z, dtype=float))[0]
+    return _fd_derivatives(f, (order,), np.asarray(z, dtype=float))[0]
 
 
 def schwarzian(f: SmoothMap, z):
     """Schwarzian derivative f'''/f' - (3/2)(f''/f')^2 at z.
 
-    f' and f'' share their stencil, so a map without closed forms for them
-    is evaluated once for both and once more for f'''.
+    f' and f'' share their stencil, so the map is evaluated once for both
+    and once more for f'''.
 
     Raises CriticalPoint when |f'| falls below _CRITICAL_TOL, relative to
     |f''| times the stencil step, at any point; the expression is singular
     there and a huge return value would silently corrupt downstream
     residuals.
     """
-    f1, f2 = _derivatives(f, (1, 2), np.asarray(z, dtype=float))
+    f1, f2 = _fd_derivatives(f, (1, 2), np.asarray(z, dtype=float))
     h = default_stencil(2, z)[1]
     critical = np.abs(f1) < _CRITICAL_TOL * np.fmax(1.0, np.abs(f2) * h)
     if np.any(critical):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .backlund import is_fixed_point, orbit
-from .config import ExperimentConfig, _finite_float, load_config
+from .config import _MAX_POINTS, ExperimentConfig, _finite_float, load_config
 from .errors import ConfigError, NonFinite, NumericalError
 from .functional import ShiftMap
 from .gp import (_X_FLOOR, ClosedFormSolution, LiouvilleSolution,
@@ -285,13 +285,19 @@ def cmd_wavefunction(cfg: ExperimentConfig, out_dir: Path,
     return 0
 
 
-def _parse_t_samples(text: str) -> list[float]:
+def _parse_t_samples(text: str, points: int) -> list[float]:
+    """The times of --t-samples; the table of points x times rows is held
+    to the cap on grid.points, so it fits in memory as one column does."""
     try:
         vals = [_finite_float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --t-samples: {exc}") from exc
     if not vals:
         raise ConfigError("--t-samples must contain at least one value")
+    if points * len(vals) > _MAX_POINTS:
+        raise ConfigError(f"wavefunction table of {points} points x "
+                          f"{len(vals)} times exceeds the cap of "
+                          f"{_MAX_POINTS} rows")
     return vals
 
 
@@ -324,7 +330,8 @@ def main(argv=None) -> int:
         try:
             cfg = load_config(args.config)
             if args.command == "wavefunction":
-                t_samples = _parse_t_samples(args.t_samples)
+                t_samples = _parse_t_samples(args.t_samples,
+                                             cfg.grid.points)
             out_dir = Path(args.out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
             if args.command == "solve":

@@ -20,6 +20,8 @@ from .errors import (DomainError, NonFinite, NoRealRoot, NumericalError,
                      Pole, RangeError)
 
 _ROOT_RTOL = 1e-12
+# relative tolerance of conjugate_f's check that w_inverse inverts w
+_MATCH_TOL = 1e-10
 
 
 def _require_positive(x, what: str = "x"):
@@ -75,6 +77,12 @@ class PolyG:
         return (n * (n - 1) * (n - 2) * x ** (n - 3)
                 + 2.0 * n * (2 * n - 1) * (2 * n - 2) * eta * x ** (2 * n - 3))
 
+    def schwarzian(self, x):
+        """{G, x} = G'''/G' - (3/2)(G''/G')^2, in closed form."""
+        prime = self.prime(x)
+        ratio = self.second(x) / prime
+        return self.third(x) / prime - 1.5 * ratio * ratio
+
     def inverse(self, y):
         """Unique positive root of G(x) = y for y > 0."""
         if (np.asarray(y) <= 0.0).any():
@@ -89,12 +97,8 @@ class PolyG:
         # land on it
         return _require_positive(x)
 
-    def as_smooth_map(self, with_derivatives: bool = True) -> SmoothMap:
-        domain = (0.0, math.inf)
-        if with_derivatives:
-            return SmoothMap(eval=self.value, d1=self.prime, d2=self.second,
-                             d3=self.third, domain=domain)
-        return SmoothMap(eval=self.value, domain=domain)
+    def as_smooth_map(self) -> SmoothMap:
+        return SmoothMap(eval=self.value, domain=(0.0, math.inf))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,10 +131,6 @@ class Mobius:
 
     def __call__(self, w):
         return (self.a * w + self.b) / self._denominator(w)
-
-    def derivative(self, w):
-        denom = self._denominator(w)
-        return self.det / (denom * denom)
 
     def compose(self, other: "Mobius") -> "Mobius":
         """self after other, by 2x2 matrix multiplication."""
@@ -189,14 +189,13 @@ class ShiftMap:
                 f"{float(np.max(resid)):.3e}")
         return val
 
-    def f_prime(self, x, fval=None):
-        """f'(x) = G'(x)/G'(f(x)) by implicit differentiation."""
-        f = self.f(x) if fval is None else fval
+    def f_prime(self, x, f):
+        """f'(x) = G'(x)/G'(f) by implicit differentiation, given the root
+        f = f(x)."""
         return self.g.prime(x) / self.g.prime(f)
 
-    def f_second(self, x, fval=None, fp=None):
-        f = self.f(x) if fval is None else fval
-        fp = self.f_prime(x, f) if fp is None else fp
+    def f_second(self, x, f, fp):
+        """f''(x), given the root f = f(x) and fp = f'(x)."""
         return (self.g.second(x) - self.g.second(f) * fp * fp) / self.g.prime(f)
 
     def as_smooth_map(self) -> SmoothMap:
@@ -209,8 +208,7 @@ def solve_f(shift: ShiftMap, x):
     return f, shift.f_prime(x, f)
 
 
-def conjugate_f(w: SmoothMap, w_inverse: Callable, m: Mobius,
-                match_tol: float = 1e-10) -> SmoothMap:
+def conjugate_f(w: SmoothMap, w_inverse: Callable, m: Mobius) -> SmoothMap:
     """The conjugated map f = w^{-1} o m o w, so w(f(x)) = m(w(x)).
 
     ``w`` must be strictly monotone on its domain with ``w_inverse`` its
@@ -226,16 +224,11 @@ def conjugate_f(w: SmoothMap, w_inverse: Callable, m: Mobius,
             raise RangeError(
                 f"m(w({_first(x, escaped)!r})) = {_first(t, escaped)!r} has "
                 f"no preimage inside the domain of w")
-        missed = np.abs(w.eval(y) - t) > match_tol * np.maximum(1.0, np.abs(t))
+        missed = np.abs(w.eval(y) - t) > _MATCH_TOL * np.maximum(1.0, np.abs(t))
         if np.any(missed):
             raise RangeError(
                 f"w_inverse failed to invert w at {_first(t, missed)!r} to "
-                f"within {match_tol}")
+                f"within {_MATCH_TOL}")
         return y
 
-    d1 = None
-    if w.d1 is not None:
-        def d1(x):
-            return m.derivative(w.eval(x)) * w.d1(x) / w.d1(ev(x))
-
-    return SmoothMap(eval=ev, d1=d1, domain=w.domain)
+    return SmoothMap(eval=ev, domain=w.domain)

@@ -133,8 +133,7 @@ def linear_coefficient_check(p: GPParams, x):
     if not np.all(np.asarray(x) > 0.0):
         raise DomainError("linear coefficient is defined for x > 0")
     eta = np.asarray(p.eta)
-    g_map = PolyG(p.n, eta[..., None, None]).as_smooth_map(
-        with_derivatives=False)
+    g_map = PolyG(p.n, eta[..., None, None]).as_smooth_map()
     z = np.broadcast_to(x, np.broadcast_shapes(eta.shape, np.shape(x)))
     return linear_coefficient(p, x) + 0.5 * schwarzian(g_map, z)
 

@@ -259,8 +259,9 @@ def check_semigroup(rng: np.random.Generator) -> CheckResult:
 
 
 def check_q_identity(k_values=(0.5, 1.0)) -> CheckResult:
-    """Q(x) = f'^2 Q(f) + {f, x} with Q the Schwarzian of G and {f, x}
-    taken by finite differences of the pointwise solver.
+    """Q(x) = f'^2 Q(f) + {f, x} with Q = {G, .} in closed form
+    (PolyG.schwarzian) and {f, x} taken by finite differences of the
+    pointwise solver.
 
     Each degree takes one PolyG and one ShiftMap, with a row of 12 points
     from max(0.8, x_min + 0.2) to 3 per (eta, K) pair and the parameters
@@ -274,10 +275,9 @@ def check_q_identity(k_values=(0.5, 1.0)) -> CheckResult:
         xs = np.linspace(np.maximum(0.8, shift.x_min.ravel() + 0.2), 3.0, 12,
                          axis=-1)
         at = xs[..., None, None]  # the points with the nodes' two axes
-        g_map = g.as_smooth_map()
         f, fp = solve_f(shift, at)
         devs.append(np.max(np.abs(
-            schwarzian(g_map, at) - fp * fp * schwarzian(g_map, f)
+            g.schwarzian(at) - fp * fp * g.schwarzian(f)
             - schwarzian(shift.as_smooth_map(), xs)[..., None, None])))
     return _result("q_identity", np.max(devs), 1e-5)
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -481,6 +482,26 @@ class TestWavefunction:
                 assert main(["wavefunction", "--config", cfg, "--out-dir",
                              str(out), "--t-samples", t_samples]) == 2
             assert not out.exists()
+
+    def test_oversized_table_exits_2(self, tmp_path, capsys):
+        """2,000,000 points x 6 times exceeds the 10^7-row cap: refused
+        before the output directory, the seed or the table (480 MB) is
+        made; the config's own 2,000,000-point grid check takes 16 MB."""
+        cfg = write_cfg(tmp_path, CLOSED_FORM_CFG.replace(
+            "grid.points = 201", "grid.points = 2000000"))
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["wavefunction", "--config", cfg, "--out-dir",
+                         str(out), "--t-samples", "0,1,2,3,4,5"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert not out.exists()
+        assert ("wavefunction table of 2000000 points x 6 times exceeds the "
+                "cap of 10000000 rows") in capsys.readouterr().err
+        assert peak < 100e6
 
 
 class TestCsvBytes:

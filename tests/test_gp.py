@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpbacklund.backlund import is_fixed_point, transform
 from gpbacklund.errors import (ConstraintViolated, DomainError, NonFinite,
@@ -15,6 +17,7 @@ from gpbacklund.ode import (ToleranceSpec, integrate, integrate_span,
                             residual_max)
 
 SWEEP = [(n, eta) for n in (1, 2, 3) for eta in (0.0, 0.5, 1.0)]
+EPS = float(np.finfo(float).eps)
 
 
 class TestParams:
@@ -95,6 +98,17 @@ class TestLinearCoefficient:
         p = GPParams(n=1, eta=0.0, b=-1.0, c=1.0)
         with pytest.raises(DomainError):
             linear_coefficient_check(p, -1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 4), eta=st.floats(0.0, 2.0),
+           x=st.floats(0.1, 5.0))
+    def test_equals_closed_form_schwarzian(self, n, eta, x):
+        """L = -(1/2){G, x} with {G, x} in closed form (PolyG.schwarzian),
+        to a few roundings of the two sides (at most 6.4 eps over 5,000
+        random draws)."""
+        p = GPParams(n=n, eta=eta, b=-1.0, c=1.0)
+        lin, q = linear_coefficient(p, x), p.g.schwarzian(x)
+        assert abs(lin + 0.5 * q) <= 16 * EPS * (abs(lin) + 0.5 * abs(q))
 
 
 class TestClosedForm:
@@ -390,18 +404,30 @@ class TestLiouvilleSolution:
         (x_r, x_rp), (t_r, t_rp) = errors
         assert t_r < x_r and t_rp < x_rp
 
-    def test_transform_is_a_translation_in_t(self):
-        p = GPParams.constrained(n=2, eta=0.5, c=1.0)
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 3), eta=st.floats(0.0, 2.0),
+           factor=st.floats(0.8, 1.2), K=st.floats(-0.5, 2.0))
+    def test_transform_is_a_translation_in_t(self, n, eta, factor, K):
+        """r1(x) = rho(G(x) + K)/sqrt(G'(x)) and r1' = rho_t sqrt(G')
+        - r1 G''/(2 G'), read from the seed's rho in t.
+
+        The seed spans t from G(0.5) to G(0.5) + 10, so every K keeps most
+        of it.
+        """
+        p = GPParams.constrained(n=n, eta=eta, c=1.0)
         cf = ClosedFormSolution(p)
-        seed = LiouvilleSolution(p, 1.0, 1.1 * float(cf.value(1.0)),
-                                 1.1 * float(cf.derivative(1.0)), 0.9, 2.5,
-                                 ToleranceSpec(1e-10, 1e-10))
-        K = 0.7
-        grid = transform(ShiftMap(p.g, K), seed, np.linspace(0.9, 2.0, 401))
-        assert grid.meta["trimmed"] == 0
-        rho = seed.rho.evaluate(p.g.value(grid.xs) + K)[0]
-        want = rho / np.sqrt(p.g.prime(grid.xs))
-        assert np.max(np.abs(grid.rs / want - 1.0)) < 1e-12
+        x_hi = float(p.g.inverse(p.g.value(0.5) + 10.0))
+        x0 = 0.5 * (0.5 + x_hi)
+        seed = LiouvilleSolution(p, x0, factor * float(cf.value(x0)),
+                                 factor * float(cf.derivative(x0)), 0.5,
+                                 x_hi, ToleranceSpec(1e-10, 1e-10))
+        grid = transform(ShiftMap(p.g, K), seed, np.linspace(0.5, x_hi, 201))
+        xs, gp = grid.xs, p.g.prime(grid.xs)
+        rho, rho_t = seed.rho.evaluate(p.g.value(xs) + K)
+        r = rho / np.sqrt(gp)
+        rp = rho_t * np.sqrt(gp) - r * p.g.second(xs) / (2.0 * gp)
+        assert np.max(np.abs(grid.rs / r - 1.0)) < 1e-13
+        assert np.max(np.abs(grid.rps - rp)) < 1e-12 * np.max(np.abs(rp))
 
     def test_seed_protocol_in_x(self):
         p = GPParams.constrained(n=2, eta=0.5, c=1.0)

@@ -256,14 +256,12 @@ def reference_q_identity(k_values=(0.5, 1.0), x_lo=0.8, x_hi=3.0, points=12):
     devs = []
     for n, eta in [(1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0), (3, 0.5)]:
         g = PolyG(n, eta)
-        g_map = g.as_smooth_map()
         for k in k_values:
             shift = ShiftMap(g, float(k))
             f_map = shift.as_smooth_map()
             xs = np.linspace(max(x_lo, shift.x_min + 0.2), x_hi, points)
             f, fp = solve_f(shift, xs)
-            devs.append(np.abs(schwarzian(g_map, xs)
-                               - fp * fp * schwarzian(g_map, f)
+            devs.append(np.abs(g.schwarzian(xs) - fp * fp * g.schwarzian(f)
                                - schwarzian(f_map, xs)))
     return np.max(devs)
 
