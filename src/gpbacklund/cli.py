@@ -21,7 +21,7 @@ from .config import _MAX_POINTS, ExperimentConfig, _finite_float, load_config
 from .errors import ConfigError, NonFinite, NumericalError
 from .functional import ShiftMap
 from .gp import (_X_FLOOR, ClosedFormSolution, LiouvilleSolution,
-                 closed_form_residual, gp_rhs, phase)
+                 closed_form_residual, energy, gp_rhs, phase)
 from .ode import SolutionGrid, ToleranceSpec, residual_max, sample
 from .verify import run_identity_checks
 
@@ -203,10 +203,17 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
 def cmd_transform(cfg: ExperimentConfig, out_dir: Path) -> int:
     if not cfg.k_schedule:
         raise ConfigError("transform requires a nonempty k_schedule")
-    seed = _build_seed(cfg, _orbit_cover(cfg))
+    cover = _orbit_cover(cfg)
+    seed = _build_seed(cfg, cover)
     xs = cfg.grid.linspace()
     with _stage("transform"):
         grids = orbit(cfg.params.g, cfg.k_schedule, seed, xs)
+    # E along the seed over the cover, as many points as the grid: its
+    # spread, and the E each element is compared with, at the cover's start
+    xe = np.linspace(max(seed.domain[0], cover[0]),
+                     min(seed.domain[1], cover[1]), cfg.grid.points)
+    with _stage("energy"):
+        e_seed = energy(cfg.params, xe, *seed.eval_with_derivative(xe))
 
     stem = Path(cfg.outputs.solution_csv)
     elements = []
@@ -229,6 +236,9 @@ def cmd_transform(cfg: ExperimentConfig, out_dir: Path) -> int:
             "residual_pass": passed,
             "fixed_point": fp.is_fixed,
             "fixed_point_deviation": fp.deviation,
+            "energy_spread": float(np.ptp(e_seed)),
+            "energy_shift": float(np.max(np.abs(energy(
+                cfg.params, grid.xs, grid.rs, grid.rps) - e_seed[0]))),
             "csv": path.name,
         })
         print(f"transform k{j} (K={k_sum:g}): residual max {res:.3e} "

@@ -4,13 +4,20 @@
 to exit code 3.
 """
 
+from __future__ import annotations
+
 
 class ConfigError(Exception):
     """Invalid experiment configuration or command-line usage."""
 
 
 class NumericalError(Exception):
-    """Base class for runtime numerical failures."""
+    """Base class for runtime numerical failures. ``at``, where given, is
+    the value of the integration variable at which the failure happened."""
+
+    def __init__(self, message: str = "", at: float | None = None) -> None:
+        super().__init__(message)
+        self.at = at
 
 
 class DomainError(NumericalError):

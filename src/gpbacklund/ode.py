@@ -28,9 +28,14 @@ from .calculus import fd_weights
 _BLOWUP_LIMIT = 1e12
 _UNDERFLOW_SCALE = 1e-14
 _AMPLITUDE_FLOOR = 1e-6
-# attempted steps per integration: about 20 times the most that any shipped
-# config or benchmark pool needs (4,866), about 1 s on a 2-vCPU VM
+# attempted steps per integration, about 1 s on a 2-vCPU VM: about 200 times
+# the most that any command on the shipped configs or the benchmark pools of
+# seeds 1-3 needs (484, solving a wave seed; periodic seeds are integrated
+# through one period only, see gp._folded)
 _MAX_ATTEMPTS = 100_000
+# iterates of stationary_points: Newton converges in about 5, and the
+# bisection it falls back to halves the bracket 60 times, below one ulp
+_ROOT_ITERATIONS = 60
 
 
 @dataclass(frozen=True)
@@ -307,13 +312,13 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
         if attempts > _MAX_ATTEMPTS:
             raise StepBudgetExhausted(
                 f"{_MAX_ATTEMPTS} attempted steps reached only x={x:.6g} "
-                f"of x_end={x_end:.6g}")
+                f"of x_end={x_end:.6g}", at=x)
         last = (x + h - x_end) * direction >= 0.0
         if last:
             h = x_end - x
         if abs(h) < _UNDERFLOW_SCALE * max(1.0, abs(x)) or x + h == x:
             raise StepSizeUnderflow(
-                f"step {h:.3e} underflowed at x={x:.6g}")
+                f"step {h:.3e} underflowed at x={x:.6g}", at=x)
 
         # One attempt from (x, r, rp), where rhs is k1. Every sum starts at
         # 0.0, adds left to right and skips the zero weights: that order
@@ -363,9 +368,10 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
             if r < _AMPLITUDE_FLOOR:
                 raise AmplitudeCollapse(
                     f"amplitude {r:.3e} fell below floor {_AMPLITUDE_FLOOR} "
-                    f"at x={x:.6g}")
+                    f"at x={x:.6g}", at=x)
             if abs(r) > _BLOWUP_LIMIT or abs(rp) > _BLOWUP_LIMIT:
-                raise BlowUp(f"state exceeded {_BLOWUP_LIMIT:.1e} at x={x:.6g}")
+                raise BlowUp(
+                    f"state exceeded {_BLOWUP_LIMIT:.1e} at x={x:.6g}", at=x)
             nodes_x.append(x)
             nodes_r.append(r)
             nodes_rp.append(rp)
@@ -403,9 +409,12 @@ def integrate_span(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
         parts.append(integrate(ode, x0, r0, rp0, x_lo, tol))
     if x0 < x_hi:
         parts.append(integrate(ode, x0, r0, rp0, x_hi, tol))
-    if len(parts) == 1:
-        return parts[0]
-    left, right = parts
+    return parts[0] if len(parts) == 1 else joined(*parts)
+
+
+def joined(left: DenseSolution, right: DenseSolution) -> DenseSolution:
+    """One dense solution from two that share the node left.xs[-1] ==
+    right.xs[0], with right's meta and the steps of both."""
     meta = dict(right.meta)
     meta["steps"] = (left.xs.size - 1) + (right.xs.size - 1)
     return DenseSolution(
@@ -415,6 +424,37 @@ def integrate_span(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
         rpps=np.concatenate([left.rpps[:-1], right.rpps]),
         meta=meta,
     )
+
+
+def stationary_points(dense: DenseSolution) -> np.ndarray:
+    """Every x, in increasing order, where r' = 0 inside a step whose end
+    values of r' differ in sign (r' > 0 at one end only).
+
+    Each root is found by Newton's method on the step's polynomial
+    h r'(s) = c1 + s (2 c2 + s (3 c3 + s (4 c4 + 5 c5 s))) in s, inside the
+    bracket [0, 1] that shrinks with every iterate: an iterate that leaves
+    it is replaced by the bracket's midpoint, so no root leaves its step.
+    """
+    rps = dense.rps
+    steps = np.flatnonzero((rps[:-1] > 0.0) != (rps[1:] > 0.0))
+    h, _, c1, c2, c3, c4, c5, _ = dense._table[:, steps]
+    rising = ~(rps[steps] > 0.0)
+    lo, hi = np.zeros(steps.size), np.ones(steps.size)
+    s = np.full(steps.size, 0.5)
+    for _ in range(_ROOT_ITERATIONS):
+        f = c1 + s * (2.0 * c2 + s * (3.0 * c3 + s * (4.0 * c4
+                                                      + 5.0 * c5 * s)))
+        df = 2.0 * c2 + s * (6.0 * c3 + s * (12.0 * c4 + 20.0 * c5 * s))
+        left = (f < 0.0) == rising  # the root lies above s
+        lo, hi = np.where(left, s, lo), np.where(left, hi, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = s - f / df
+        nxt = np.where(f == 0.0, s, np.where((newton > lo) & (newton < hi),
+                                             newton, 0.5 * (lo + hi)))
+        if np.array_equal(nxt, s):
+            break
+        s = nxt
+    return dense.xs[steps] + s * h
 
 
 def sample(dense: DenseSolution, xs) -> SolutionGrid:

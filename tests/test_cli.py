@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -248,6 +249,23 @@ def test_seed_below_the_floor_in_t_names_its_frame(tmp_path, capsys,
     assert not list(out.glob("*.csv"))
 
 
+def test_blow_up_in_t_names_its_x(tmp_path, capsys):
+    """With b > 0 the seed reaches a pole at a finite t; the message gives
+    that t and x = G^{-1}(t), here G(x) = x (1 + x)."""
+    cfg = write_cfg(tmp_path, INTEGRATE_CFG
+                    .replace("params.b = -1.0", "params.b = 1.0")
+                    .replace("grid.x_max = 2.3", "grid.x_max = 3.0")
+                    .replace("grid.points = 4001", "grid.points = 201")
+                    .replace("seed.r0 = 0.664", "seed.r0 = 0.5")
+                    .replace("seed.rp0 = -0.2214", "seed.rp0 = 0.0"))
+    assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "BlowUp: [seed integration] seed integrated in t = G(x)" in err
+    t, x = map(float, re.search(r"\(t=(\S+) is x=(\S+)\)", err).groups())
+    assert 1.0 < x < 3.0
+    assert x * (1.0 + x) == pytest.approx(t, rel=1e-5)
+
+
 def _magnitude(signed=False):
     """Floats log-uniform over 1e-80..1e80, with a random sign if
     ``signed``."""
@@ -341,6 +359,20 @@ class TestTransform:
             assert element["points"] == len(rows) == 4001
             assert element["interval"] == [1.0, 2.3] == [rows[0, 0],
                                                           rows[-1, 0]]
+
+    @pytest.mark.parametrize("name, bound", [("generic_seed.cfg", 1e-10),
+                                             ("fixed_point.cfg", 1e-14)])
+    def test_reports_energy(self, tmp_path, name, bound):
+        """E along the seed over the cover and each element's gap to it:
+        below the ODE tolerance (1e-10) for the shipped generic seed, which
+        is folded (2.6e-11 and 2.4e-11), and zero for the closed form."""
+        cfg = Path(__file__).resolve().parents[1] / "configs" / name
+        assert main(["transform", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        for element in report["elements"]:
+            assert 0.0 <= element["energy_spread"] < bound
+            assert 0.0 <= element["energy_shift"] < bound
 
 
 class TestVerify:

@@ -10,11 +10,12 @@ from gpbacklund.errors import (ConstraintViolated, DomainError, NonFinite,
                                OutOfRange)
 from gpbacklund.functional import ShiftMap
 from gpbacklund.cli import main
+from gpbacklund import gp as gp_module
 from gpbacklund.gp import (ClosedFormSolution, GPParams, LiouvilleSolution,
-                           closed_form_residual, energy, gp_rhs,
+                           _period, closed_form_residual, energy, gp_rhs,
                            linear_coefficient, linear_coefficient_check, phase)
-from gpbacklund.ode import (ToleranceSpec, integrate, integrate_span,
-                            residual_max)
+from gpbacklund.ode import (SecondOrderODE, ToleranceSpec, integrate,
+                            integrate_span, residual_max)
 
 SWEEP = [(n, eta) for n in (1, 2, 3) for eta in (0.0, 0.5, 1.0)]
 EPS = float(np.finfo(float).eps)
@@ -427,7 +428,7 @@ class TestLiouvilleSolution:
         r = rho / np.sqrt(gp)
         rp = rho_t * np.sqrt(gp) - r * p.g.second(xs) / (2.0 * gp)
         assert np.max(np.abs(grid.rs / r - 1.0)) < 1e-13
-        assert np.max(np.abs(grid.rps - rp)) < 1e-12 * np.max(np.abs(rp))
+        assert np.max(np.abs(grid.rps - rp)) <= 1e-12 * np.max(np.abs(rp))
 
     def test_seed_protocol_in_x(self):
         p = GPParams.constrained(n=2, eta=0.5, c=1.0)
@@ -446,6 +447,187 @@ class TestLiouvilleSolution:
         with np.errstate(over="ignore"), \
                 pytest.raises(NonFinite, match=r"\[1, 1e\+200\]"):
             closed_form_seed(p, 1.0, 1.0, 1e200)
+
+
+def recorded_spans(monkeypatch):
+    """The (x_lo, x_hi) of every integrate_span call LiouvilleSolution makes."""
+    spans = []
+
+    def recording(ode, x0, r0, rp0, x_lo, x_hi, tol):
+        spans.append((x_lo, x_hi))
+        return integrate_span(ode, x0, r0, rp0, x_lo, x_hi, tol)
+
+    monkeypatch.setattr(gp_module, "integrate_span", recording)
+    return spans
+
+
+class TestFold:
+    """A periodic seed (b < 0, c != 0) spanning more than two periods in t is
+    integrated through its first two turning points t_a < t_b and read
+    elsewhere by reflection about them, with the period 2 (t_b - t_a).
+
+    The reference is integrate_span in t at 1e-14 from the same data. Over
+    300 random draws of the property's ranges, the folded seed was off it
+    by at most 5.9 times the tolerance in rho and 5.3 times in rho_t, and
+    2 (t_b - t_a) matched the AGM period to 2.3e-10 relative. Over 200
+    draws starting at G(0.5) with tolerances 1e-12 to 1e-9, the folded
+    seeds were off by up to 5.9 and 5.6 times, the same seeds integrated
+    over the whole span by up to 19 and 24 times.
+    """
+
+    TOL = 1e-10
+
+    @staticmethod
+    def seed(n, eta, dev, periods, start=0.0, rp0=None):
+        """(p, seed, t-frame reference at 1e-14, period): data (1 + dev)
+        times the closed form at the point ``start`` of the way through a
+        t span of ``periods`` periods from G(0.5); ``rp0(p, x0, r0)``, if
+        given, replaces the closed form's r'."""
+        p = GPParams.constrained(n=n, eta=eta, c=1.0)
+        cf, g = ClosedFormSolution(p), p.g
+        beta = p.b / n ** 3
+        x_lo = 0.5
+        t_lo = float(g.value(x_lo))
+        # the period of the closed form's data is 2 pi/omega; the seed's own
+        # sets the span
+        x0 = float(g.inverse(t_lo + start * periods * 2.0))
+        r0 = (1.0 + dev) * float(cf.value(x0))
+        rp0 = (1.0 + dev) * float(cf.derivative(x0)) if rp0 is None \
+            else rp0(p, x0, r0)
+        root = math.sqrt(float(g.prime(x0)))
+        rho0 = root * r0
+        rho_t0 = (rp0 + 0.5 * float(g.second(x0)) * r0 / float(g.prime(x0))) \
+            / root
+        period = _period(1.0, beta, rho0, rho_t0)
+        t_hi = t_lo + periods * period
+        seed = LiouvilleSolution(p, x0, r0, rp0, x_lo,
+                                 float(g.inverse(t_hi)),
+                                 ToleranceSpec(TestFold.TOL, TestFold.TOL))
+        ode = SecondOrderODE(rhs=lambda t, rho: 1.0 / rho ** 3
+                             + beta * rho ** 3, domain=(0.5 * t_lo, math.inf))
+        t0 = float(g.value(x0))
+        ref = integrate_span(ode, t0, rho0, rho_t0, seed.rho.xs[0],
+                             seed.rho.xs[-1], ToleranceSpec(1e-14, 1e-14))
+        return p, seed, ref, period
+
+    def assert_matches(self, seed, ref):
+        ts = np.linspace(ref.xs[0], ref.xs[-1], 4001)
+        rho, rho_t = seed.rho.evaluate(ts)
+        want, want_t = ref.evaluate(ts)
+        assert np.max(np.abs(rho - want)) < 20 * self.TOL
+        assert np.max(np.abs(rho_t - want_t)) < 20 * self.TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), eta=st.floats(0.0, 2.0),
+           dev=st.floats(0.02, 0.2), sign=st.sampled_from([-1.0, 1.0]),
+           periods=st.floats(2.1, 12.0),
+           start=st.one_of(st.just(0.0), st.floats(0.01, 0.5)))
+    def test_agrees_with_integrate_span(self, n, eta, dev, sign, periods,
+                                        start):
+        """``start`` > 0 puts x0 inside the domain, so that t below t0 is
+        read by the fold too; a start within an ulp of the domain's edge
+        would leave the reference a step that underflows."""
+        _, seed, ref, period = self.seed(n, eta, sign * dev, periods, start)
+        t_a, t_b = seed.meta["turning_points"]
+        assert seed.rho.xs[0] <= t_a < t_b
+        assert abs(2.0 * (t_b - t_a) / period - 1.0) < 1e-6
+        self.assert_matches(seed, ref)
+
+    @pytest.mark.parametrize("n, eta, dev", [(1, 0.5, 0.15), (2, 1.0, -0.1),
+                                             (3, 0.2, 0.05)])
+    def test_energy_is_constant_across_seams(self, n, eta, dev):
+        """E at the seams t_a + k (t_b - t_a), approached from both sides,
+        stays at the initial E (the largest gap was 0.21 times the
+        tolerance), and rho is even about every seam in t, rho_t odd (to
+        0 and 2e-15 here)."""
+        p, seed, _, period = self.seed(n, eta, dev, 6.5)
+        t_a, t_b = seed.meta["turning_points"]
+        lo, hi = seed.rho.xs[0], seed.rho.xs[-1]
+        seams = t_a + (t_b - t_a) * np.arange(-3, 14)
+        seams = seams[(seams > lo + 1e-3) & (seams < hi - 1e-3)]
+        assert seams.size >= 10
+        sides = [p.g.inverse(seams + d) for d in (-1e-9 * period,
+                                                  1e-9 * period)]
+        (r_l, rp_l), (r_r, rp_r) = (seed.eval_with_derivative(x)
+                                    for x in sides)
+        e0 = energy(p, seed.meta["x0"], seed.meta["r0"], seed.meta["rp0"])
+        for x, r, rp in ((sides[0], r_l, rp_l), (sides[1], r_r, rp_r)):
+            assert np.max(np.abs(energy(p, x, r, rp) - e0)) < 2 * self.TOL
+        (rho_l, rho_t_l), (rho_r, rho_t_r) = (
+            seed.rho.evaluate(seams + d) for d in (-1e-3, 1e-3))
+        assert np.max(np.abs(rho_l - rho_r)) < 1e-14
+        assert np.max(np.abs(rho_t_l + rho_t_r)) < 1e-13
+
+    def test_phase_matches_the_unfolded_seed(self, monkeypatch):
+        """gp.phase splits its integral at the nodes G^{-1} of the unfolded
+        table. Over 7.3 periods (theta spans 18.8 rad) the two phases were
+        1.3e-9 apart; against the seed integrated at 1e-14 the folded one
+        was off by 4.3e-10 and the unfolded one by 9.3e-10."""
+        p, seed, _, _ = self.seed(2, 0.7, -0.12, 7.3, start=0.3)
+        monkeypatch.setattr(gp_module, "_FOLD_MIN_PERIODS", math.inf)
+        meta = seed.meta
+        flat = LiouvilleSolution(p, meta["x0"], meta["r0"], meta["rp0"],
+                                 *seed.domain,
+                                 ToleranceSpec(self.TOL, self.TOL))
+        assert "turning_points" not in flat.meta
+        assert seed.xs.size > 100 and np.all(np.diff(seed.xs) > 0.0)
+        xs = np.linspace(*seed.domain, 301)
+        theta = phase(p, xs, r_source=seed, x_ref=seed.domain[0])
+        np.testing.assert_allclose(
+            theta, phase(p, xs, r_source=flat, x_ref=seed.domain[0]),
+            rtol=0.0, atol=100 * self.TOL)
+
+    @pytest.mark.parametrize("n, dev", [(1, 0.15), (1, -0.15), (2, 0.1)])
+    def test_seed_starting_at_a_turning_point(self, n, dev):
+        """rho_t0 = 0: t0 is itself a turning point, and no turning point
+        is searched for below it (an unclamped Newton iterate once landed
+        below t0, and reading there raised OutOfRange)."""
+        def turning(p, x0, r0):
+            return -(0.5 * float(p.g.second(x0)) * r0 / float(p.g.prime(x0)))
+
+        _, seed, ref, _ = self.seed(n, 0.8, dev, 4.4, 0.25, rp0=turning)
+        t_a, _ = seed.meta["turning_points"]
+        assert t_a >= float(seed._g.value(seed.meta["x0"]))
+        self.assert_matches(seed, ref)
+
+    def test_closed_form_seed_is_not_folded(self, monkeypatch):
+        """The long closed-form seed above spans about 360 periods, but its
+        rho_t changes sign only by rounding: it is integrated once, over the
+        whole span, as integrate_span integrates it."""
+        spans = recorded_spans(monkeypatch)
+        p = GPParams.constrained(n=3, eta=1.5, c=1.2, v=0.7)
+        seed = closed_form_seed(p, 1.1, 0.8, 3.0)
+        assert "turning_points" not in seed.meta
+        assert spans == [(float(p.g.value(0.8)), float(p.g.value(3.0)))]
+        ts = np.linspace(*spans[0], 20001)
+        period = 2.0 * math.pi / (math.sqrt(6.0) * (1.2 * -p.b / 27) ** (1 / 3))
+        assert (spans[0][1] - spans[0][0]) / period > 10
+        assert np.max(np.abs(seed.rho.evaluate(ts)[0] / (0.7 * math.sqrt(3))
+                             - 1.0)) < 1e-14
+
+    def test_integrates_no_stretch_twice(self, monkeypatch):
+        """The first integration reaches 1.05 periods past t0; a fold
+        integrates nothing else, so it never reaches below t0."""
+        spans = recorded_spans(monkeypatch)
+        _, seed, _, period = self.seed(1, 0.5, 0.1, 8.0, start=0.4)
+        (t0, t_end), = spans
+        assert t0 == float(seed._g.value(seed.meta["x0"]))
+        assert t_end == pytest.approx(t0 + 1.05 * period, rel=1e-12)
+
+    def test_falls_back_without_turning_points(self, monkeypatch):
+        """Where no two transversal turning points are found, the stretch is
+        integrated on to t_hi and back from t0 to t_lo, each once."""
+        monkeypatch.setattr(gp_module, "stationary_points",
+                            lambda dense: np.empty(0))
+        spans = recorded_spans(monkeypatch)
+        _, seed, ref, period = self.seed(1, 0.5, 0.1, 8.0, start=0.4)
+        assert "turning_points" not in seed.meta
+        t_lo, t_hi = seed.rho.xs[0], seed.rho.xs[-1]
+        t0 = float(seed._g.value(seed.meta["x0"]))
+        covered = sorted(spans)
+        assert covered[0] == (t_lo, t0) and covered[-1][1] == t_hi
+        assert all(a[1] == b[0] for a, b in zip(covered, covered[1:]))
+        self.assert_matches(seed, ref)
 
 
 class TestEnergy:

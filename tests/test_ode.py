@@ -10,7 +10,8 @@ from gpbacklund.errors import (AmplitudeCollapse, BlowUp, GridTooSmall,
 from gpbacklund.gp import GPParams, LiouvilleSolution, gp_rhs
 from gpbacklund.ode import (_A, _B5, _C, _E, DenseSolution, SecondOrderODE,
                             SolutionGrid, ToleranceSpec, integrate,
-                            integrate_span, residual, residual_max, sample)
+                            integrate_span, residual, residual_max, sample,
+                            stationary_points)
 
 TOL = ToleranceSpec(atol=1e-10, rtol=1e-10)
 
@@ -221,6 +222,38 @@ def _orbit_like_seed(i):
     return LiouvilleSolution(p, x_min, factor * s ** -0.5,
                              -0.5 * factor * s1 * s ** -1.5, x_min, x_max,
                              ToleranceSpec(tol, tol)), rng
+
+
+class TestStationaryPoints:
+    """r = 2 + cos(x) solves r'' = -(r - 2); r' vanishes at k pi."""
+
+    SHIFTED = SecondOrderODE(rhs=lambda x, r: 2.0 - r, domain=(1e-3, 100.0))
+
+    def test_roots_of_r_prime(self):
+        dense = integrate(self.SHIFTED, 0.5, 2.0 + math.cos(0.5),
+                          -math.sin(0.5), 20.0, TOL)
+        roots = stationary_points(dense)
+        np.testing.assert_allclose(roots, math.pi * np.arange(1, 7),
+                                   rtol=0.0, atol=1e-9)
+        assert np.max(np.abs(dense.evaluate(roots)[1])) < 1e-15
+        # each root lies in the step it was searched in
+        k = np.searchsorted(dense.xs, roots) - 1
+        assert np.all((dense.xs[k] <= roots) & (roots <= dense.xs[k + 1]))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_root_at_the_first_node_stays_in_its_step(self, sign):
+        """Starting on a root (r' = 0 exactly, of either sign bit), that
+        root is found at the first node, not below it."""
+        x0 = math.pi
+        dense = integrate(self.SHIFTED, x0, 1.0, sign * 0.0, 13.0, TOL)
+        roots = stationary_points(dense)
+        assert roots[0] == x0
+        np.testing.assert_allclose(roots, math.pi * np.arange(1, 5),
+                                   rtol=0.0, atol=1e-9)
+
+    def test_none_without_a_sign_change(self):
+        dense = integrate(FREE, 1.0, 1.0, 0.5, 3.0, TOL)
+        assert stationary_points(dense).size == 0
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
