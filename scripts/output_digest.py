@@ -3,13 +3,14 @@
 
     python scripts/output_digest.py [--seeds 1 2 3] [--keep DIR]
 
-Runs ``gpbacklund.cli.main`` in-process: every subcommand on both shipped
+Runs ``gpbacklund.cli.main`` in-process: every subcommand on the shipped
 configs (``configs/*.cfg``), then the command pools that
 ``perfbench/workloads.py`` builds for each seed (perfbench is only read).
 Each command writes into a fresh directory. Its digest covers the exit code
 (or the exception it raised), stdout, stderr and the name and bytes of every
-file it wrote, with the temporary directory and the repository root masked
-in the text. One line per command gives the digest, the exit code and the
+file it wrote, with that directory, the temporary directory and the
+repository root masked in the text, so that a command's digest does not
+depend on how many commands come before it. One line per command gives the digest, the exit code and the
 command; a last line gives the digest of all the lines before it.
 
 Identical code must print identical lines, from any checkout and in any
@@ -98,7 +99,8 @@ def main() -> None:
         masks = [(tmp, "<tmp>"), (ROOT, "<root>")]
         for label, argv, out_dir in _commands(args.seeds, tmp):
             out_dir.mkdir(parents=True)
-            code, digest, parts = _digest(argv, out_dir, masks)
+            code, digest, parts = _digest(argv, out_dir,
+                                          [(out_dir, "<out>"), *masks])
             if args.keep is not None:
                 kept = args.keep / label.replace(" ", "_")
                 shutil.copytree(out_dir, kept)

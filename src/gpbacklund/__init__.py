@@ -2,7 +2,7 @@
 Gross-Pitaevskii amplitude equation."""
 
 from .calculus import SmoothMap, compose, derivative, fd_weights, schwarzian
-from .functional import Mobius, PolyG, ShiftMap, conjugate_f, solve_f
+from .functional import Mobius, PolyG, ShiftMap, solve_f
 from .ode import (DenseSolution, SecondOrderODE, SolutionGrid, ToleranceSpec,
                   integrate, integrate_span, residual, residual_max, sample)
 from .backlund import FixedPointResult, is_fixed_point, orbit, transform
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SmoothMap", "compose", "derivative", "fd_weights", "schwarzian",
-    "Mobius", "PolyG", "ShiftMap", "conjugate_f", "solve_f",
+    "Mobius", "PolyG", "ShiftMap", "solve_f",
     "DenseSolution", "SecondOrderODE", "SolutionGrid", "ToleranceSpec",
     "integrate", "integrate_span", "residual", "residual_max", "sample",
     "FixedPointResult", "is_fixed_point", "orbit", "transform",

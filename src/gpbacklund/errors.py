@@ -40,10 +40,6 @@ class Pole(NumericalError):
     """Fractional linear transformation evaluated too close to its pole."""
 
 
-class RangeError(NumericalError):
-    """Conjugation target leaves the range of the conjugating map."""
-
-
 class StepSizeUnderflow(NumericalError):
     """Adaptive integrator was forced below the smallest usable step."""
 

@@ -11,17 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from .calculus import SmoothMap, _first
-from .errors import (DomainError, NonFinite, NoRealRoot, NumericalError,
-                     Pole, RangeError)
+from .calculus import SmoothMap
+from .errors import DomainError, NonFinite, NoRealRoot, NumericalError, Pole
 
 _ROOT_RTOL = 1e-12
-# relative tolerance of conjugate_f's check that w_inverse inverts w
-_MATCH_TOL = 1e-10
 
 
 def _require_positive(x, what: str = "x"):
@@ -132,15 +128,6 @@ class Mobius:
     def __call__(self, w):
         return (self.a * w + self.b) / self._denominator(w)
 
-    def compose(self, other: "Mobius") -> "Mobius":
-        """self after other, by 2x2 matrix multiplication."""
-        return Mobius(
-            a=self.a * other.a + self.b * other.c,
-            b=self.a * other.b + self.b * other.d,
-            c=self.c * other.a + self.d * other.c,
-            d=self.c * other.b + self.d * other.d,
-        )
-
     def as_smooth_map(self) -> SmoothMap:
         return SmoothMap(eval=self)
 
@@ -206,29 +193,3 @@ def solve_f(shift: ShiftMap, x):
     """The positive root f with its derivative, as a pair (f, fprime)."""
     f = shift.f(x)
     return f, shift.f_prime(x, f)
-
-
-def conjugate_f(w: SmoothMap, w_inverse: Callable, m: Mobius) -> SmoothMap:
-    """The conjugated map f = w^{-1} o m o w, so w(f(x)) = m(w(x)).
-
-    ``w`` must be strictly monotone on its domain with ``w_inverse`` its
-    inverse; raises RangeError wherever m(w(x)) leaves the range of w.
-    """
-    lo, hi = w.domain
-
-    def ev(x):
-        t = m(w.eval(x))
-        y = w_inverse(t)
-        escaped = ~(np.isfinite(y) & (lo < y) & (y < hi))
-        if np.any(escaped):
-            raise RangeError(
-                f"m(w({_first(x, escaped)!r})) = {_first(t, escaped)!r} has "
-                f"no preimage inside the domain of w")
-        missed = np.abs(w.eval(y) - t) > _MATCH_TOL * np.maximum(1.0, np.abs(t))
-        if np.any(missed):
-            raise RangeError(
-                f"w_inverse failed to invert w at {_first(t, missed)!r} to "
-                f"within {_MATCH_TOL}")
-        return y
-
-    return SmoothMap(eval=ev, domain=w.domain)

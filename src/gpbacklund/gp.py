@@ -31,7 +31,7 @@ from .errors import (AmplitudeCollapse, ConstraintViolated, DomainError,
                      NonFinite, NumericalError, OutOfRange)
 from .functional import PolyG
 from .ode import (_AMPLITUDE_FLOOR, _MAX_ATTEMPTS, DenseSolution,
-                  SecondOrderODE, ToleranceSpec, integrate_span, joined,
+                  SecondOrderODE, ToleranceSpec, integrate_span,
                   stationary_points)
 
 _X_FLOOR = 1e-8
@@ -58,8 +58,8 @@ _FOLD_MIN_PERIODS = 2.0
 # within rounding of it (about 1e-15, 1e-14 after long spans), so the sign
 # changes of its rho_t are noise, not turning points.
 _FOLD_MIN_AMPLITUDE = 1e-8
-# The first integration of a folded seed reaches this many periods past t0,
-# which holds two turning points; a shortfall is integrated on from there.
+# A folded seed is integrated this many periods past t0, which holds two
+# turning points; where it does not, the seed is integrated over its span.
 _FOLD_REACH = 1.05
 
 
@@ -276,71 +276,46 @@ def _period(c2: float, beta: float, rho: float, rho_t: float) -> float:
     return math.pi / a / math.sqrt(-0.5 * beta * span)
 
 
-def _continued(ode: SecondOrderODE, dense: DenseSolution, t_end: float,
-               tol: ToleranceSpec) -> DenseSolution:
-    """``dense`` integrated on from its last node to t_end."""
-    t = float(dense.xs[-1])
-    return joined(dense, integrate_span(ode, t, float(dense.rs[-1]),
-                                        float(dense.rps[-1]), t, t_end, tol))
-
-
 def _folded(ode: SecondOrderODE, t0: float, rho0: float, rho_t0: float,
             t_lo: float, t_hi: float, tol: ToleranceSpec,
-            estimate: float) -> DenseSolution:
-    """rho on [t_lo, t_hi] from one stretch integrated forward from t0,
-    given an ``estimate`` of the period.
+            estimate: float) -> DenseSolution | None:
+    """rho on [t_lo, t_hi] from one stretch integrated forward from t0 to
+    t0 + _FOLD_REACH ``estimate``, given an ``estimate`` of the period.
 
     With t_a < t_b the stretch's first two turning points, every t is read
     as rho(t_a + s), s = (t - t_a) folded into [0, t_b - t_a] by the period
     2 (t_b - t_a) and reflected about t_b, with the sign of rho_t flipped on
     the reflected half. The result is a dense solution whose nodes are the
     images of the stretch's nodes in [t_a, t_b], t_a and t_b themselves and
-    t_lo and t_hi, so it reproduces the stretch's polynomials. Without two
-    transversal turning points (rho_tt of opposite signs), or where that
-    table would hold more nodes than _MAX_ATTEMPTS, the stretch is
-    continued to t_hi and integrated back from t0 to t_lo instead.
+    t_lo and t_hi, so it reproduces the stretch's polynomials. None where
+    the stretch holds no two transversal turning points (rho_tt of opposite
+    signs), or where that table would hold more nodes than _MAX_ATTEMPTS.
     """
     stretch = integrate_span(ode, t0, rho0, rho_t0, t0,
                              t0 + _FOLD_REACH * estimate, tol)
-    turns = stationary_points(stretch)
-    while turns.size < 2 and \
-            stretch.xs[-1] - t0 < _FOLD_MIN_PERIODS * estimate:
-        stretch = _continued(ode, stretch,
-                             stretch.xs[-1] + 0.5 * estimate, tol)
-        turns = stationary_points(stretch)
-    turns = turns[:2]
-    if turns.size == 2 and np.prod(
+    turns = stationary_points(stretch)[:2]
+    if turns.size < 2 or not np.prod(
             ode.rhs(turns, stretch.evaluate(turns)[0])) < 0.0:
-        t_a, t_b = turns
-        period = 2.0 * (t_b - t_a)
-        inner = stretch.xs[(stretch.xs > t_a) & (stretch.xs < t_b)]
-        one = np.concatenate([[t_a], inner, [t_b], 2.0 * t_b - inner[::-1]])
-        k_lo = math.floor((t_lo - t_a) / period)
-        k_hi = math.floor((t_hi - t_a) / period)
-        # no more nodes than the integrator may take steps over the span
-        if (k_hi - k_lo + 1) * one.size <= _MAX_ATTEMPTS:
-            ts = (one + period * np.arange(k_lo, k_hi + 1)[:, None]).ravel()
-            ts = np.concatenate([[t_lo], ts[(ts > t_lo) & (ts < t_hi)],
-                                 [t_hi]])
-            # images closer than an ulp round together; keep one of each
-            ts = ts[np.append(True, np.diff(ts) > 0.0)]
-            s = np.mod(ts - t_a, period)
-            mirrored = s > 0.5 * period
-            rho, rho_t = stretch.evaluate(
-                t_a + np.where(mirrored, period - s, s))
-            return DenseSolution(
-                xs=ts, rs=rho, rps=np.where(mirrored, -rho_t, rho_t),
-                rpps=ode.rhs(ts, rho),
-                meta={**stretch.meta, "turning_points": (t_a, t_b)})
-    if stretch.xs[-1] < t_hi:
-        stretch = _continued(ode, stretch, t_hi, tol)
-    if t_lo < t0:
-        stretch = joined(integrate_span(ode, t0, rho0, rho_t0, t_lo, t0, tol),
-                         stretch)
-    ts = np.append(stretch.xs[stretch.xs < t_hi], t_hi)
-    rho, rho_t = stretch.evaluate(ts)
-    return DenseSolution(xs=ts, rs=rho, rps=rho_t, rpps=ode.rhs(ts, rho),
-                         meta=stretch.meta)
+        return None
+    t_a, t_b = turns
+    period = 2.0 * (t_b - t_a)
+    inner = stretch.xs[(stretch.xs > t_a) & (stretch.xs < t_b)]
+    one = np.concatenate([[t_a], inner, [t_b], 2.0 * t_b - inner[::-1]])
+    k_lo = math.floor((t_lo - t_a) / period)
+    k_hi = math.floor((t_hi - t_a) / period)
+    # no more nodes than the integrator may take steps over the span
+    if (k_hi - k_lo + 1) * one.size > _MAX_ATTEMPTS:
+        return None
+    ts = (one + period * np.arange(k_lo, k_hi + 1)[:, None]).ravel()
+    ts = np.concatenate([[t_lo], ts[(ts > t_lo) & (ts < t_hi)], [t_hi]])
+    # images closer than an ulp round together; keep one of each
+    ts = ts[np.append(True, np.diff(ts) > 0.0)]
+    s = np.mod(ts - t_a, period)
+    mirrored = s > 0.5 * period
+    rho, rho_t = stretch.evaluate(t_a + np.where(mirrored, period - s, s))
+    return DenseSolution(xs=ts, rs=rho, rps=np.where(mirrored, -rho_t, rho_t),
+                         rpps=ode.rhs(ts, rho),
+                         meta={**stretch.meta, "turning_points": (t_a, t_b)})
 
 
 class LiouvilleSolution:
@@ -352,10 +327,11 @@ class LiouvilleSolution:
     in t, and where that is in x. A periodic seed spanning more than
     _FOLD_MIN_PERIODS periods is integrated through two turning points
     only and read elsewhere by reflection about them (``_folded``); its
-    meta holds those ``turning_points``. Every other seed is
-    integrated over the whole span by ``integrate_span``. The seed protocol
-    stays in x: ``domain`` is (x_lo, x_hi), ``xs`` are G^{-1} of the t
-    nodes, and ``eval_with_derivative`` returns r = rho(G)/sqrt(G') and
+    meta holds those ``turning_points``. Every other seed, and a periodic
+    one that ``_folded`` cannot fold, is integrated over the whole span by
+    ``integrate_span``. The seed protocol stays in x: ``domain`` is
+    (x_lo, x_hi), ``xs`` are G^{-1} of the t nodes, and
+    ``eval_with_derivative`` returns r = rho(G)/sqrt(G') and
     r' = rho_t sqrt(G') - r G''/(2 G').
     """
 
@@ -403,9 +379,10 @@ class LiouvilleSolution:
                               tol.rtol / _T_TOL_DIVISOR)
         period = _period(c2, beta, *data[1:])
         try:
+            self.rho = None
             if period and t_hi - t_lo > _FOLD_MIN_PERIODS * period:
                 self.rho = _folded(ode, *data, *span, tol_t, period)
-            else:
+            if self.rho is None:
                 self.rho = integrate_span(ode, *data, *span, tol_t)
         except NumericalError as exc:  # name the frame: its x is t here
             where = "" if exc.at is None else \

@@ -27,6 +27,10 @@ from .calculus import fd_weights
 
 _BLOWUP_LIMIT = 1e12
 _UNDERFLOW_SCALE = 1e-14
+# 100 times _UNDERFLOW_SCALE: integrate's first step, a hundredth of its
+# span, underflows on a span narrower than this relative to its start, and
+# _locate's slack, this relative to the nodes, reads such a span from them
+_SLIVER = 1e-12
 _AMPLITUDE_FLOOR = 1e-6
 # attempted steps per integration, about 1 s on a 2-vCPU VM: about 200 times
 # the most that any command on the shipped configs or the benchmark pools of
@@ -180,13 +184,13 @@ class DenseSolution:
 def _locate(nodes: np.ndarray, xq: np.ndarray):
     """Node index at or left of each query, and the query in that step.
 
-    Points within a relative 1e-12 below the first node are clamped onto
+    Points within a relative _SLIVER below the first node are clamped onto
     it; those within it above the last node find the last node's column,
     which is constant. A NaN raises NonFinite, naming the first one, ahead
     of OutOfRange for points further out.
     """
     lo, hi = float(nodes[0]), float(nodes[-1])
-    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    slack = _SLIVER * max(1.0, abs(lo), abs(hi))
     inside = (xq >= lo - slack) & (xq <= hi + slack)  # False at NaN
     if not inside.all():
         nan = np.isnan(xq)
@@ -401,29 +405,30 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
 def integrate_span(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
                    x_lo: float, x_hi: float,
                    tol: ToleranceSpec = ToleranceSpec()) -> DenseSolution:
-    """Dense solution covering [x_lo, x_hi] from initial data at interior x0."""
+    """Dense solution covering [x_lo, x_hi] from initial data at interior x0.
+
+    A side narrower than _SLIVER relative to x0 is not integrated: the
+    evaluation's slack reads it from the node at x0. A span that is such a
+    sliver on both sides raises StepSizeUnderflow.
+    """
     if not (x_lo <= x0 <= x_hi):
         raise ValueError("x0 must lie inside [x_lo, x_hi]")
-    parts = []
-    if x0 > x_lo:
-        parts.append(integrate(ode, x0, r0, rp0, x_lo, tol))
-    if x0 < x_hi:
-        parts.append(integrate(ode, x0, r0, rp0, x_hi, tol))
-    return parts[0] if len(parts) == 1 else joined(*parts)
-
-
-def joined(left: DenseSolution, right: DenseSolution) -> DenseSolution:
-    """One dense solution from two that share the node left.xs[-1] ==
-    right.xs[0], with right's meta and the steps of both."""
-    meta = dict(right.meta)
-    meta["steps"] = (left.xs.size - 1) + (right.xs.size - 1)
+    sliver = _SLIVER * max(1.0, abs(x0))
+    parts = [integrate(ode, x0, r0, rp0, end, tol) for end in (x_lo, x_hi)
+             if abs(end - x0) >= sliver]
+    if not parts:
+        raise StepSizeUnderflow(
+            f"span [{x_lo:.17g}, {x_hi:.17g}] lies within {sliver:.3e} of "
+            f"x={x0:.17g}, narrower than the smallest step", at=x0)
+    if len(parts) == 1:
+        return parts[0]
+    left, right = parts  # they share the node x0
     return DenseSolution(
         xs=np.concatenate([left.xs[:-1], right.xs]),
         rs=np.concatenate([left.rs[:-1], right.rs]),
         rps=np.concatenate([left.rps[:-1], right.rps]),
         rpps=np.concatenate([left.rpps[:-1], right.rpps]),
-        meta=meta,
-    )
+        meta={**right.meta, "steps": left.xs.size + right.xs.size - 2})
 
 
 def stationary_points(dense: DenseSolution) -> np.ndarray:

@@ -249,6 +249,47 @@ def test_seed_below_the_floor_in_t_names_its_frame(tmp_path, capsys,
     assert not list(out.glob("*.csv"))
 
 
+PINNEY_CFG = (Path(__file__).resolve().parents[1] / "configs"
+              / "pinney_seed.cfg").read_text()
+
+
+@pytest.mark.parametrize("edge, x0", [("1.0", "1.0000000000000002"),
+                                      ("2.3", "2.2999999999999994")])
+def test_seed_an_ulp_inside_a_grid_edge(tmp_path, edge, x0):
+    """x0 an ulp inside a grid edge leaves a side narrower in t than the
+    integrator's smallest step; it is read from x0, not integrated. The
+    solution then matches the seed started on the edge to 0.01 times the
+    tolerance of 1e-10 (measured: 1.1e-15 relative in r, 2.9e-14 in r')."""
+    grids = []
+    for start in (x0, edge):
+        cfg = write_cfg(tmp_path, PINNEY_CFG.replace(
+            "seed.x0 = 1.6", f"seed.x0 = {start}"), f"{start}.cfg")
+        assert main(["solve", "--config", cfg, "--out-dir",
+                     str(tmp_path / start)]) == 0
+        grids.append(np.loadtxt(tmp_path / start / "solution.csv",
+                                delimiter=",", skiprows=1))
+    near, on = grids
+    assert np.array_equal(near[:, 0], on[:, 0])
+    assert np.max(np.abs(near[:, 1] / on[:, 1] - 1.0)) < 1e-12
+    assert np.max(np.abs(near[:, 2] - on[:, 2])) < 1e-12
+
+
+def test_grid_within_a_sliver_of_x0_exits_3(tmp_path, capsys):
+    """Seven points over 8 ulps: on both sides of x0 the span in t is
+    narrower than the integrator's smallest step."""
+    cfg = write_cfg(tmp_path, PINNEY_CFG
+                    .replace("grid.x_max = 2.3",
+                             "grid.x_max = 1.0000000000000018")
+                    .replace("grid.points = 4001", "grid.points = 7")
+                    .replace("seed.x0 = 1.6", "seed.x0 = 1.0000000000000009"))
+    assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+    assert ("StepSizeUnderflow: [seed integration] seed integrated in "
+            "t = G(x) (x here is t): span [2, 2.0000000000000053] lies within "
+            "2.000e-12 of x=2.0000000000000027, narrower than the smallest "
+            "step" in capsys.readouterr().err)
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_blow_up_in_t_names_its_x(tmp_path, capsys):
     """With b > 0 the seed reaches a pole at a finite t; the message gives
     that t and x = G^{-1}(t), here G(x) = x (1 + x)."""
@@ -681,7 +722,7 @@ SUBCOMMANDS = ("solve", "transform", "verify", "wavefunction")
 
 
 class TestInProcessReuse:
-    """Every subcommand on both shipped configs, twice in one process and in
+    """Every subcommand on the shipped configs, twice in one process and in
     two orders, then once per fresh process: the parser and the dense
     solutions' coefficient tables built in one command change no later
     command's exit code, output or files."""

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gpbacklund.calculus import SmoothMap, derivative, schwarzian
-from gpbacklund.errors import (DomainError, NonFinite, NoRealRoot, Pole,
-                               RangeError)
-from gpbacklund.functional import (Mobius, PolyG, ShiftMap, conjugate_f,
-                                   solve_f)
+from gpbacklund.calculus import derivative, schwarzian
+from gpbacklund.errors import DomainError, NonFinite, NoRealRoot, Pole
+from gpbacklund.functional import Mobius, PolyG, ShiftMap, solve_f
 from gpbacklund.gp import GPParams
 
 
@@ -143,23 +141,6 @@ class TestMobius:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             Mobius(2, 4, 1, 2)
-
-    @given(st.tuples(*[st.floats(-3, 3) for _ in range(8)]))
-    @settings(max_examples=100, deadline=None)
-    def test_composition_determinant_product(self, coeffs):
-        a1, b1, c1, d1, a2, b2, c2, d2 = coeffs
-        assume(abs(a1 * d1 - b1 * c1) > 1e-3)
-        assume(abs(a2 * d2 - b2 * c2) > 1e-3)
-        m1 = Mobius(a1, b1, c1, d1)
-        m2 = Mobius(a2, b2, c2, d2)
-        comp = m1.compose(m2)
-        assert comp.det == pytest.approx(m1.det * m2.det, rel=1e-12)
-
-    def test_compose_acts_like_composition(self):
-        m1 = Mobius(2, 1, 1, 1)
-        m2 = Mobius(1, -0.5, 0.3, 1)
-        w = 0.8
-        assert m1.compose(m2)(w) == pytest.approx(m1(m2(w)), rel=1e-13)
 
 
 class TestSolveF:
@@ -309,38 +290,3 @@ class TestSolveF:
                 dev = abs(q_here - fp * fp * q_there - schwarzian(f_map, float(x)))
                 worst = max(worst, dev)
         assert worst < 1e-5
-
-
-class TestConjugateF:
-    def test_translation_through_identity(self):
-        w = SmoothMap(eval=lambda x: x)
-        f = conjugate_f(w, lambda y: y, Mobius(1, 3.0, 0, 1))
-        assert f.eval(2.0) == pytest.approx(5.0, rel=1e-14)
-
-    def test_matches_solve_f_for_poly_g(self):
-        g = PolyG(2, 1.0)
-        K = 1.5
-        w = g.as_smooth_map()
-        f = conjugate_f(w, g.inverse, Mobius(1, K, 0, 1))
-        shift = ShiftMap(g, K)
-        for x in np.linspace(0.3, 4.0, 15):
-            assert abs(f.eval(float(x)) - shift.f(float(x))) < 1e-10
-
-    def test_identity_mobius_fixed_point(self):
-        w = SmoothMap(eval=lambda x: x * x, domain=(0.0, 10.0))
-        f = conjugate_f(w, math.sqrt, Mobius(1, 0, 0, 1))
-        assert f.eval(3.0) == pytest.approx(3.0, rel=1e-14)
-
-    def test_conjugation_identity_holds(self):
-        g = PolyG(1, 0.5)
-        w = g.as_smooth_map()
-        m = Mobius(1, 0.7, 0, 1)
-        f = conjugate_f(w, g.inverse, m)
-        for x in (0.5, 1.0, 2.0):
-            assert abs(w.eval(f.eval(x)) - m(w.eval(x))) < 1e-10
-
-    def test_range_escape(self):
-        w = SmoothMap(eval=lambda x: x * x, domain=(0.0, 2.0))
-        f = conjugate_f(w, math.sqrt, Mobius(1, 10.0, 0, 1))
-        with pytest.raises(RangeError):
-            f.eval(1.0)

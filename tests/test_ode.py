@@ -72,6 +72,27 @@ class TestIntegrate:
         for x in (0.3, 0.7, 1.0, 1.5):
             assert dense.evaluate(x)[0] == pytest.approx(math.sin(x), abs=1e-8)
 
+    @pytest.mark.parametrize("x0, x_lo, x_hi", [
+        (1.0 + 2.2e-16, 1.0, 1.5), (1.5 - 2.2e-16, 1.0, 1.5)])
+    def test_span_reads_a_sliver_side_from_x0(self, x0, x_lo, x_hi):
+        """A side an ulp wide, where integrate's first step would
+        underflow, is not integrated: x0 is the end node, and the edge reads
+        its values."""
+        dense = integrate_span(SINE, x0, math.sin(x0), math.cos(x0), x_lo,
+                               x_hi, TOL)
+        edge = x_lo if x0 < 1.25 else x_hi
+        assert x0 in (dense.xs[0], dense.xs[-1])
+        assert dense.evaluate(edge) == dense.evaluate(x0)
+        for x in (x_lo, 1.2, x_hi):
+            assert dense.evaluate(x)[0] == pytest.approx(math.sin(x), abs=1e-8)
+
+    def test_span_within_a_sliver_of_x0_raises(self):
+        x0 = 1.0 + 4.4e-16
+        with pytest.raises(StepSizeUnderflow,
+                           match=r"span \[1, 1\.0000000000000009\] lies "
+                                 r"within 1\.000e-12 of x=1\.0000000000000004"):
+            integrate_span(SINE, x0, 1.0, 0.0, 1.0, 1.0 + 8.8e-16, TOL)
+
     def test_amplitude_collapse(self):
         pull = SecondOrderODE(rhs=lambda x, r: -10.0, domain=(1e-3, 100.0))
         with pytest.raises(AmplitudeCollapse):
