@@ -66,9 +66,10 @@ def main() -> None:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     for j, grid in enumerate(grids, start=1):
-        k_sum = float(np.sum(k_schedule[:j]))
-        fp = is_fixed_point(ShiftMap(p.g, k_sum), seed, xs)
-        print(f"{j:>3} {k_sum:>8.3f} {len(grid):>7} "
+        # as the CLI checks: the grid's own f' and r0(f), and rs at its xs
+        fp = is_fixed_point(rs[np.searchsorted(xs, grid.xs)], grid.r0_f,
+                            grid.f_prime)
+        print(f"{j:>3} {grid.meta['K']:>8.3f} {len(grid):>7} "
               f"{residual_max(ode, grid):>13.3e} {fp.deviation:>13.3e}")
         if out_dir:
             write_solution_csv(out_dir / f"orbit_k{j}.csv", grid)

@@ -8,12 +8,13 @@ dense integrated solutions, closed-form solutions, or interpolated grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainEscape, NegativeJacobian, NumericalError
+from .errors import DomainEscape, NegativeJacobian, NonFinite, NumericalError
 from .functional import PolyG, ShiftMap
 from .ode import SolutionGrid
 
@@ -27,6 +28,16 @@ class FixedPointResult:
 
     def __bool__(self) -> bool:
         return self.is_fixed
+
+
+@dataclass(kw_only=True)
+class TransformedGrid(SolutionGrid):
+    """A transform's grid, with the f'(x) and the seed's r0(f(x)) it was
+    built from at each of its points: a fixed-point check of the element
+    reads them here rather than solving f and reading the seed again."""
+
+    f_prime: np.ndarray
+    r0_f: np.ndarray
 
 
 def _pull_back(shift: ShiftMap, seed, xs, least: int = 1):
@@ -53,13 +64,14 @@ def _pull_back(shift: ShiftMap, seed, xs, least: int = 1):
     return kept, f, shift.f_prime(kept, f)
 
 
-def transform(shift: ShiftMap, seed, xs) -> SolutionGrid:
+def transform(shift: ShiftMap, seed, xs) -> TransformedGrid:
     """Apply the transformation to a seed solution at the points xs.
 
     Points where f exits the seed's domain are trimmed; the grid metadata
     records the kept interval and the trimmed count. The positive
     square-root branch is always taken; r1' follows from the closed-form
     chain rule so transformed grids stay usable as integration restarts.
+    Raises NonFinite where r1 or r1' is not finite, as where the seed is.
     """
     kept, f, fp = _pull_back(shift, seed, xs, least=2)
     if np.any(fp <= 0.0):
@@ -70,6 +82,9 @@ def transform(shift: ShiftMap, seed, xs) -> SolutionGrid:
     root = np.sqrt(fp)
     r1 = r0 / root
     r1p = r0p * root - 0.5 * r0 * f2 / (fp * root)
+    if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(r1p))):
+        raise NonFinite("r1 or r1' is not finite on the kept points: the "
+                        "seed or f's derivatives are not finite there")
 
     meta = {
         "kind": "transformed",
@@ -80,17 +95,19 @@ def transform(shift: ShiftMap, seed, xs) -> SolutionGrid:
         "trimmed": np.size(xs) - kept.size,
         "seed": dict(getattr(seed, "meta", {}) or {}),
     }
-    return SolutionGrid(xs=kept, rs=r1, rps=r1p, meta=meta)
+    return TransformedGrid(xs=kept, rs=r1, rps=r1p, meta=meta, f_prime=fp,
+                           r0_f=r0)
 
 
-def orbit(g: PolyG, k_schedule: Sequence[float], seed, xs) -> list[SolutionGrid]:
+def orbit(g: PolyG, k_schedule: Sequence[float], seed,
+          xs) -> list[TransformedGrid]:
     """Iterated transforms for a schedule of translation constants.
 
     Translations of G compose additively, so the j-th element is computed
     directly from the seed with K equal to the j-th partial sum rather than
     by chaining interpolated grids.
     """
-    grids: list[SolutionGrid] = []
+    grids: list[TransformedGrid] = []
     for j, k_sum in enumerate(np.cumsum(np.asarray(k_schedule, dtype=float))):
         try:
             grids.append(transform(ShiftMap(g=g, K=float(k_sum)), seed, xs))
@@ -99,18 +116,20 @@ def orbit(g: PolyG, k_schedule: Sequence[float], seed, xs) -> list[SolutionGrid]
     return grids
 
 
-def is_fixed_point(shift: ShiftMap, seed, xs) -> FixedPointResult:
-    """Whether the seed reproduces itself under the transformation at xs.
+def is_fixed_point(r0_x, r0_f, f_prime) -> FixedPointResult:
+    """Whether a seed r0 reproduces itself under the transformation, from
+    r0(x) at the kept points x, r0(f(x)) and f'(x), as ``_pull_back``
+    keeps them and ``transform`` records them in its grid.
 
-    Checks max |r(x)^2 f'(x) - r(f(x))^2| / max(1, r(f(x))^2) < 1e-10, the
-    maximum taken over every map when the parameters are arrays. A sampled
-    grid is passed as ``grid.as_interpolant(), grid.xs``.
+    Checks max |r0(x)^2 f'(x) - r0(f)^2| / max(1, r0(f)^2) < 1e-10 over
+    the broadcast arrays, so over every map when the parameters are
+    arrays. Raises NonFinite where a value is not finite.
     """
-    kept, f, fp = _pull_back(shift, seed, xs)
-    r_here = seed.eval_with_derivative(kept)[0]
-    r_there = seed.eval_with_derivative(f)[0]
-    target = r_there * r_there
-    dev = np.abs(r_here * r_here * fp - target) / np.maximum(1.0, target)
+    target = r0_f * r0_f
+    dev = np.abs(r0_x * r0_x * f_prime - target) / np.maximum(1.0, target)
     deviation = float(np.max(dev))
+    if not math.isfinite(deviation):
+        raise NonFinite("fixed-point deviation is not finite: the seed or "
+                        "f' is not finite on the kept points")
     return FixedPointResult(is_fixed=deviation < _FIXED_POINT_TOL,
                             deviation=deviation)

@@ -19,7 +19,6 @@ import numpy as np
 from .backlund import is_fixed_point, orbit
 from .config import _MAX_POINTS, ExperimentConfig, _finite_float, load_config
 from .errors import ConfigError, NonFinite, NumericalError
-from .functional import ShiftMap
 from .gp import (_X_FLOOR, ClosedFormSolution, LiouvilleSolution,
                  closed_form_residual, energy, gp_rhs, phase)
 from .ode import SolutionGrid, ToleranceSpec, residual_max, sample
@@ -214,17 +213,24 @@ def cmd_transform(cfg: ExperimentConfig, out_dir: Path) -> int:
                      min(seed.domain[1], cover[1]), cfg.grid.points)
     with _stage("energy"):
         e_seed = energy(cfg.params, xe, *seed.eval_with_derivative(xe))
+    energy_spread = float(np.ptp(e_seed))
+    # every element keeps points of xs: one read of the seed from the first
+    # kept point to the last serves each element's fixed-point check
+    at = [np.searchsorted(xs, grid.xs) for grid in grids]
+    lo, hi = min(i[0] for i in at), max(i[-1] for i in at) + 1
+    with _stage("fixed-point check"):
+        r_xs = seed.eval_with_derivative(xs[lo:hi])[0]
 
     stem = Path(cfg.outputs.solution_csv)
     elements = []
     all_pass = True
-    for j, grid in enumerate(grids, start=1):
+    for j, (grid, i) in enumerate(zip(grids, at), start=1):
         path = out_dir / f"{stem.stem}_k{j}{stem.suffix}"
         write_solution_csv(path, grid)
         res = _grid_residual(cfg, grid)
         k_sum = grid.meta["K"]
         with _stage(f"fixed-point check (element {j})"):
-            fp = is_fixed_point(ShiftMap(cfg.params.g, k_sum), seed, xs)
+            fp = is_fixed_point(r_xs[i - lo], grid.r0_f, grid.f_prime)
         passed = res < cfg.tolerances.residual_pass
         all_pass = all_pass and passed
         elements.append({
@@ -236,7 +242,7 @@ def cmd_transform(cfg: ExperimentConfig, out_dir: Path) -> int:
             "residual_pass": passed,
             "fixed_point": fp.is_fixed,
             "fixed_point_deviation": fp.deviation,
-            "energy_spread": float(np.ptp(e_seed)),
+            "energy_spread": energy_spread,
             "energy_shift": float(np.max(np.abs(energy(
                 cfg.params, grid.xs, grid.rs, grid.rps) - e_seed[0]))),
             "csv": path.name,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backlund import is_fixed_point
+from .backlund import _pull_back, is_fixed_point
 from .calculus import SmoothMap, compose, derivative, schwarzian
 from .errors import NumericalError
 from .functional import Mobius, PolyG, ShiftMap, solve_f
@@ -330,7 +330,7 @@ def check_fixed_point_for(params: GPParams, k_values, xs) -> float:
     One ShiftMap takes the whole (eta, K) grid and is evaluated on all of xs,
     so an invalid (K, xs) combination surfaces as NoRealRoot or DomainError
     instead of being silently trimmed away; the error raised is the first
-    failing (eta, K) pair's. Where is_fixed_point keeps every point, its own
+    failing (eta, K) pair's. Where the pull-back keeps every point, its own
     roots are that evaluation; otherwise the whole grid is probed first.
     """
     etas = np.reshape(params.eta, (-1, 1, 1))
@@ -340,7 +340,9 @@ def check_fixed_point_for(params: GPParams, k_values, xs) -> float:
     try:
         if not np.all(p.g.value(xs) + ks > 0.0):
             shift.f(xs)
-        return is_fixed_point(shift, seed, xs).deviation
+        kept, f, fp = _pull_back(shift, seed, xs)
+        return is_fixed_point(seed.eval_with_derivative(kept)[0],
+                              seed.eval_with_derivative(f)[0], fp).deviation
     except NumericalError:
         for eta in etas.ravel():
             for k in ks.ravel():

@@ -121,7 +121,9 @@ def test_criterion_8_fixed_point(generic_seeds):
     for (n, eta), (p, dense) in generic_seeds.items():
         for k in K_VALUES:
             shift = ShiftMap(p.g, k)
-            res = is_fixed_point(shift, dense, np.linspace(1.0, 2.3, 201))
+            grid = transform(shift, dense, np.linspace(1.0, 2.3, 201))
+            res = is_fixed_point(dense.eval_with_derivative(grid.xs)[0],
+                                 grid.r0_f, grid.f_prime)
             assert not res.is_fixed
             generic_floor = min(generic_floor, res.deviation)
     ok = closed.passed and generic_floor > 1e-2

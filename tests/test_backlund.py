@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpbacklund.backlund import (_pull_back, is_fixed_point, orbit,
                                  transform)
-from gpbacklund.errors import DomainEscape
+from gpbacklund.errors import DomainEscape, NonFinite
 from gpbacklund.functional import PolyG, ShiftMap
-from gpbacklund.gp import ClosedFormSolution, GPParams, gp_rhs
+from gpbacklund.gp import (ClosedFormSolution, GPParams, LiouvilleSolution,
+                           gp_rhs)
 from gpbacklund.ode import (SolutionGrid, ToleranceSpec, integrate_span,
                             residual_max, sample)
 
@@ -14,6 +17,14 @@ TOL = ToleranceSpec(atol=1e-10, rtol=1e-10)
 
 def closed_form(n=1, eta=1.0):
     return ClosedFormSolution(GPParams.constrained(n=n, eta=eta, c=1.0, v=1.0))
+
+
+def two_read_fixed_point(shift, seed, xs):
+    """The fixed-point check by its own route: one pull-back, then the seed
+    read at the kept points and at their roots."""
+    kept, f, fp = _pull_back(shift, seed, xs)
+    return is_fixed_point(seed.eval_with_derivative(kept)[0],
+                          seed.eval_with_derivative(f)[0], fp)
 
 
 def integrated_seed(n=1, eta=1.0, bump=1.15, x0=1.0, x_hi=3.3):
@@ -140,7 +151,7 @@ class TestFixedPoint:
     def test_closed_form_is_fixed(self, K):
         seed = closed_form()
         shift = ShiftMap(PolyG(1, 1.0), K)
-        res = is_fixed_point(shift, seed, np.linspace(0.5, 3.0, 101))
+        res = two_read_fixed_point(shift, seed, np.linspace(0.5, 3.0, 101))
         assert res.is_fixed
         assert res.deviation < 1e-10
 
@@ -148,13 +159,13 @@ class TestFixedPoint:
         xs = np.linspace(1.0, 4.0, 101)
         grid = SolutionGrid(xs=xs, rs=np.ones_like(xs), rps=np.zeros_like(xs))
         shift = ShiftMap(PolyG(1, 0.0), 0.7)
-        res = is_fixed_point(shift, grid.as_interpolant(), grid.xs)
+        res = two_read_fixed_point(shift, grid.as_interpolant(), grid.xs)
         assert res.is_fixed
 
     def test_generic_seed_is_not_fixed(self):
         p, dense = integrated_seed()
         shift = ShiftMap(p.g, 0.7)
-        res = is_fixed_point(shift, dense, np.linspace(1.0, 2.3, 101))
+        res = two_read_fixed_point(shift, dense, np.linspace(1.0, 2.3, 101))
         assert not res.is_fixed
         assert res.deviation > 1e-2
 
@@ -163,7 +174,7 @@ class TestFixedPoint:
         xs = np.linspace(1.0, 4.0, 51)
         grid = SolutionGrid(xs=xs, rs=np.ones_like(xs), rps=np.zeros_like(xs))
         shift = ShiftMap(p.g, 0.3)
-        res = is_fixed_point(shift, grid.as_interpolant(), grid.xs)
+        res = two_read_fixed_point(shift, grid.as_interpolant(), grid.xs)
         assert res.deviation < 1e-12
 
     def test_array_parameters_give_the_worst_map(self):
@@ -172,14 +183,73 @@ class TestFixedPoint:
         k = np.array([[-0.5], [0.5]])
         xs = np.linspace(0.1, 3.0, 50)
         seed = ClosedFormSolution(GPParams.constrained(n=2, eta=eta, c=1.0))
-        res = is_fixed_point(ShiftMap(PolyG(2, eta), k),
-                             seed, xs)
+        res = two_read_fixed_point(ShiftMap(PolyG(2, eta), k), seed, xs)
         common = xs[xs > ShiftMap(PolyG(2, 0.0), -0.5).x_min]
         assert common.size < xs.size
         assert res.deviation == max(
-            is_fixed_point(ShiftMap(PolyG(2, e), kk),
-                           closed_form(n=2, eta=e), common).deviation
+            two_read_fixed_point(ShiftMap(PolyG(2, e), kk),
+                                 closed_form(n=2, eta=e), common).deviation
             for e in (0.0, 1.0) for kk in (-0.5, 0.5))
+
+
+class NanAbove:
+    """A seed that reads as ``seed`` up to ``edge`` and as nan beyond it."""
+
+    def __init__(self, seed, edge):
+        self.seed, self.edge, self.domain = seed, edge, seed.domain
+
+    def eval_with_derivative(self, xs):
+        r, rp = self.seed.eval_with_derivative(xs)
+        beyond = np.asarray(xs) > self.edge
+        return np.where(beyond, np.nan, r), np.where(beyond, np.nan, rp)
+
+
+class TestNonFiniteSeed:
+    def test_transform_raises(self):
+        # f(x) > 2 on the upper points: r0(f) is nan there
+        seed = NanAbove(closed_form(), 2.0)
+        with pytest.raises(NonFinite, match="not finite"):
+            transform(ShiftMap(PolyG(1, 1.0), 0.5), seed,
+                      np.linspace(1.0, 2.5, 31))
+
+    def test_fixed_point_check_raises(self):
+        # K = -1.5 keeps f(x) < 1.91 < 2, so the transform is finite, but
+        # r0(x) is nan at the kept x > 2
+        seed = NanAbove(closed_form(), 2.0)
+        shift = ShiftMap(PolyG(1, 1.0), -1.5)
+        xs = np.linspace(1.0, 2.2, 25)
+        grid = transform(shift, seed, xs)
+        with pytest.raises(NonFinite, match="not finite"):
+            is_fixed_point(seed.eval_with_derivative(grid.xs)[0],
+                           grid.r0_f, grid.f_prime)
+        with pytest.raises(NonFinite, match="not finite"):
+            two_read_fixed_point(shift, seed, xs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), eta=st.floats(0.0, 2.0), k=st.floats(-0.5, 1.0),
+       factor=st.floats(0.8, 1.2), closed=st.booleans())
+def test_check_from_the_transform_equals_the_two_read_check(n, eta, k, factor,
+                                                            closed):
+    """The fixed-point check the CLI makes, from the transform's f' and
+    r0(f) and one read of the seed at every x taken at the kept points,
+    equals the two-read check bit for bit, verdict and deviation. The
+    closed form (v = factor) keeps every point; the integrated seed, off
+    the closed form by ``factor`` and known on [0.95, 2.05] only, trims
+    points at the top for K > 0 and at the bottom for K < 0."""
+    p = GPParams.constrained(n=n, eta=eta, c=1.0, v=factor if closed else 1.0)
+    exact = ClosedFormSolution(p)
+    seed = exact if closed else LiouvilleSolution(
+        p, 1.0, factor * float(exact.value(1.0)),
+        factor * float(exact.derivative(1.0)), 0.95, 2.05, TOL)
+    shift = ShiftMap(p.g, k)
+    xs = np.linspace(1.0, 2.0, 201)
+    grid = transform(shift, seed, xs)
+    r_xs = seed.eval_with_derivative(xs)[0]
+    res = is_fixed_point(r_xs[np.searchsorted(xs, grid.xs)], grid.r0_f,
+                         grid.f_prime)
+    assert res == two_read_fixed_point(shift, seed, xs)
+    assert res.is_fixed or not closed
 
 
 class DomainOnly:

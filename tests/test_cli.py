@@ -16,8 +16,11 @@ from hypothesis.extra.numpy import arrays
 
 import gpbacklund
 from gpbacklund import cli
+from gpbacklund.backlund import _pull_back, is_fixed_point
 from gpbacklund.cli import _write_rows, main, write_solution_csv
+from gpbacklund.config import load_config
 from gpbacklund.errors import ConstraintViolated, NonFinite
+from gpbacklund.functional import ShiftMap
 from gpbacklund.gp import GPParams, gp_rhs
 from gpbacklund.ode import SolutionGrid, residual_max
 
@@ -400,6 +403,69 @@ class TestTransform:
             assert element["points"] == len(rows) == 4001
             assert element["interval"] == [1.0, 2.3] == [rows[0, 0],
                                                           rows[-1, 0]]
+
+    def test_one_root_solve_per_element(self, tmp_path, monkeypatch):
+        """Each element solves f once, in the transform; its fixed-point
+        check equals the two-read check (a pull-back, then the seed read at
+        the kept points and at their roots) bit for bit. The third element,
+        K = -3, keeps only x >= 1.79, where f maps into the seed."""
+        cfg = write_cfg(tmp_path, INTEGRATE_CFG.replace(
+            "k_schedule = 0.5", "k_schedule = 0.25, 0.25, -3.5"))
+        solve = ShiftMap.f
+        calls = []
+
+        def counted(shift, x):
+            calls.append(np.size(x))
+            return solve(shift, x)
+
+        monkeypatch.setattr(ShiftMap, "f", counted)
+        assert main(["transform", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 3
+        monkeypatch.undo()
+
+        report = json.loads((tmp_path / "report.json").read_text())
+        config = load_config(cfg)
+        seed = cli._build_seed(config, cli._orbit_cover(config))
+        xs = config.grid.linspace()
+        assert [e["k_sum"] for e in report["elements"]] == [0.25, 0.5, -3.0]
+        assert report["elements"][2]["interval"][0] > 1.78
+        for element in report["elements"]:
+            kept, f, fp = _pull_back(ShiftMap(config.params.g,
+                                              element["k_sum"]), seed, xs)
+            ref = is_fixed_point(seed.eval_with_derivative(kept)[0],
+                                 seed.eval_with_derivative(f)[0], fp)
+            assert element["points"] == kept.size
+            assert element["fixed_point"] is ref.is_fixed is False
+            assert element["fixed_point_deviation"] == ref.deviation
+
+    @pytest.mark.parametrize("k, stage", [
+        (0.5, "[transform]"),
+        # f(x) = x - 1.5 stays below 2, but the kept x reach 3
+        (-1.5, "[fixed-point check (element 1)]")])
+    def test_non_finite_seed_exit_3(self, tmp_path, capsys, monkeypatch, k,
+                                    stage):
+        class NanAbove2:
+            """The closed form, read as nan beyond x = 2."""
+
+            def __init__(self, seed):
+                self.seed, self.domain = seed, seed.domain
+
+            def eval_with_derivative(self, xs):
+                r, rp = self.seed.eval_with_derivative(xs)
+                beyond = np.asarray(xs) > 2.0
+                return np.where(beyond, np.nan, r), np.where(beyond, np.nan,
+                                                             rp)
+
+        monkeypatch.setattr(cli, "_build_seed", lambda cfg, cover:
+                            NanAbove2(cli._closed_form(cfg)))
+        cfg = write_cfg(tmp_path, CLOSED_FORM_CFG.replace(
+            "k_schedule = 2.0", f"k_schedule = {k}"))
+        assert main(["transform", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "NonFinite" in err and stage in err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("name, bound", [("generic_seed.cfg", 1e-10),
                                              ("fixed_point.cfg", 1e-14)])

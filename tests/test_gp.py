@@ -187,7 +187,9 @@ class TestClosedForm:
         p = GPParams.constrained(n=2, eta=0.5, c=1.0, v=1.0)
         seed = ClosedFormSolution(p)
         shift = ShiftMap(p.g, 0.75)
-        res = is_fixed_point(shift, seed, np.linspace(0.5, 3.0, 101))
+        grid = transform(shift, seed, np.linspace(0.5, 3.0, 101))
+        res = is_fixed_point(seed.eval_with_derivative(grid.xs)[0],
+                             grid.r0_f, grid.f_prime)
         assert res.is_fixed and res.deviation < 1e-10
 
 

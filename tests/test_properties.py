@@ -20,8 +20,10 @@ etas = st.floats(0.0, 2.0)
 def test_closed_form_stays_a_fixed_point(n, eta, k, v):
     p = GPParams.constrained(n=n, eta=eta, c=1.0, v=v)
     shift = ShiftMap(p.g, k)
-    res = is_fixed_point(shift, ClosedFormSolution(p),
-                         np.linspace(0.5, 3.0, 101))
+    seed = ClosedFormSolution(p)
+    grid = transform(shift, seed, np.linspace(0.5, 3.0, 101))
+    res = is_fixed_point(seed.eval_with_derivative(grid.xs)[0], grid.r0_f,
+                         grid.f_prime)
     assert res.deviation < 1e-10
 
 

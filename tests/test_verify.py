@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpbacklund.backlund import is_fixed_point
+from gpbacklund.backlund import _pull_back, is_fixed_point
 from gpbacklund.calculus import SmoothMap, compose, derivative, schwarzian
 from gpbacklund.errors import NumericalError
 from gpbacklund.functional import Mobius, PolyG, ShiftMap, solve_f
@@ -274,7 +274,9 @@ def _reference_fixed_point_for(params, k_values, xs):
     for k in k_values:
         shift = ShiftMap(p.g, float(k))
         shift.f(xs)  # validity probe for the whole grid
-        res = is_fixed_point(shift, seed, xs)
+        kept, f, fp = _pull_back(shift, seed, xs)
+        res = is_fixed_point(seed.eval_with_derivative(kept)[0],
+                             seed.eval_with_derivative(f)[0], fp)
         devs.append(res.deviation)
     return float(np.max(devs))
 
