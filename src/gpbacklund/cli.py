@@ -70,10 +70,12 @@ def _write_rows(path: Path, header: list[str], table) -> None:
     if not np.all(np.isfinite(table)):
         raise NonFinite(f"refusing to write non-finite values to {path}")
     rows, cols = table.shape
-    chunks = [(",".join(header) + "\n").encode()]
-    chunks += [_format_block(table[i:i + _BLOCK_ROWS].ravel(), cols)
-               for i in range(0, rows, _BLOCK_ROWS)]
-    path.write_bytes(b"".join(chunks))
+    # block by block: a joined copy of every block would add the whole
+    # file's bytes to the command's peak memory
+    with path.open("wb") as out:
+        out.write((",".join(header) + "\n").encode())
+        for i in range(0, rows, _BLOCK_ROWS):
+            out.write(_format_block(table[i:i + _BLOCK_ROWS].ravel(), cols))
 
 
 def _format_block(a: np.ndarray, cols: int) -> bytes:
@@ -216,21 +218,23 @@ def cmd_transform(cfg: ExperimentConfig, out_dir: Path) -> int:
     energy_spread = float(np.ptp(e_seed))
     # every element keeps points of xs: one read of the seed from the first
     # kept point to the last serves each element's fixed-point check
-    at = [np.searchsorted(xs, grid.xs) for grid in grids]
-    lo, hi = min(i[0] for i in at), max(i[-1] for i in at) + 1
+    lo = np.searchsorted(xs, min(grid.xs[0] for grid in grids))
+    hi = np.searchsorted(xs, max(grid.xs[-1] for grid in grids)) + 1
+    xs_read = xs[lo:hi]
     with _stage("fixed-point check"):
-        r_xs = seed.eval_with_derivative(xs[lo:hi])[0]
+        r_read = seed.eval_with_derivative(xs_read)[0]
 
     stem = Path(cfg.outputs.solution_csv)
     elements = []
     all_pass = True
-    for j, (grid, i) in enumerate(zip(grids, at), start=1):
+    for j, grid in enumerate(grids, start=1):
         path = out_dir / f"{stem.stem}_k{j}{stem.suffix}"
         write_solution_csv(path, grid)
         res = _grid_residual(cfg, grid)
         k_sum = grid.meta["K"]
         with _stage(f"fixed-point check (element {j})"):
-            fp = is_fixed_point(r_xs[i - lo], grid.r0_f, grid.f_prime)
+            fp = is_fixed_point(r_read[np.searchsorted(xs_read, grid.xs)],
+                                grid.r0_f, grid.f_prime)
         passed = res < cfg.tolerances.residual_pass
         all_pass = all_pass and passed
         elements.append({
