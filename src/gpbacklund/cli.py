@@ -215,6 +215,8 @@ def cmd_transform(cfg: ExperimentConfig, out_dir: Path) -> int:
                      min(seed.domain[1], cover[1]), cfg.grid.points)
     with _stage("energy"):
         e_seed = energy(cfg.params, xe, *seed.eval_with_derivative(xe))
+        if not np.all(np.isfinite(e_seed)):
+            raise NonFinite("E along the seed is not finite")
     energy_spread = float(np.ptp(e_seed))
     # every element keeps points of xs: one read of the seed from the first
     # kept point to the last serves each element's fixed-point check

@@ -439,28 +439,30 @@ class TestTransform:
             assert element["fixed_point"] is ref.is_fixed is False
             assert element["fixed_point_deviation"] == ref.deviation
 
-    @pytest.mark.parametrize("k, stage", [
-        (0.5, "[transform]"),
-        # f(x) = x - 1.5 stays below 2, but the kept x reach 3
-        (-1.5, "[fixed-point check (element 1)]")])
-    def test_non_finite_seed_exit_3(self, tmp_path, capsys, monkeypatch, k,
-                                    stage):
-        class NanAbove2:
-            """The closed form, read as nan beyond x = 2."""
+    @pytest.mark.parametrize("schedule, lo, hi, stage", [
+        ("0.5", 2.0, np.inf, "[transform]"),
+        # only the check reads x = 2.01: f(x) = x + 2 and x - 1.5 miss it,
+        # and E's grid over the cover [1, 5] steps by 0.02
+        ("2.0, -3.5", 2.005, 2.015, "[fixed-point check (element 1)]"),
+        # only E's grid over the cover [1, 4.5] has a point, 4.4825, there
+        ("1.5", 4.48, 4.485, "[energy]")])
+    def test_non_finite_seed_exit_3(self, tmp_path, capsys, monkeypatch,
+                                    schedule, lo, hi, stage):
+        class NanInside:
+            """The closed form, read as nan on (lo, hi)."""
 
             def __init__(self, seed):
                 self.seed, self.domain = seed, seed.domain
 
             def eval_with_derivative(self, xs):
                 r, rp = self.seed.eval_with_derivative(xs)
-                beyond = np.asarray(xs) > 2.0
-                return np.where(beyond, np.nan, r), np.where(beyond, np.nan,
-                                                             rp)
+                nan = (np.asarray(xs) > lo) & (np.asarray(xs) < hi)
+                return np.where(nan, np.nan, r), np.where(nan, np.nan, rp)
 
         monkeypatch.setattr(cli, "_build_seed", lambda cfg, cover:
-                            NanAbove2(cli._closed_form(cfg)))
+                            NanInside(cli._closed_form(cfg)))
         cfg = write_cfg(tmp_path, CLOSED_FORM_CFG.replace(
-            "k_schedule = 2.0", f"k_schedule = {k}"))
+            "k_schedule = 2.0", f"k_schedule = {schedule}"))
         assert main(["transform", "--config", cfg,
                      "--out-dir", str(tmp_path)]) == 3
         err = capsys.readouterr().err
