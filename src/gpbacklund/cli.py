@@ -70,12 +70,13 @@ def _write_rows(path: Path, header: list[str], table) -> None:
     if not np.all(np.isfinite(table)):
         raise NonFinite(f"refusing to write non-finite values to {path}")
     rows, cols = table.shape
-    # block by block: a joined copy of every block would add the whole
-    # file's bytes to the command's peak memory
+    blocks = (_format_block(table[i:i + _BLOCK_ROWS].ravel(), cols)
+              for i in range(0, rows, _BLOCK_ROWS))
+    # block by block, the header with the first: a joined copy of every
+    # block would add the whole file's bytes to the command's peak memory
     with path.open("wb") as out:
-        out.write((",".join(header) + "\n").encode())
-        for i in range(0, rows, _BLOCK_ROWS):
-            out.write(_format_block(table[i:i + _BLOCK_ROWS].ravel(), cols))
+        out.write((",".join(header) + "\n").encode() + next(blocks, b""))
+        out.writelines(blocks)
 
 
 def _format_block(a: np.ndarray, cols: int) -> bytes:
