@@ -48,10 +48,13 @@ def _central_weights(points: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return fd_weights(tuple(offsets), order), offsets
 
 
+@lru_cache(maxsize=None)
 def fd_weights(offsets: tuple[float, ...], order: int) -> np.ndarray:
     """Finite-difference weights for d^order/dx^order on the given offsets.
 
     Offsets are in units of the step h; the caller divides by h**order.
+    The weights are solved once per (offsets, order) and shared by every
+    caller, so the array is read-only.
     """
     m = len(offsets)
     if order >= m:
@@ -59,7 +62,9 @@ def fd_weights(offsets: tuple[float, ...], order: int) -> np.ndarray:
     mat = np.array([[o ** k / math.factorial(k) for o in offsets] for k in range(m)])
     rhs = np.zeros(m)
     rhs[order] = 1.0
-    return np.linalg.solve(mat, rhs)
+    weights = np.linalg.solve(mat, rhs)
+    weights.flags.writeable = False
+    return weights
 
 
 def _first(values, flagged) -> float:

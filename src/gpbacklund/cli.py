@@ -25,34 +25,57 @@ from .ode import SolutionGrid, ToleranceSpec, residual_max, sample
 from .verify import run_identity_checks
 
 # CSV values are written exactly as "%.16e" writes them: 17 significant
-# digits, an exact binary64 round trip. Each value fills a right-aligned
-# field of _FIELD bytes, then its separator; the padding spaces are dropped.
+# digits, an exact binary64 round trip. Each value fills _WORDS little-endian
+# uint32 words: a pad, the sign, the lead digit and "."; four words of four
+# digits; the exponent; the separator and three spaces. A value formatted by
+# "%" fills the first _FIELD bytes instead. The spaces are dropped when the
+# block is joined.
+_WORDS = 7
 _FIELD = 24  # len("-1.2345678901234567e-308"), the widest "%.16e"
 _FALLBACK_FMT = f"%{_FIELD}.16e"
 _BLOCK_ROWS = 1024  # rows per numpy pass: keeps the temporaries small
-# Fast path, after Grisu3 (Loitsch, PLDI 2010): with e = floor(log10|a|),
-# y = |a| 10^(16-e) is formed in np.longdouble with a single rounding, as
-# 10^k is exact while 5^k < 2^(nmant+1). The 17 digits are round(y) when y
-# lies in [1e16, 1e17 - 1) and farther than _TIE_MARGIN from a half-integer:
-# y is within u 1e17 of the exact product, u = eps/2, and binary64's eps
-# covers rounding frac(y) to a float. Every other value goes through "%".
-# Where longdouble is binary64 the margin exceeds 1/2 and every value does.
-_LONG = np.finfo(np.longdouble)
-_TIE_MARGIN = float(_LONG.eps) / 2 * 1e17 + float(np.finfo(float).eps)
-_POW_MAX = 0
-while 5 ** (_POW_MAX + 1) < 2 ** (_LONG.nmant + 1):
-    _POW_MAX += 1
-_POW10 = np.cumprod(np.r_[1, [10] * _POW_MAX].astype(np.longdouble))
-_ONES = np.ones(_POW_MAX, dtype=np.longdouble)
-# |a| * _SCALE_MUL[i] / _SCALE_DIV[i] = |a| 10^(i - _POW_MAX), one rounding
-_SCALE_MUL = np.concatenate([_ONES, _POW10])
-_SCALE_DIV = np.concatenate([_POW10[::-1], _ONES])
-_EXPONENTS = np.array([b"e%+03d" % (16 + _POW_MAX - i)
-                       for i in range(2 * _POW_MAX + 1)], dtype="S4")
-_QUADS = (np.arange(10_000, dtype=np.int16)[:, None]  # b"0000".."9999"
-          // np.array([1000, 100, 10, 1], dtype=np.int16) % 10
-          + ord("0")).astype(np.uint8).view("S4").ravel()
-_SPACE = ord(" ")
+# Fast path, after Grisu3 (Loitsch, PLDI 2010), in float64 only: with
+# k = 16 - floor(log10|a|) in [0, _K_MAX], 10^k = P_hi + P_lo exactly, and
+# Dekker's product (Numer. Math. 18, 1971) gives |a| P_hi = p1 + e1 exactly.
+# So y = |a| 10^k = p1 + rest, rest = e1 + fl(|a| P_lo). Where y < 1e17,
+# |e1| <= 8 and |a| P_lo < 12, so rest is within 2^-50 + 2^-49 < 3e-15 of
+# y - p1; and p1 >= 2^53 is an integer wherever floor(y) >= 1e16. The 17
+# digits are round(y) = floor(y) + (frac(rest) > 1/2) when floor(y) >= 1e16,
+# round(y) < 1e17 and frac(rest) is farther than _TIE_MARGIN from a half.
+# (Where floor(rest) is off by one, y is within 3e-15 of an integer, and
+# round(y) still gives the bytes.)
+# Zero is formatted as 1.0 is, with digits 0. Every other value goes
+# through "%": a subnormal, |a| outside [1e-24, 1e17), or a near-tie.
+_K_MAX = 40  # 10^k splits exactly while 5^k needs at most 106 bits
+_TIE_MARGIN = 1e-14  # over 3e-15 plus frac(rest)'s own rounding, 2^-53
+_SPLIT = 2.0 ** 27 + 1.0
+
+
+def _dekker_split(v):
+    """(hi, lo) with hi + lo = v exactly, each of at most 26 bits."""
+    t = v * _SPLIT
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+_P_HI = np.array([float(10 ** k) for k in range(_K_MAX + 1)])
+_P_LO = np.array([float(10 ** k - int(p)) for k, p in enumerate(_P_HI)])
+_P_HI_HI, _P_HI_LO = _dekker_split(_P_HI)
+
+
+def _words(byte_strings) -> np.ndarray:
+    """Four-byte strings as little-endian uint32 words."""
+    return np.array(byte_strings, dtype="S4").view("<u4")
+
+
+# word 0 by 10 sign + lead digit; words 1-4 by four digits, b"0000".."9999"
+_HEADS = _words([b" " + sign + b"%d." % lead
+                 for sign in (b" ", b"-") for lead in range(10)])
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
+_QUADS = (_DIGITS[:, None, None, None] | _DIGITS[:, None, None] << 8
+          | _DIGITS[:, None] << 16 | _DIGITS << 24).ravel()
+_EXPONENTS = _words([b"e%+03d" % (16 - k) for k in range(_K_MAX + 1)])
+_COMMA, _NEWLINE = _words([b",   ", b"\n   "])
 
 
 @contextmanager
@@ -83,36 +106,45 @@ def _format_block(a: np.ndarray, cols: int) -> bytes:
     """The bytes of "%.16e" for every value of ``a``, ``cols`` to a line."""
     mag = np.abs(a)
     nonzero = mag > 0.0
-    e = np.floor(np.log10(np.where(nonzero, mag, 1.0))).astype(np.int64)
-    scale = np.clip(16 - e, -_POW_MAX, _POW_MAX) + _POW_MAX
-    y = mag.astype(np.longdouble) * _SCALE_MUL[scale] / _SCALE_DIV[scale]
-    fast = (nonzero & (scale == 16 - e + _POW_MAX)
-            & (y >= _POW10[16]) & (y < _POW10[17] - 1))
-    y = np.where(fast, y, _POW10[16])
-    whole = y.astype(np.int64)
-    frac = (y - whole).astype(float)
-    fast &= np.abs(frac - 0.5) > _TIE_MARGIN
-    lead, rest = np.divmod(whole + (frac > 0.5), 10 ** 16)
-    quads = np.empty((a.size, 4), dtype=np.int64)
-    quads[:, 0], rest = np.divmod(rest, 10 ** 12)
-    quads[:, 1], rest = np.divmod(rest, 10 ** 8)
-    quads[:, 2], quads[:, 3] = np.divmod(rest, 10 ** 4)
+    k = 16.0 - np.floor(np.log10(np.where(nonzero, mag, 1.0)))
+    in_range = (k >= 0.0) & (k <= _K_MAX)
+    # a value out of range is formatted as 1.0, so that nothing overflows,
+    # and goes through "%"
+    k = np.where(in_range, k, 16.0).astype(np.intp)
+    m = np.where(in_range & nonzero, mag, 1.0)
+    m_hi, m_lo = _dekker_split(m)
+    p_hi, p_hi_hi, p_hi_lo = _P_HI[k], _P_HI_HI[k], _P_HI_LO[k]
+    p1 = m * p_hi
+    e1 = (((m_hi * p_hi_hi - p1) + m_hi * p_hi_lo + m_lo * p_hi_hi)
+          + m_lo * p_hi_lo)
+    rest = e1 + m * _P_LO[k]
+    whole = np.floor(rest)
+    frac = rest - whole
+    floor_y = p1.astype(np.int64) + whole.astype(np.int64)
+    digits = floor_y + (frac > 0.5)
+    fast = (in_range & (floor_y >= 10 ** 16) & (digits < 10 ** 17)
+            & (np.abs(frac - 0.5) > _TIE_MARGIN))
+    digits = np.where(fast & nonzero, digits, 0)
 
-    buf = np.full((a.size, _FIELD + 1), _SPACE, dtype=np.uint8)
-    buf[:, 1] = np.where(np.signbit(a), ord("-"), _SPACE)
-    buf[:, 2] = lead + ord("0")
-    buf[:, 3] = ord(".")
-    buf[:, 4:20] = _QUADS[quads].view(np.uint8)
-    buf[:, 20:24] = _EXPONENTS[scale].view(np.uint8).reshape(-1, 4)
+    buf = np.empty((a.size, _WORDS), dtype="<u4")
+    lead = digits // 10 ** 16
+    buf[:, 0] = _HEADS[lead + 10 * np.signbit(a)]
+    digits -= lead * 10 ** 16
+    for word, unit in enumerate((10 ** 12, 10 ** 8, 10 ** 4), start=1):
+        quad = digits // unit
+        buf[:, word] = _QUADS[quad]
+        digits -= quad * unit
+    buf[:, 4] = _QUADS[digits]
+    buf[:, 5] = _EXPONENTS[k]
+    seps = buf.reshape(-1, cols, _WORDS)[:, :, 6]
+    seps[:, :-1] = _COMMA
+    seps[:, -1] = _NEWLINE
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = (_FALLBACK_FMT * slow.size) % tuple(a[slow].tolist())
-        buf[slow, :_FIELD] = np.frombuffer(
+        buf.view(np.uint8)[slow, :_FIELD] = np.frombuffer(
             text.encode(), dtype=np.uint8).reshape(-1, _FIELD)
-    seps = buf[:, _FIELD].reshape(-1, cols)
-    seps[:, :-1] = ord(",")
-    seps[:, -1] = ord("\n")
-    return buf[buf != _SPACE].tobytes()
+    return buf.tobytes().translate(None, b" ")
 
 
 def write_solution_csv(path: Path, grid: SolutionGrid) -> None:
@@ -156,6 +188,12 @@ def _build_seed(cfg: ExperimentConfig, cover: tuple[float, float]):
     """Seed solution covering at least the interval ``cover``."""
     if cfg.seed.kind == "closed_form":
         return _closed_form(cfg)
+    # no integrated seed reaches nearer the singular x = 0 than 2 _X_FLOOR;
+    # the config keeps seed.x0 >= grid.x_min
+    if cfg.grid.x_min < 2.0 * _X_FLOOR:
+        raise ConfigError(f"grid.x_min = {cfg.grid.x_min:g} lies below "
+                          f"{2.0 * _X_FLOOR:g}, the least x of an integrated "
+                          f"seed")
     lo = max(2.0 * _X_FLOOR, cover[0])
     with _stage("seed integration"):
         return LiouvilleSolution(cfg.params, cfg.seed.x0, cfg.seed.r0,
@@ -219,8 +257,9 @@ def cmd_transform(cfg: ExperimentConfig, out_dir: Path) -> int:
         if not np.all(np.isfinite(e_seed)):
             raise NonFinite("E along the seed is not finite")
     energy_spread = float(np.ptp(e_seed))
-    # every element keeps points of xs: one read of the seed from the first
-    # kept point to the last serves each element's fixed-point check
+    # every element keeps a contiguous run of xs, as f is monotone: one read
+    # of the seed from the first kept point to the last serves each
+    # element's fixed-point check
     lo = np.searchsorted(xs, min(grid.xs[0] for grid in grids))
     hi = np.searchsorted(xs, max(grid.xs[-1] for grid in grids)) + 1
     xs_read = xs[lo:hi]
@@ -236,7 +275,8 @@ def cmd_transform(cfg: ExperimentConfig, out_dir: Path) -> int:
         res = _grid_residual(cfg, grid)
         k_sum = grid.meta["K"]
         with _stage(f"fixed-point check (element {j})"):
-            fp = is_fixed_point(r_read[np.searchsorted(xs_read, grid.xs)],
+            start = np.searchsorted(xs_read, grid.xs[0])
+            fp = is_fixed_point(r_read[start:start + len(grid)],
                                 grid.r0_f, grid.f_prime)
         passed = res < cfg.tolerances.residual_pass
         all_pass = all_pass and passed

@@ -211,8 +211,11 @@ class ClosedFormSolution:
             raise NonFinite("x^(n-1) (1 + 2 eta x^n) overflows on the "
                             "requested points")
         v = self.params.v
-        return (np.atleast_1d(v / np.sqrt(s)),
-                np.atleast_1d(-0.5 * v * s1 * s ** -1.5))
+        r = v / np.sqrt(s)
+        if not np.all(r > 0.0):
+            raise NonFinite(f"the closed-form amplitude v/sqrt(s) underflows "
+                            f"to 0 for v={v:g}")
+        return np.atleast_1d(r), np.atleast_1d(-0.5 * v * s1 * s ** -1.5)
 
 
 def _liouville(g: PolyG, xs, rs, rps):
@@ -243,14 +246,25 @@ def _period(c2: float, beta: float, rho: float, rho_t: float) -> float:
     u1 < 0 < u2 <= u3, and the period is 2 K(m)/lam with
     m = (u3 - u2)/(u3 - u1), lam = sqrt(-beta (u3 - u1)/2) (DLMF 19.8.1,
     K by the AGM). u3 - u2 is formed from E - E_min, which vanishes on the
-    closed form, and u1 + 2 u_eq, so that neither cancels there.
+    closed form, and u1 + 2 u_eq, so that neither cancels there. Raises
+    NonFinite where E - E_min overflows: the seed then fails closed rather
+    than being integrated over its whole span as a seed that is not
+    periodic.
     """
     if not (beta < 0.0 and c2 > 0.0):
         return 0.0
     u, u_eq = rho * rho, (-c2 / beta) ** (1.0 / 3.0)
-    # E - E_min, with V(u) - V(u_eq) = -beta (u - u_eq)^2 (u + 2 u_eq)/(4 u)
-    de = 0.5 * rho_t * rho_t \
-        - 0.25 * beta * (u - u_eq) ** 2 * (u + 2.0 * u_eq) / u
+    # E - E_min, with V(u) - V(u_eq) = -beta (u - u_eq)^2 (u + 2 u_eq)/(4 u);
+    # a Python float's ** raises where it overflows and * gives inf
+    try:
+        de = 0.5 * rho_t * rho_t \
+            - 0.25 * beta * (u - u_eq) ** 2 * (u + 2.0 * u_eq) / u
+    except OverflowError:
+        de = math.inf
+    if not math.isfinite(de):
+        raise NonFinite(f"E - E_min in t = G(x) overflows at rho = "
+                        f"{rho:.6g}, rho_t = {rho_t:.6g}, so the seed's "
+                        f"period is not finite")
     # u1, the least root of u^3 + p u + q with p = 4 E/beta, q = -2 c^2/beta
     # (three real roots, as E > E_min), in trigonometric form, then
     # polished by Newton: it is simple and well separated
@@ -436,6 +450,9 @@ def phase(p: GPParams, x, r_source, x_ref: float):
     nodes and ``x_ref``.
     """
     if isinstance(r_source, ClosedFormSolution):
+        if not p.v * p.v > 0.0:
+            raise NonFinite(f"the closed form's phase divides by v^2, which "
+                            f"underflows to 0 for v={p.v:g}")
         scale = p.c / (p.n * p.v * p.v)
         ref = 0.0 if x_ref == 0.0 else p.g.value(x_ref)
         return p.theta0 + scale * (p.g.value(x) - ref)

@@ -39,6 +39,13 @@ class TestFdWeights:
         with pytest.raises(ValueError):
             fd_weights((0.0, 1.0), 2)
 
+    def test_solved_once_and_read_only(self):
+        # the one-sided stencil of ode.residual, shared by every call
+        w = fd_weights(tuple(range(6)), 2)
+        assert fd_weights(tuple(range(6)), 2) is w
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
+
 
 class TestDerivative:
     def test_square_first(self):

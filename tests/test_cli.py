@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,64 @@ def test_overflowing_powers_exit_cleanly(tmp_path, command, text, code):
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, "--out-dir",
                  str(tmp_path / "out")]) == code
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _shipped(name, old, new):
+    text = (CONFIGS / name).read_text()
+    assert old in text
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize("command", ["solve", "transform", "wavefunction"])
+def test_overflowing_period_exits_3(tmp_path, capsys, command):
+    """With eta = 1e300, G(x) stays finite but E - E_min of the seed's
+    orbit in t overflows, where a Python float's ** raised: the seed fails
+    closed with exit 3 and names the overflow."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, _shipped("generic_seed.cfg", "params.eta = 1.0",
+                                       "params.eta = 1e300"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) == 3
+    assert ("NonFinite: [seed integration] E - E_min in t = G(x) overflows "
+            "at rho = 9.33381e+149" in capsys.readouterr().err)
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["solve", "transform", "wavefunction"])
+@pytest.mark.filterwarnings("ignore::gpbacklund.errors.ConstraintViolated")
+def test_underflowing_closed_form_exits_3(tmp_path, capsys, command):
+    """With v = 5e-324 the closed form's amplitude v/sqrt(s) is 0: every
+    command that reads it exits 3 and names v, where building a grid of it
+    raised ValueError and the phase divided by v^2 = 0."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, _shipped("fixed_point.cfg", "params.v = 1.0",
+                                       "params.v = 5e-324"))
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 3
+    assert ("the closed-form amplitude v/sqrt(s) underflows to 0 for "
+            "v=4.94066e-324" in capsys.readouterr().err)
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["solve", "transform", "wavefunction"])
+@pytest.mark.parametrize("name", ["pinney_seed.cfg", "generic_seed.cfg"])
+def test_integrated_seed_below_the_x_floor_exits_2(tmp_path, capsys, name,
+                                                   command):
+    """An integrated seed starts no nearer x = 0 than 2e-8: a grid that
+    starts below it exits 2 and names grid.x_min, where the Pinney seed
+    raised ValueError and the generic seed blamed the sampling."""
+    text = _shipped(name, "grid.x_min = 1.0", "grid.x_min = 1e-8")
+    if name == "pinney_seed.cfg":
+        text = text.replace("seed.x0 = 1.6", "seed.x0 = 1.5e-8")
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
+    assert ("config error: grid.x_min = 1e-08 lies below 2e-08, the least x "
+            "of an integrated seed" in capsys.readouterr().err)
+    assert not list(out.glob("*.csv"))
 
 
 def test_far_integrated_seed_exhausts_the_step_budget(tmp_path, capsys):
@@ -689,6 +748,24 @@ def _powers_of_ten_and_neighbours():
             + [math.nextafter(p, 0.0) for p in powers])
 
 
+def _near_halves(delta):
+    """Floats a whose |a| 10^k, k = 16..23, lies in [1e16, 1e17) with its
+    fractional part within delta above and below a half: a = m 2^-(k+t)
+    with m 5^k = 2^(t-1) +- floor(delta 2^t) (mod 2^t), as 5^k is odd."""
+    values = []
+    for k in range(16, 24):
+        t = (5 ** k).bit_length() - 3  # 5^k/2^t in [4, 8), t in [34, 51]
+        inverse = pow(5 ** k, -1, 2 ** t)
+        for sign in (1, -1):
+            residue = 2 ** (t - 1) + sign * int(delta * 2 ** t)
+            a = math.ldexp(2 ** 52 + residue * inverse % 2 ** t, -(k + t))
+            y = Fraction(a) * 10 ** k
+            assert 10 ** 16 <= y < 10 ** 17
+            assert 0 < abs(y - math.floor(y) - Fraction(1, 2)) <= delta
+            values.append(a)
+    return values
+
+
 class TestCsvWriterPaths:
     """The numpy writer, on its certified fast path and on its "%"
     fallback, against per-value '{:.16e}'.format."""
@@ -700,6 +777,23 @@ class TestCsvWriterPaths:
         1000000000000000.25, 1000000000000000.75,  # exact 18-digit ties
         1e-14, 1e98,  # 17-digit rounding carries into the next decade
     ] + _powers_of_ten_and_neighbours()
+    # an 18th digit within 1e-3, 1e-6 and 1e-10 of a half: a product
+    # rounded to 2^-64 sent them to "%", and the float64 product certifies
+    # them
+    NEAR_HALVES = [a for delta in (1e-3, 1e-6, 1e-10)
+                   for a in _near_halves(delta)]
+
+    @staticmethod
+    def fast_share(directory, table):
+        """The share of the values of ``table`` that the writer formats
+        without "%": a 4-digit fallback format marks the others."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_FALLBACK_FMT", "%24.3e")
+            _write_rows(directory / "t.csv", ["c"] * table.shape[1], table)
+        lines = (directory / "t.csv").read_text().splitlines()[1:]
+        written = ",".join(lines).split(",")
+        exact = [f"{v:.16e}" for v in table.ravel().tolist()]
+        return sum(w == e for w, e in zip(written, exact)) / table.size
 
     @staticmethod
     def write(directory, table):
@@ -727,13 +821,21 @@ class TestCsvWriterPaths:
         text, expected = self.write(tmp_path, table)
         assert text == expected
 
+    def test_near_halves_and_zeros_take_the_fast_path(self, tmp_path):
+        values = self.NEAR_HALVES + [0.0, -0.0] * 8
+        table = np.array(values + [-v for v in values]).reshape(-1, 4)
+        text, expected = self.write(tmp_path, table)
+        assert text == expected
+        assert self.fast_share(tmp_path, table) == 1.0
+
     def test_every_value_through_the_fallback(self, tmp_path, monkeypatch):
-        # a margin above 1/2 certifies nothing, as where longdouble is binary64
+        # a margin above 1/2 certifies nothing, zeros included
         monkeypatch.setattr(cli, "_TIE_MARGIN", 1.0)
         rng = np.random.default_rng(8)
         table = np.resize(np.concatenate([np.linspace(0.5, 3.0, 300),
                                           rng.standard_normal(300),
-                                          self.ADVERSARIAL]), (300, 3))
+                                          self.ADVERSARIAL,
+                                          self.NEAR_HALVES]), (300, 3))
         text, expected = self.write(tmp_path, table)
         assert text == expected
         # a 4-digit fallback format shows that no value took the fast path
@@ -742,19 +844,10 @@ class TestCsvWriterPaths:
         assert (tmp_path / "t.csv").read_text().splitlines()[1:] == \
             [",".join(f"{v:.3e}" for v in row) for row in table.tolist()]
 
-    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
-                        reason="longdouble too narrow to certify 17 digits")
-    def test_fast_path_is_taken(self, tmp_path, monkeypatch):
-        # a 4-digit fallback format marks every value that fell back
-        monkeypatch.setattr(cli, "_FALLBACK_FMT", "%24.3e")
+    def test_fast_path_is_taken(self, tmp_path):
         xs = np.linspace(0.85, 2.1, 2001)
         table = np.column_stack([xs, np.sqrt(xs), -np.cos(xs) / 7.0])
-        _write_rows(tmp_path / "t.csv", ["x", "r", "r_prime"], table)
-        lines = (tmp_path / "t.csv").read_text().splitlines()[1:]
-        exact = [f"{v:.16e}" for v in table.ravel().tolist()]
-        written = ",".join(lines).split(",")
-        fast = sum(w == e for w, e in zip(written, exact))
-        assert fast >= 0.95 * table.size
+        assert self.fast_share(tmp_path, table) == 1.0
 
 
 class TestDeterminismAndRoundTrip:

@@ -207,6 +207,12 @@ class TestPhase:
         p = GPParams.constrained(n=1, eta=0.0, c=1.0, v=1.0)
         assert closed_phase(p, 2.0) == pytest.approx(2.0, rel=1e-14)
 
+    def test_underflowing_v_squared_raises(self):
+        # v^2 = 0: the closed form's phase c G(x)/(n v^2) is not finite
+        p = GPParams(n=1, eta=1.0, b=-1.0, c=1.0, v=5e-324)
+        with pytest.raises(NonFinite, match=r"v\^2, which underflows"):
+            phase(p, [1.0], ClosedFormSolution(p, warn=False), 0.0)
+
     def test_closed_form_antiderivative(self):
         # c G(x)/(n v^2) at n=1, eta=1, x=1: G(1) = 2
         p = GPParams.constrained(n=1, eta=1.0, c=1.0, v=1.0)
@@ -545,6 +551,13 @@ class TestFold:
     seeds were off by up to 5.9 and 5.6 times, the same seeds integrated
     over the whole span by up to 19 and 24 times.
     """
+
+    # (rho - rho_eq)^2 overflows a Python float's **; rho_t^2 gives inf
+    @pytest.mark.parametrize("rho, rho_t", [(1e150, 0.0), (1.0, 1e160)])
+    def test_overflowing_energy_fails_closed(self, rho, rho_t):
+        with pytest.raises(NonFinite, match=r"E - E_min in t = G\(x\) "
+                                            r"overflows"):
+            _period(1.0, -1.0, rho, rho_t)
 
     TOL = 1e-10
 
