@@ -3,7 +3,8 @@
 amplitude equation to new solutions of the same equation.
 
 Seeds are any objects exposing ``domain`` and ``eval_with_derivative(xs)``:
-dense integrated solutions, closed-form solutions, or interpolated grids.
+seeds integrated in t = G(x) (``gp.LiouvilleSolution``) and closed-form
+solutions.
 """
 
 from __future__ import annotations

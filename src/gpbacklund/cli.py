@@ -19,8 +19,9 @@ import numpy as np
 from .backlund import is_fixed_point, orbit
 from .config import _MAX_POINTS, ExperimentConfig, _finite_float, load_config
 from .errors import ConfigError, NonFinite, NumericalError
-from .gp import (_X_FLOOR, ClosedFormSolution, LiouvilleSolution,
-                 closed_form_residual, energy, gp_rhs, phase)
+from .gp import (_T_TOL_DIVISOR, _X_FLOOR, ClosedFormSolution,
+                 LiouvilleSolution, closed_form_residual, energy, gp_rhs,
+                 phase)
 from .ode import SolutionGrid, ToleranceSpec, residual_max, sample
 from .verify import run_identity_checks
 
@@ -194,10 +195,15 @@ def _build_seed(cfg: ExperimentConfig, cover: tuple[float, float]):
         raise ConfigError(f"grid.x_min = {cfg.grid.x_min:g} lies below "
                           f"{2.0 * _X_FLOOR:g}, the least x of an integrated "
                           f"seed")
+    tol = _tolerances(cfg)
+    if not min(tol.atol, tol.rtol) / _T_TOL_DIVISOR > 0.0:
+        raise ConfigError(f"tolerances.ode_abs = {tol.atol:g} or ode_rel = "
+                          f"{tol.rtol:g} underflows to 0 divided by "
+                          f"{_T_TOL_DIVISOR:g}, as seeds are integrated in t")
     lo = max(2.0 * _X_FLOOR, cover[0])
     with _stage("seed integration"):
         return LiouvilleSolution(cfg.params, cfg.seed.x0, cfg.seed.r0,
-                                 cfg.seed.rp0, lo, cover[1], _tolerances(cfg))
+                                 cfg.seed.rp0, lo, cover[1], tol)
 
 
 def _orbit_cover(cfg: ExperimentConfig) -> tuple[float, float]:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -107,9 +106,12 @@ class GPParams:
     def constrained(cls, n: int, eta: float, c: float,
                     v: float = 1.0) -> "GPParams":
         """Parameters with b fixed by the closed-form constraint b v^6 + c^2 = 0."""
-        # numpy's power gives inf or 0 where Python's raises for an extreme v
-        return cls(n=n, eta=eta, b=float(-(c * c) / np.float64(v) ** 6), c=c,
-                   v=v)
+        # numpy's power is 0 or inf where Python's raises; b is then inf or nan
+        v6 = np.float64(v) ** 6
+        if not 0.0 < v6 < math.inf:
+            raise NonFinite(f"b = -c^2/v^6 is not finite: v^6 = {v6:g} for "
+                            f"v={v:g}")
+        return cls(n=n, eta=eta, b=float(-(c * c) / v6), c=c, v=v)
 
 
 def linear_coefficient(p: GPParams, x):
@@ -216,6 +218,15 @@ class ClosedFormSolution:
             raise NonFinite(f"the closed-form amplitude v/sqrt(s) underflows "
                             f"to 0 for v={v:g}")
         return np.atleast_1d(r), np.atleast_1d(-0.5 * v * s1 * s ** -1.5)
+
+    def phase_integral(self, p: GPParams, x, x_ref: float):
+        """c (G(x) - G(x_ref))/(n v^2); x_ref may be 0, where G vanishes."""
+        if not p.v * p.v > 0.0:
+            raise NonFinite(f"the closed form's phase divides by v^2, which "
+                            f"underflows to 0 for v={p.v:g}")
+        scale = p.c / (p.n * p.v * p.v)
+        ref = 0.0 if x_ref == 0.0 else p.g.value(x_ref)
+        return scale * (p.g.value(x) - ref)
 
 
 def _liouville(g: PolyG, xs, rs, rps):
@@ -344,9 +355,9 @@ class LiouvilleSolution:
     meta holds those ``turning_points``. Every other seed, and a periodic
     one that ``_folded`` cannot fold, is integrated over the whole span by
     ``integrate_span``. The seed protocol stays in x: ``domain`` is
-    (x_lo, x_hi), ``xs`` are G^{-1} of the t nodes, and
-    ``eval_with_derivative`` returns r = rho(G)/sqrt(G') and
-    r' = rho_t sqrt(G') - r G''/(2 G').
+    (x_lo, x_hi), ``eval_with_derivative`` returns r = rho(G)/sqrt(G') and
+    r' = rho_t sqrt(G') - r G''/(2 G'), and ``phase_integral`` integrates
+    in t over the t nodes of ``rho``.
     """
 
     def __init__(self, p: GPParams, x0: float, r0: float, rp0: float,
@@ -420,10 +431,27 @@ class LiouvilleSolution:
         r = rho / root
         return r, rho_t * root - 0.5 * r * g.second(xs) / d1
 
-    @cached_property
-    def xs(self) -> np.ndarray:
-        """G^{-1} of the t nodes, built on first read: only phase reads it."""
-        return self._g.inverse(self.rho.xs)
+    def phase_integral(self, p: GPParams, x, x_ref: float):
+        """The integral of c/r^2 dx = c/rho^2 dt from x_ref to x, in t = G(x):
+        one cumulative pass of an 8-point Gauss-Legendre rule on every
+        interval between the points G(x), the t nodes of rho and G(x_ref)."""
+        g = self._g
+        tq = g.value(np.asarray(x, dtype=float))
+        t_ref = g.value(np.float64(x_ref))
+        ends = np.append(tq, t_ref)
+        nodes = self.rho.xs
+        inside = (nodes > ends.min()) & (nodes < ends.max())
+        knots = np.unique(np.concatenate([ends, nodes[inside]]))
+        mid = 0.5 * (knots[1:] + knots[:-1])
+        half = 0.5 * (knots[1:] - knots[:-1])
+        pts = mid[:, None] + half[:, None] * _GL_NODES
+        rho = self.rho.evaluate(pts.ravel())[0].reshape(pts.shape)
+        segments = half * ((p.c / (rho * rho)) @ _GL_WEIGHTS)
+        cum = np.concatenate([[0.0], np.cumsum(segments)])
+        if not np.all(np.isfinite(cum)):
+            raise NonFinite(f"phase integral from x_ref={x_ref} is not finite")
+        return (cum[np.searchsorted(knots, tq)]
+                - cum[np.searchsorted(knots, t_ref)])
 
 
 def closed_form_residual(p: GPParams, xs) -> np.ndarray:
@@ -440,36 +468,8 @@ def closed_form_residual(p: GPParams, xs) -> np.ndarray:
 
 
 def phase(p: GPParams, x, r_source, x_ref: float):
-    """Phase theta(x) from r^2 theta' = c, equal to theta0 at ``x_ref``.
-
-    For a ClosedFormSolution source the antiderivative is c G(x) / (n v^2),
-    and ``x_ref`` may be 0, where G vanishes. Numerical sources expose their
-    interpolation nodes ``xs`` and ``eval_with_derivative``; c / r^2 is
-    integrated from ``x_ref`` in one cumulative pass, with an 8-point
-    Gauss-Legendre rule on every interval between consecutive query points,
-    nodes and ``x_ref``.
-    """
-    if isinstance(r_source, ClosedFormSolution):
-        if not p.v * p.v > 0.0:
-            raise NonFinite(f"the closed form's phase divides by v^2, which "
-                            f"underflows to 0 for v={p.v:g}")
-        scale = p.c / (p.n * p.v * p.v)
-        ref = 0.0 if x_ref == 0.0 else p.g.value(x_ref)
-        return p.theta0 + scale * (p.g.value(x) - ref)
-
-    xq = np.asarray(x, dtype=float)
-    ends = np.append(xq, x_ref)
-    nodes = np.asarray(r_source.xs)
-    inside = (nodes > ends.min()) & (nodes < ends.max())
-    knots = np.unique(np.concatenate([ends, nodes[inside]]))
-    mid = 0.5 * (knots[1:] + knots[:-1])
-    half = 0.5 * (knots[1:] - knots[:-1])
-    pts = mid[:, None] + half[:, None] * _GL_NODES
-    r = r_source.eval_with_derivative(pts.ravel())[0].reshape(pts.shape)
-    segments = half * ((p.c / (r * r)) @ _GL_WEIGHTS)
-    cum = np.concatenate([[0.0], np.cumsum(segments)])
-    if not np.all(np.isfinite(cum)):
-        raise NonFinite(f"phase integral from x_ref={x_ref} is not finite")
-    theta = p.theta0 + (cum[np.searchsorted(knots, xq)]
-                        - cum[np.searchsorted(knots, x_ref)])
-    return float(theta) if xq.ndim == 0 else theta
+    """Phase theta(x) from r^2 theta' = c, equal to theta0 at ``x_ref``:
+    theta0 plus the seed's ``phase_integral`` of c/r^2 from ``x_ref``, in
+    closed form or, for a LiouvilleSolution, in t over its t nodes."""
+    theta = p.theta0 + r_source.phase_integral(p, x, x_ref)
+    return float(theta) if np.ndim(x) == 0 else theta

@@ -99,30 +99,6 @@ class SolutionGrid:
     def __len__(self) -> int:
         return int(self.xs.size)
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (float(self.xs[0]), float(self.xs[-1]))
-
-    def as_interpolant(self) -> "_HermiteGrid":
-        """Cubic Hermite view of the grid, for use as a transform seed."""
-        return _HermiteGrid(self)
-
-
-class _HermiteGrid:
-    """Seed adapter: evaluates a SolutionGrid between its nodes, as the
-    cubic Hermite of its (r, r') in the dense output's Horner form."""
-
-    def __init__(self, grid: SolutionGrid) -> None:
-        if len(grid) < 2:
-            raise GridTooSmall("interpolation needs at least two samples")
-        self.xs = grid.xs
-        self.domain = grid.domain
-        self.meta = dict(grid.meta)
-        self._table = _coefficients(grid.xs, grid.rs, grid.rps)
-
-    def eval_with_derivative(self, xs):
-        return _evaluate(self.xs, self._table, np.asarray(xs, dtype=float))
-
 
 # Dormand-Prince 5(4) tableau.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -159,10 +135,6 @@ class DenseSolution:
     rpps: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (float(self.xs[0]), float(self.xs[-1]))
-
     @functools.cached_property
     def _table(self) -> np.ndarray:
         return _coefficients(self.xs, self.rs, self.rps, self.rpps)
@@ -170,15 +142,16 @@ class DenseSolution:
     def evaluate(self, x):
         """(r, r') at x; scalar in, scalar out."""
         scalar = np.isscalar(x) or np.ndim(x) == 0
-        val, der = _evaluate(self.xs, self._table,
-                             np.atleast_1d(np.asarray(x, dtype=float)))
+        nodes = self.xs
+        idx, xq = _locate(nodes, np.atleast_1d(np.asarray(x, dtype=float)))
+        h, c0, c1, c2, c3, c4, c5, d0 = self._table.take(idx, axis=1)
+        s = (xq - nodes[idx]) / h
+        r = c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
+        rp = d0 + s * (2.0 * c2 + s * (3.0 * c3 + s * (4.0 * c4
+                                                       + 5.0 * c5 * s))) / h
         if scalar:
-            return float(val[0]), float(der[0])
-        return val, der
-
-    def eval_with_derivative(self, xs):
-        r, rp = self.evaluate(np.asarray(xs, dtype=float))
-        return np.atleast_1d(r), np.atleast_1d(rp)
+            return float(r[0]), float(rp[0])
+        return r, rp
 
 
 def _locate(nodes: np.ndarray, xq: np.ndarray):
@@ -202,14 +175,14 @@ def _locate(nodes: np.ndarray, xq: np.ndarray):
     return np.searchsorted(nodes, xq, side="right") - 1, xq
 
 
-def _coefficients(xs, rs, rps, rpps=None) -> np.ndarray:
+def _coefficients(xs, rs, rps, rpps) -> np.ndarray:
     """Rows (h, c0, ..., c5, d0) of every step's polynomial in s in [0, 1].
 
     Column i holds step i from xs[i], of width h, as r = sum c_k s^k, and
     its first derivative d0 = r'(xs[i]). The quintic matches r, r' and
-    r'' = rpps at both ends of the step; without rpps the cubic matches r
-    and r' (c4 = c5 = 0). The last column is the last node as a constant
-    (h = 1, every c_k but c0 zero), so every node is its own column.
+    r'' = rpps at both ends of the step. The last column is the last node
+    as a constant (h = 1, every c_k but c0 zero), so every node is its own
+    column.
     """
     table = np.zeros((8, xs.size))
     table[0, :-1] = h = np.diff(xs)
@@ -218,12 +191,6 @@ def _coefficients(xs, rs, rps, rpps=None) -> np.ndarray:
     table[7] = rps
     y0, y1, d0, d1 = rs[:-1], rs[1:], rps[:-1], rps[1:]
     table[2, :-1] = c1 = h * d0
-    if rpps is None:
-        delta = y1 - y0 - c1
-        dd = h * (d1 - d0)
-        table[3, :-1] = 3.0 * delta - dd
-        table[4, :-1] = dd - 2.0 * delta
-        return table
     a0 = rpps[:-1]
     table[3, :-1] = c2 = h * h * a0 / 2.0
     delta = y1 - y0 - c1 - c2
@@ -233,18 +200,6 @@ def _coefficients(xs, rs, rps, rpps=None) -> np.ndarray:
     table[5, :-1] = -15.0 * delta + 7.0 * dd - aa
     table[6, :-1] = 6.0 * delta - 3.0 * dd + aa / 2.0
     return table
-
-
-def _evaluate(nodes: np.ndarray, table: np.ndarray, xq: np.ndarray):
-    """(r, r') at every query from the table of ``_coefficients``, in
-    Horner form: a node gives back its own r and r' bit for bit."""
-    idx, xq = _locate(nodes, xq)
-    h, c0, c1, c2, c3, c4, c5, d0 = table.take(idx, axis=1)
-    s = (xq - nodes[idx]) / h
-    r = c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
-    rp = d0 + s * (2.0 * c2 + s * (3.0 * c3 + s * (4.0 * c4 + 5.0 * c5 * s))) \
-        / h
-    return r, rp
 
 
 _RHS_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
@@ -462,11 +417,11 @@ def stationary_points(dense: DenseSolution) -> np.ndarray:
     return dense.xs[steps] + s * h
 
 
-def sample(dense: DenseSolution, xs) -> SolutionGrid:
-    """Sample a dense solution at the given points."""
+def sample(seed, xs) -> SolutionGrid:
+    """Sample a seed at the given points."""
     xs = np.asarray(xs, dtype=float)
-    rs, rps = dense.eval_with_derivative(xs)
-    return SolutionGrid(xs=xs, rs=rs, rps=rps, meta=dict(dense.meta))
+    rs, rps = seed.eval_with_derivative(xs)
+    return SolutionGrid(xs=xs, rs=rs, rps=rps, meta=dict(seed.meta))
 
 
 def residual(ode: SecondOrderODE, grid: SolutionGrid) -> np.ndarray:
@@ -474,21 +429,19 @@ def residual(ode: SecondOrderODE, grid: SolutionGrid) -> np.ndarray:
 
     Interior points use the 4th-order 5-point central second difference;
     the two points adjacent to each boundary use one-sided 4th-order
-    stencils. Non-uniform grids are resampled through a cubic Hermite
-    interpolant first.
+    stencils. Raises ValueError on a grid that is not uniform: every grid
+    a command checks is a contiguous run of one ``np.linspace``.
     """
     n = len(grid)
     if n < 7:
         raise GridTooSmall(f"residual needs at least 7 points, got {n}")
     xs, rs = grid.xs, grid.rs
     h = (xs[-1] - xs[0]) / (n - 1)
-    if np.max(np.abs(np.diff(xs) - h)) > 1e-8 * h:
-        interp = grid.as_interpolant()
-        xu = np.linspace(xs[0], xs[-1], n)
-        ru, rpu = interp.eval_with_derivative(xu)
-        grid = SolutionGrid(xs=xu, rs=ru, rps=rpu,
-                            meta={**grid.meta, "resampled": True})
-        xs, rs = grid.xs, grid.rs
+    # np.linspace rounds each point by up to 1.5 eps (3.3e-16) of it: more
+    # than 1e-8 h on a narrow grid far from 0, as [1000, 1000.001]
+    slack = 1e-8 * h + 1e-15 * max(abs(xs[0]), abs(xs[-1]))
+    if np.max(np.abs(np.diff(xs) - h)) > slack:
+        raise ValueError("residual needs a uniform grid")
     if not np.all(np.isfinite(rs)):
         raise NonFinite("grid contains non-finite amplitudes")
 

@@ -11,8 +11,9 @@ import pytest
 
 from gpbacklund.backlund import is_fixed_point, transform
 from gpbacklund.functional import ShiftMap
-from gpbacklund.gp import ClosedFormSolution, GPParams, gp_rhs
-from gpbacklund.ode import SecondOrderODE, ToleranceSpec, integrate, integrate_span, residual_max
+from gpbacklund.gp import (ClosedFormSolution, GPParams, LiouvilleSolution,
+                           gp_rhs)
+from gpbacklund.ode import SecondOrderODE, ToleranceSpec, integrate, residual_max
 from gpbacklund.verify import (check_closed_form_residual,
                                check_composition_law,
                                check_constraint_activity, check_fixed_point,
@@ -45,8 +46,8 @@ def generic_seeds():
         p = GPParams.constrained(n=n, eta=eta, c=1.0, v=1.0)
         exact = ClosedFormSolution(p)
         cover_hi = float(ShiftMap(p.g, max(K_VALUES)).f(2.3)) + 0.05
-        dense = integrate_span(
-            gp_rhs(p), 1.0,
+        dense = LiouvilleSolution(
+            p, 1.0,
             1.12 * float(exact.value(1.0)),
             1.12 * float(exact.derivative(1.0)),
             1.0, cover_hi, SEED_TOL)

@@ -9,8 +9,7 @@ from gpbacklund.errors import DomainEscape, NonFinite
 from gpbacklund.functional import PolyG, ShiftMap
 from gpbacklund.gp import (ClosedFormSolution, GPParams, LiouvilleSolution,
                            gp_rhs)
-from gpbacklund.ode import (SolutionGrid, ToleranceSpec, integrate_span,
-                            residual_max, sample)
+from gpbacklund.ode import ToleranceSpec, residual_max, sample
 
 TOL = ToleranceSpec(atol=1e-10, rtol=1e-10)
 
@@ -31,10 +30,9 @@ def integrated_seed(n=1, eta=1.0, bump=1.15, x0=1.0, x_hi=3.3):
     """Generic solution: closed-form slope, amplitude off by ``bump``."""
     p = GPParams.constrained(n=n, eta=eta, c=1.0, v=1.0)
     exact = ClosedFormSolution(p)
-    return p, integrate_span(gp_rhs(p), x0,
-                             bump * float(exact.value(x0)),
-                             bump * float(exact.derivative(x0)),
-                             x0, x_hi, TOL)
+    return p, LiouvilleSolution(p, x0, bump * float(exact.value(x0)),
+                                bump * float(exact.derivative(x0)), x0, x_hi,
+                                TOL)
 
 
 class TestTransform:
@@ -64,12 +62,11 @@ class TestTransform:
         # r(1) = 1.3 swings down to r ~ 0.11: the sharp bounces demand a
         # tight seed tolerance and a fine differencing grid
         p = GPParams.constrained(n=1, eta=1.0, c=1.0, v=1.0)
-        ode = gp_rhs(p)
-        dense = integrate_span(ode, 1.0, 1.3, 0.0, 1.0, 2.65,
-                               ToleranceSpec(1e-12, 1e-12))
+        seed = LiouvilleSolution(p, 1.0, 1.3, 0.0, 1.0, 2.65,
+                                 ToleranceSpec(1e-12, 1e-12))
         shift = ShiftMap(p.g, 0.5)
-        grid = transform(shift, dense, np.linspace(1.0, 2.5, 16001))
-        assert residual_max(ode, grid) < 1e-5
+        grid = transform(shift, seed, np.linspace(1.0, 2.5, 16001))
+        assert residual_max(gp_rhs(p), grid) < 1e-5
 
     def test_derivative_column_consistent(self):
         # chain-rule r1' must match differentiating the r1 samples
@@ -83,8 +80,8 @@ class TestTransform:
         # seed known only on [1, 2]: the transform must keep f(x) inside
         seed = closed_form()
         p = seed.params
-        dense = integrate_span(gp_rhs(p), 1.0, float(seed.value(1.0)),
-                               float(seed.derivative(1.0)), 1.0, 2.0, TOL)
+        dense = LiouvilleSolution(p, 1.0, float(seed.value(1.0)),
+                                  float(seed.derivative(1.0)), 1.0, 2.0, TOL)
         shift = ShiftMap(p.g, 1.0)
         xs = np.linspace(0.5, 2.0, 301)
         grid = transform(shift, dense, xs)
@@ -102,14 +99,17 @@ class TestTransform:
             transform(shift, dense, np.linspace(3.2, 3.29, 11))
 
     def test_inverse_shift_returns_seed(self):
-        # apply K then -K: the composition is the identity where defined
-        p, dense = integrated_seed()
-        xs = np.linspace(1.0, 2.5, 2001)
-        step1 = transform(ShiftMap(p.g, 0.6), dense, xs)
-        step2 = transform(ShiftMap(p.g, -0.6),
-                          step1.as_interpolant(), xs)
-        ref, _ = dense.eval_with_derivative(step2.xs)
-        assert np.max(np.abs(step2.rs - ref)) < 1e-7
+        # apply K then -K: r1(f_-K(x))/sqrt(f_-K'(x)) = r0(x), with the
+        # first transform taken at the points f_-K(x) (measured: 5.0e-16)
+        p, seed = integrated_seed()
+        back = ShiftMap(p.g, -0.6)
+        xs = np.linspace(1.5, 2.5, 2001)
+        ys = back.f(xs)
+        step1 = transform(ShiftMap(p.g, 0.6), seed, ys)
+        assert step1.meta["trimmed"] == 0
+        r2 = step1.rs / np.sqrt(back.f_prime(xs, ys))
+        ref, _ = seed.eval_with_derivative(xs)
+        assert np.max(np.abs(r2 - ref)) < 1e-12
 
 
 class TestOrbit:
@@ -156,10 +156,12 @@ class TestFixedPoint:
         assert res.deviation < 1e-10
 
     def test_constant_grid_eta_zero(self):
-        xs = np.linspace(1.0, 4.0, 101)
-        grid = SolutionGrid(xs=xs, rs=np.ones_like(xs), rps=np.zeros_like(xs))
+        # n = 1, eta = 0: f(x) = x + K, f' = 1, so the constant r = 1, here
+        # integrated from its own data, is fixed
+        p = GPParams.constrained(n=1, eta=0.0, c=1.0, v=1.0)
+        seed = LiouvilleSolution(p, 1.0, 1.0, 0.0, 1.0, 4.0, TOL)
         shift = ShiftMap(PolyG(1, 0.0), 0.7)
-        res = two_read_fixed_point(shift, grid.as_interpolant(), grid.xs)
+        res = two_read_fixed_point(shift, seed, np.linspace(1.0, 4.0, 101))
         assert res.is_fixed
 
     def test_generic_seed_is_not_fixed(self):
@@ -170,11 +172,12 @@ class TestFixedPoint:
         assert res.deviation > 1e-2
 
     def test_grid_input_uses_own_nodes(self):
+        # read at the integrator's own nodes, which are x = t for n = 1,
+        # eta = 0, the constant seed reproduces itself to rounding
         p = GPParams.constrained(n=1, eta=0.0, c=1.0, v=1.0)
-        xs = np.linspace(1.0, 4.0, 51)
-        grid = SolutionGrid(xs=xs, rs=np.ones_like(xs), rps=np.zeros_like(xs))
+        seed = LiouvilleSolution(p, 1.0, 1.0, 0.0, 1.0, 4.0, TOL)
         shift = ShiftMap(p.g, 0.3)
-        res = two_read_fixed_point(shift, grid.as_interpolant(), grid.xs)
+        res = two_read_fixed_point(shift, seed, seed.rho.xs)
         assert res.deviation < 1e-12
 
     def test_array_parameters_give_the_worst_map(self):

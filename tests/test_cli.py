@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,18 +10,21 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gpbacklund
 from gpbacklund import cli
+from gpbacklund import gp as gp_module
+from gpbacklund import ode as ode_module
 from gpbacklund.backlund import _pull_back, is_fixed_point
 from gpbacklund.cli import _write_rows, main, write_solution_csv
-from gpbacklund.config import load_config
+from gpbacklund.config import load_config, parse_config_text
 from gpbacklund.errors import ConstraintViolated, NonFinite
 from gpbacklund.functional import ShiftMap
 from gpbacklund.gp import GPParams, gp_rhs
@@ -242,6 +247,38 @@ def test_underflowing_closed_form_exits_3(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["solve", "transform", "wavefunction"])
+def test_tolerance_underflowing_in_t_exits_2(tmp_path, capsys, command):
+    """Seeds are integrated in t at the tolerances divided by 3, and
+    5e-324 / 3 is 0: the run exits 2 and names the tolerances, where
+    building the t-frame tolerances raised ValueError."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, _shipped("generic_seed.cfg",
+                                       "tolerances.ode_abs = 1e-10",
+                                       "tolerances.ode_abs = 5e-324"))
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
+    assert ("config error: tolerances.ode_abs = 4.94066e-324 or ode_rel = "
+            "1e-10 underflows to 0 divided by 3" in capsys.readouterr().err)
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("v, what", [("5e-324", "0"), ("1e300", "inf")])
+def test_verify_with_an_extreme_v_names_it(tmp_path, capsys, v, what):
+    """The verify sweeps fix b = -c^2/v^6, which is not finite where v^6
+    underflows to 0 or overflows: verify exits 3 and names v, where it
+    warned that b v^6 + c^2 = nan and, for v = 1e300, blamed the seed or
+    f'."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, _shipped("fixed_point.cfg", "params.v = 1.0",
+                                       f"params.v = {v}"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 3
+    assert not [w for w in caught if "nan" in str(w.message)]
+    assert (f"NonFinite: [verify] b = -c^2/v^6 is not finite: v^6 = {what} "
+            f"for v={float(v):g}" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["solve", "transform", "wavefunction"])
 @pytest.mark.parametrize("name", ["pinney_seed.cfg", "generic_seed.cfg"])
 def test_integrated_seed_below_the_x_floor_exits_2(tmp_path, capsys, name,
                                                    command):
@@ -379,28 +416,126 @@ def _magnitude(signed=False):
         lambda sm: sm[0] * sm[1])
 
 
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 4), eta=_magnitude(), b=_magnitude(True),
-       c=_magnitude(True), v=_magnitude(), x_min=_magnitude(),
-       x_max=_magnitude(), k=_magnitude(True), points=st.integers(7, 40))
-def test_extreme_closed_form_configs_exit_cleanly(tmp_path_factory, n, eta,
-                                                  b, c, v, x_min, x_max, k,
-                                                  points):
-    """Every subcommand ends in a documented exit code, whatever the
-    magnitudes of a closed-form config."""
-    tmp = tmp_path_factory.mktemp("extreme")
-    x_min, x_max = sorted((x_min, x_max))
-    cfg = write_cfg(tmp, f"params.n = {n}\nparams.eta = {eta!r}\n"
-                         f"params.b = {b!r}\nparams.c = {c!r}\n"
-                         f"params.v = {v!r}\ngrid.x_min = {x_min!r}\n"
-                         f"grid.x_max = {x_max!r}\ngrid.points = {points}\n"
-                         f"seed.kind = closed_form\nk_schedule = {k!r}\n")
+# Finite values at the edges of the double range, mixed into the drawn
+# configs: zero, tiny and subnormal magnitudes, and magnitudes whose powers
+# overflow.
+_EXTREMES = (0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e15, 1e150, 1e300,
+             1.7e308)
+
+
+def _tolerance(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# every float key of the grammar, with its in-range values
+_IN_RANGE = {
+    "params.eta": st.floats(0.0, 2.0), "params.b": st.floats(-2.0, 1.0),
+    "params.c": st.floats(-2.0, 2.0), "params.v": st.floats(0.3, 3.0),
+    "params.mu": st.floats(-10.0, 10.0),
+    "params.theta0": st.floats(-10.0, 10.0),
+    "grid.x_min": st.floats(0.3, 2.0), "grid.x_max": st.floats(0.1, 3.0),
+    "seed.x0": st.floats(0.0, 1.0), "seed.r0": st.floats(0.1, 2.0),
+    "seed.rp0": st.floats(-1.0, 1.0),
+    "tolerances.ode_abs": _tolerance(-12.0, -6.0),
+    "tolerances.ode_rel": _tolerance(-12.0, -6.0),
+    "tolerances.residual_pass": _tolerance(-8.0, 0.0),
+    "k_schedule": st.floats(-1.0, 2.0),
+}
+
+
+@st.composite
+def _configs(draw):
+    """Config values of either seed kind. A drawn set of keys takes a
+    log-uniform magnitude or one of _EXTREMES; the others are in range,
+    with grid.x_max drawn as the grid's width and seed.x0 as a fraction
+    of it."""
+    wild = draw(st.sets(st.sampled_from(sorted(_IN_RANGE))))
+    values = {}
+    for key, in_range in _IN_RANGE.items():
+        values[key] = draw(st.one_of(
+            _magnitude(signed=True), st.sampled_from(_EXTREMES))
+            if key in wild else in_range)
+    if "grid.x_max" not in wild:
+        values["grid.x_max"] += values["grid.x_min"]
+    if "seed.x0" not in wild:
+        values["seed.x0"] = values["grid.x_min"] + values["seed.x0"] * (
+            values["grid.x_max"] - values["grid.x_min"])
+    values["k_schedule"] = [values["k_schedule"]] * draw(st.integers(1, 2))
+    values["params.n"] = draw(st.integers(1, 4))
+    values["grid.points"] = draw(st.integers(7, 40))
+    values["seed.kind"] = draw(st.sampled_from(["closed_form", "integrate"]))
+    return values
+
+
+def _shipped_values(name, old, new):
+    return parse_config_text(_shipped(name, old, new))
+
+
+def _config_text(values):
+    return "".join(
+        f"{key} = {', '.join(map(repr, value))}\n" if key == "k_schedule"
+        else f"{key} = {value}\n" if isinstance(value, str)
+        else f"{key} = {value!r}\n" for key, value in values.items())
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds {constant}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def _run_all(cfg, out):
+    """(exit code, stderr with ``out`` masked, {file name: bytes}) of every
+    subcommand, each writing to its own directory under ``out``."""
+    runs = []
     for command in ("solve", "transform", "verify", "wavefunction"):
-        with warnings.catch_warnings():
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(
+                io.StringIO()), contextlib.redirect_stderr(err):
             warnings.simplefilter("ignore", ConstraintViolated)
             code = main([command, "--config", cfg, "--out-dir",
-                         str(tmp / "out")])
-        assert code in (0, 2, 3)
+                         str(out / command)])
+        files = {path.name: path.read_bytes()
+                 for path in sorted((out / command).glob("*"))}
+        runs.append((command, code, err.getvalue().replace(str(out), "OUT"),
+                     files))
+    return runs
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=_configs())
+# the three causes of a traceback that random configs found before this
+# property: E - E_min overflowing the period, the closed form underflowing
+# at v = 5e-324, and an integrated seed below the x floor
+@example(values=_shipped_values("generic_seed.cfg", "params.eta = 1.0",
+                                "params.eta = 1e300"))
+@example(values=_shipped_values("fixed_point.cfg", "params.v = 1.0",
+                                "params.v = 5e-324"))
+@example(values=_shipped_values("generic_seed.cfg", "grid.x_min = 1.0",
+                                "grid.x_min = 1e-8"))
+def test_extreme_closed_form_configs_exit_cleanly(tmp_path_factory, values):
+    """Every subcommand ends in a documented exit code, whatever the values
+    of a config of either seed kind, in range or at the edges of the double
+    range. A command that exits 0 writes CSVs of finite floats, every JSON
+    report is strict, and a second run gives the same exit codes, messages
+    and bytes."""
+    tmp = tmp_path_factory.mktemp("extreme")
+    cfg = write_cfg(tmp, _config_text(values))
+    # an attempt budget ten times the most any shipped or benchmark seed
+    # takes: a seed that spends it then costs 0.05 s a command, not 1 s
+    with mock.patch.object(ode_module, "_MAX_ATTEMPTS", 5000), \
+            mock.patch.object(gp_module, "_MAX_ATTEMPTS", 5000):
+        first, second = _run_all(cfg, tmp / "a"), _run_all(cfg, tmp / "b")
+    assert first == second
+    for command, code, err, files in first:
+        assert code in (0, 2, 3), (command, err)
+        for name in files:
+            path = tmp / "a" / command / name
+            if name.endswith(".json"):
+                _strict_json(path)
+            elif code == 0:
+                table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+                assert np.all(np.isfinite(table)), (command, name)
 
 
 class TestTransform:

@@ -7,7 +7,8 @@ from gpbacklund import ode
 from gpbacklund.errors import (AmplitudeCollapse, BlowUp, GridTooSmall,
                                NonFinite, OutOfRange, StepBudgetExhausted,
                                StepSizeUnderflow)
-from gpbacklund.gp import GPParams, LiouvilleSolution, gp_rhs
+from gpbacklund.gp import (ClosedFormSolution, GPParams, LiouvilleSolution,
+                           gp_rhs)
 from gpbacklund.ode import (_A, _B5, _C, _E, DenseSolution, SecondOrderODE,
                             SolutionGrid, ToleranceSpec, integrate,
                             integrate_span, residual, residual_max, sample,
@@ -62,7 +63,7 @@ class TestIntegrate:
     def test_backward_integration(self):
         x0 = math.pi / 2
         dense = integrate(SINE, x0, 1.0, 0.0, 0.01, TOL)
-        assert dense.domain[0] == pytest.approx(0.01)
+        assert dense.xs[0] == pytest.approx(0.01)
         r, _ = dense.evaluate(0.5)
         assert r == pytest.approx(math.sin(0.5), abs=1e-8)
 
@@ -166,7 +167,7 @@ class TestIntegrate:
 class TestDenseOutput:
     def test_nodes_reproduced_exactly(self):
         dense = sine_problem()
-        rs, rps = dense.eval_with_derivative(dense.xs)
+        rs, rps = dense.evaluate(dense.xs)
         assert np.array_equal(rs, dense.rs)
         assert np.array_equal(rps, dense.rps)
 
@@ -176,7 +177,7 @@ class TestDenseOutput:
         ode = SecondOrderODE(rhs=lambda x, r: 20.0 * x ** 3, domain=(0.5, 10.0))
         dense = integrate(ode, 1.0, 1.0, 5.0, 2.0, ToleranceSpec(1e-8, 1e-8))
         xq = np.linspace(1.0, 2.0, 37)
-        rq, rpq = dense.eval_with_derivative(xq)
+        rq, rpq = dense.evaluate(xq)
         assert np.max(np.abs(rq - xq ** 5)) < 1e-10
         assert np.max(np.abs(rpq - 5 * xq ** 4)) < 1e-9
 
@@ -312,12 +313,7 @@ class TestNaNQueries:
             dense.evaluate(math.nan)
         xq = np.array([0.1, 99.0, 0.2, math.nan, math.nan])
         with pytest.raises(NonFinite, match="query point 3 of 5 is nan"):
-            dense.eval_with_derivative(xq)
-
-    def test_grid_interpolant(self):
-        grid = sample(sine_problem(), np.linspace(0.05, 1.4, 11))
-        with pytest.raises(NonFinite, match="query point 1 of 2 is nan"):
-            grid.as_interpolant().eval_with_derivative([0.5, math.nan])
+            dense.evaluate(xq)
 
     def test_liouville_seed_is_not_out_of_range(self):
         seed, _ = _orbit_like_seed(0)
@@ -328,23 +324,34 @@ class TestNaNQueries:
             sample(seed, [math.nan])
 
 
+# n = 1, eta = 0, b = -1, c = 1: the closed form is the constant r = 1
+CONSTANT = GPParams.constrained(n=1, eta=0.0, c=1.0)
+
+
 class TestSample:
     def test_constant(self):
-        dense = integrate(FREE, 1.0, 1.0, 0.0, 3.5, TOL)
-        grid = sample(dense, [1.0, 2.0, 3.0])
+        seed = LiouvilleSolution(CONSTANT, 1.0, 1.0, 0.0, 1.0, 3.5, TOL)
+        grid = sample(seed, [1.0, 2.0, 3.0])
         assert np.allclose(grid.rs, 1.0)
+        assert grid.meta["frame"] == "t = G(x)"
 
-    def test_sine_value(self):
-        grid = sample(sine_problem(), [math.pi / 2])
-        assert grid.rs[0] == pytest.approx(1.0, abs=1e-8)
+    def test_closed_form_value(self):
+        seed = ClosedFormSolution(GPParams.constrained(n=2, eta=0.5, c=1.0))
+        xs = np.array([0.5, 1.0, 2.0])
+        grid = sample(seed, xs)
+        assert np.array_equal(grid.rs, seed.value(xs))
+        assert np.array_equal(grid.rps, seed.derivative(xs))
+        assert grid.meta == seed.meta
 
     def test_empty(self):
-        grid = sample(sine_problem(), [])
+        seed = LiouvilleSolution(CONSTANT, 1.0, 1.0, 0.0, 1.0, 3.5, TOL)
+        grid = sample(seed, [])
         assert len(grid) == 0
 
     def test_out_of_range(self):
+        seed = LiouvilleSolution(CONSTANT, 1.0, 1.0, 0.0, 1.0, 3.5, TOL)
         with pytest.raises(OutOfRange):
-            sample(sine_problem(), [50.0])
+            sample(seed, [50.0])
 
 
 class TestResidual:
@@ -376,7 +383,7 @@ class TestResidual:
     def test_sine_residual_tracks_tolerance(self):
         dense = sine_problem(x_end=1.5)
         xs = np.linspace(0.02, 1.5, 401)
-        grid = sample(dense, xs)
+        grid = SolutionGrid(xs, *dense.evaluate(xs))
         assert residual_max(SINE, grid) < 100 * TOL.atol
 
     def test_grid_too_small(self):
@@ -385,13 +392,22 @@ class TestResidual:
         with pytest.raises(GridTooSmall):
             residual(FREE, grid)
 
-    def test_non_uniform_resampled(self):
-        dense = sine_problem(x_end=1.5)
-        xs = np.sort(np.concatenate([np.linspace(0.05, 1.45, 95),
-                                     [0.513, 0.7177]]))
-        grid = sample(dense, xs)
-        res = residual(SINE, grid)
-        assert np.max(np.abs(res)) < 1e-4  # limited by cubic resampling
+    def test_non_uniform_raises(self):
+        xs = np.sort(np.append(np.linspace(1.0, 2.0, 95), 1.513))
+        grid = SolutionGrid(xs=xs, rs=np.ones_like(xs), rps=np.zeros_like(xs))
+        with pytest.raises(ValueError, match="uniform grid"):
+            residual(FREE, grid)
+
+    def test_narrow_grid_far_from_zero_is_uniform(self):
+        """np.linspace rounds its points by up to an ulp of 1000 here,
+        5e-8 of the step, more than 1e-8 of it: the grid is uniform to
+        that rounding, and a run of it is too."""
+        xs = np.linspace(1000.0, 1000.001, 401)
+        assert np.max(np.abs(np.diff(xs) - 2.5e-6)) > 1e-8 * 2.5e-6
+        for run in (xs, xs[37:300]):
+            grid = SolutionGrid(xs=run, rs=np.ones_like(run),
+                                rps=np.zeros_like(run))
+            assert np.max(np.abs(residual(FREE, grid))) < 1e-3
 
     def test_one_sided_stencils_are_fourth_order(self):
         # quartic data is differentiated exactly by every stencil in use
@@ -400,27 +416,6 @@ class TestResidual:
         grid = SolutionGrid(xs=xs, rs=rs, rps=4 * xs ** 3)
         res = residual(FREE, grid)
         assert np.allclose(res, 12.0 * xs ** 2, rtol=1e-10)
-
-
-class TestRoundTrip:
-    def test_grid_interpolant_matches_nodes(self):
-        dense = sine_problem()
-        xs = np.linspace(0.05, 1.4, 51)
-        grid = sample(dense, xs)
-        interp = grid.as_interpolant()
-        rs, rps = interp.eval_with_derivative(xs)
-        assert np.allclose(rs, grid.rs, rtol=0, atol=1e-14)
-        assert np.allclose(rps, grid.rps, rtol=0, atol=1e-12)
-
-    def test_grid_interpolant_is_exact_on_cubics(self):
-        xs = np.array([1.0, 1.3, 2.0, 2.2, 3.0])
-        grid = SolutionGrid(xs=xs, rs=xs ** 3 - xs + 2.0, rps=3 * xs ** 2 - 1)
-        xq = np.linspace(1.0, 3.0, 41)
-        rs, rps = grid.as_interpolant().eval_with_derivative(xq)
-        assert np.allclose(rs, xq ** 3 - xq + 2.0, rtol=1e-14, atol=0)
-        assert np.allclose(rps, 3 * xq ** 2 - 1, rtol=1e-13, atol=0)
-        with pytest.raises(OutOfRange):
-            grid.as_interpolant().eval_with_derivative([3.1])
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,14 @@
 taken from the identities in PAPER.md."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpbacklund.backlund import is_fixed_point, transform
 from gpbacklund.functional import ShiftMap
 from gpbacklund.gp import (ClosedFormSolution, GPParams, LiouvilleSolution,
-                           energy, gp_rhs)
-from gpbacklund.ode import ToleranceSpec, integrate_span
+                           energy)
+from gpbacklund.ode import ToleranceSpec
 
 degrees = st.integers(1, 3)
 etas = st.floats(0.0, 2.0)
@@ -27,39 +27,55 @@ def test_closed_form_stays_a_fixed_point(n, eta, k, v):
     assert res.deviation < 1e-10
 
 
+class Transformed:
+    """The transform of ``seed`` by ``shift``, read as a seed at exactly
+    the points asked for, with no grid in between; it keeps every point."""
+
+    domain = (0.0, np.inf)
+
+    def __init__(self, shift, seed):
+        self.shift, self.seed = shift, seed
+
+    def eval_with_derivative(self, xs):
+        grid = transform(self.shift, self.seed, xs)
+        assert grid.meta["trimmed"] == 0
+        return grid.rs, grid.rps
+
+
 @settings(max_examples=40, deadline=None)
-@given(n=degrees, eta=etas, k1=st.floats(0.0, 1.0), k2=st.floats(0.0, 1.0),
+@given(n=degrees, eta=etas, k1=st.floats(-0.4, 1.0), k2=st.floats(-0.4, 1.0),
        bump=st.floats(0.8, 1.2))
+@example(n=1, eta=1.0, k1=0.6, k2=-0.6, bump=1.15)
 def test_chained_transforms_equal_the_summed_shift(n, eta, k1, k2, bump):
-    """Transforming by K1 and then by K2 equals one transform by K1 + K2.
+    """Transforming by K1 and then by K2 equals one transform by K1 + K2;
+    for K2 = -K1 (the example) the chain gives back the seed.
 
     The seed is integrated off the closed form (amplitude and slope scaled
-    by ``bump``). The chained route reads the K1 grid (2001 points, h about
-    4e-4) through ``as_interpolant``, a cubic Hermite whose value error is
-    O(h^4) and slope error O(h^3); the direct route interpolates nothing.
-    Over 300 random draws the worst relative gaps were 1.8e-10 in r and
-    7e-7 in r', and they grew 14x and 11x when h doubled. The tolerances
-    leave a factor of about 50 and 30 on those.
+    by ``bump``). The chained route reads the K1 transform at the roots
+    f_K2(x) themselves, so the two routes differ only by the rounding of
+    the roots and of the chain rule: over 1,000 random draws (50 of them
+    with K2 = -K1) the worst relative gaps were 4.1e-15 in r and 4.4e-13
+    in r'. The tolerances leave a factor of about 250 and 20 on those.
     """
     p = GPParams.constrained(n=n, eta=eta, c=1.0)
     exact = ClosedFormSolution(p)
     direct_shift = ShiftMap(p.g, k1 + k2)
-    seed = integrate_span(gp_rhs(p), 1.0, bump * float(exact.value(1.0)),
-                          bump * float(exact.derivative(1.0)), 0.9,
-                          float(direct_shift.f(1.5)) + 0.1,
-                          ToleranceSpec(1e-10, 1e-10))
     inner = ShiftMap(p.g, k2)
-    ys = np.linspace(float(inner.f(1.0)) - 0.05, float(inner.f(1.5)) + 0.05,
-                     2001)
-    first = transform(ShiftMap(p.g, k1), seed, ys)
+    ends = np.array([1.0, 1.5])
+    cover = np.concatenate([direct_shift.f(ends), ShiftMap(p.g, k1).f(ends),
+                            inner.f(ends), ends])
+    seed = LiouvilleSolution(p, 1.0, bump * float(exact.value(1.0)),
+                             bump * float(exact.derivative(1.0)),
+                             min(cover.min(), 1.0) * 0.95, cover.max() + 0.1,
+                             ToleranceSpec(1e-10, 1e-10))
     xs = np.linspace(1.0, 1.5, 201)
-    chained = transform(inner, first.as_interpolant(), xs)
+    chained = transform(inner, Transformed(ShiftMap(p.g, k1), seed), xs)
     direct = transform(direct_shift, seed, xs)
-    for grid in (first, chained, direct):
+    for grid in (chained, direct):
         assert grid.meta["trimmed"] == 0
     scale = np.maximum(direct.rs, np.abs(direct.rps))
-    assert np.max(np.abs(chained.rs - direct.rs) / direct.rs) < 1e-8
-    assert np.max(np.abs(chained.rps - direct.rps) / scale) < 2e-5
+    assert np.max(np.abs(chained.rs - direct.rs) / direct.rs) < 1e-12
+    assert np.max(np.abs(chained.rps - direct.rps) / scale) < 1e-11
 
 
 @settings(max_examples=40, deadline=None)
