@@ -29,9 +29,8 @@ from .calculus import schwarzian
 from .errors import (AmplitudeCollapse, ConstraintViolated, DomainError,
                      NonFinite, NumericalError, OutOfRange)
 from .functional import PolyG
-from .ode import (_AMPLITUDE_FLOOR, _MAX_ATTEMPTS, DenseSolution,
-                  SecondOrderODE, ToleranceSpec, integrate_span,
-                  stationary_points)
+from .ode import (_AMPLITUDE_FLOOR, _MAX_ATTEMPTS, SecondOrderODE,
+                  ToleranceSpec, _locate, integrate_span, stationary_points)
 
 _X_FLOOR = 1e-8
 _CONSTRAINT_RTOL = 1e-10
@@ -302,60 +301,32 @@ def _period(c2: float, beta: float, rho: float, rho_t: float) -> float:
 
 
 def _folded(ode: SecondOrderODE, t0: float, rho0: float, rho_t0: float,
-            t_lo: float, t_hi: float, tol: ToleranceSpec,
-            estimate: float) -> DenseSolution | None:
-    """rho on [t_lo, t_hi] from one stretch integrated forward from t0 to
-    t0 + _FOLD_REACH ``estimate``, given an ``estimate`` of the period.
-
-    With t_a < t_b the stretch's first two turning points, every t is read
-    as rho(t_a + s), s = (t - t_a) folded into [0, t_b - t_a] by the period
-    2 (t_b - t_a) and reflected about t_b, with the sign of rho_t flipped on
-    the reflected half. The result is a dense solution whose nodes are the
-    images of the stretch's nodes in [t_a, t_b], t_a and t_b themselves and
-    t_lo and t_hi, so it reproduces the stretch's polynomials. None where
-    the stretch holds no two transversal turning points (rho_tt of opposite
-    signs), or where that table would hold more nodes than _MAX_ATTEMPTS.
-    """
+            tol: ToleranceSpec, estimate: float) -> tuple | None:
+    """(stretch, (t_a, t_b)): rho integrated forward from t0 to
+    t0 + _FOLD_REACH ``estimate`` (of the period) and its first two turning
+    points, or None where it holds fewer or rho_tt has one sign at both."""
     stretch = integrate_span(ode, t0, rho0, rho_t0, t0,
                              t0 + _FOLD_REACH * estimate, tol)
     turns = stationary_points(stretch)[:2]
     if turns.size < 2 or not np.prod(
             ode.rhs(turns, stretch.evaluate(turns)[0])) < 0.0:
         return None
-    t_a, t_b = turns
-    period = 2.0 * (t_b - t_a)
-    inner = stretch.xs[(stretch.xs > t_a) & (stretch.xs < t_b)]
-    one = np.concatenate([[t_a], inner, [t_b], 2.0 * t_b - inner[::-1]])
-    k_lo = math.floor((t_lo - t_a) / period)
-    k_hi = math.floor((t_hi - t_a) / period)
-    # no more nodes than the integrator may take steps over the span
-    if (k_hi - k_lo + 1) * one.size > _MAX_ATTEMPTS:
-        return None
-    ts = (one + period * np.arange(k_lo, k_hi + 1)[:, None]).ravel()
-    ts = np.concatenate([[t_lo], ts[(ts > t_lo) & (ts < t_hi)], [t_hi]])
-    # images closer than an ulp round together; keep one of each
-    ts = ts[np.append(True, np.diff(ts) > 0.0)]
-    s = np.mod(ts - t_a, period)
-    mirrored = s > 0.5 * period
-    rho, rho_t = stretch.evaluate(t_a + np.where(mirrored, period - s, s))
-    return DenseSolution(xs=ts, rs=rho, rps=np.where(mirrored, -rho_t, rho_t),
-                         rpps=ode.rhs(ts, rho),
-                         meta={**stretch.meta, "turning_points": (t_a, t_b)})
+    stretch.meta["turning_points"] = turns = tuple(turns)
+    return stretch, turns
 
 
 class LiouvilleSolution:
     """A seed integrated in t = G(x) and read in x.
 
     ``rho`` is the dense solution (rho, rho_t) of rho_tt = c^2/rho^3 +
-    beta rho^3 over [G(x_lo), G(x_hi)], from the data (r0, rp0) at x0 at
-    ``tol`` divided by _T_TOL_DIVISOR; its failures say that they happened
-    in t, and where that is in x. A periodic seed spanning more than
-    _FOLD_MIN_PERIODS periods is integrated through two turning points
-    only and read elsewhere by reflection about them (``_folded``); its
-    meta holds those ``turning_points``. Every other seed, and a periodic
-    one that ``_folded`` cannot fold, is integrated over the whole span by
-    ``integrate_span``. The seed protocol stays in x: ``domain`` is
-    (x_lo, x_hi), ``eval_with_derivative`` returns r = rho(G)/sqrt(G') and
+    beta rho^3 from the data (r0, rp0) at x0, at ``tol`` divided by
+    _T_TOL_DIVISOR; its failures say that they happened in t, and where
+    that is in x. It covers [G(x_lo), G(x_hi)], except for a periodic seed
+    spanning more than _FOLD_MIN_PERIODS periods and at most _MAX_ATTEMPTS,
+    whose ``rho`` is the stretch ``_folded`` integrates through two turning
+    points (meta ``turning_points``); ``_reduce`` reads every t from it.
+    The seed protocol stays in x: ``domain`` is (x_lo, x_hi),
+    ``eval_with_derivative`` returns r = rho(G)/sqrt(G') and
     r' = rho_t sqrt(G') - r G''/(2 G'), and ``phase_integral`` integrates
     in t over the t nodes of ``rho``.
     """
@@ -404,19 +375,40 @@ class LiouvilleSolution:
                               tol.rtol / _T_TOL_DIVISOR)
         period = _period(c2, beta, *data[1:])
         try:
-            self.rho = None
-            if period and t_hi - t_lo > _FOLD_MIN_PERIODS * period:
-                self.rho = _folded(ode, *data, *span, tol_t, period)
-            if self.rho is None:
-                self.rho = integrate_span(ode, *data, *span, tol_t)
+            fold = None
+            if period and _FOLD_MIN_PERIODS * period < t_hi - t_lo \
+                    <= _MAX_ATTEMPTS * period:
+                fold = _folded(ode, *data, tol_t, period)
+            self.rho, self._fold = fold or (
+                integrate_span(ode, *data, *span, tol_t), None)
         except NumericalError as exc:  # name the frame: its x is t here
             where = "" if exc.at is None else \
                 f" (t={exc.at:.6g} is x={float(g.inverse(exc.at)):.6g})"
             raise type(exc)(f"seed integrated in t = G(x) (x here is t): "
                             f"{exc}{where}", at=exc.at) from exc
         self.domain = (x_lo, x_hi)
+        self._t_span = np.array(span)
         self.meta = {**self.rho.meta, "frame": "t = G(x)", "x0": x0,
                      "r0": r0, "rp0": rp0}
+
+    def _reduce(self, ts):
+        """(k, s, sign): each t is rho(s), sign rho_t(s), k = floor((t -
+        t_a)/P) periods P = 2 (t_b - t_a) past t_a, with s reflected about
+        t_b on the back half, where sign is -1; (0, t, 1) if unfolded. A NaN
+        or a t outside the span raises as a table over the span would."""
+        if self._fold is None:
+            return 0.0, ts, 1.0
+        lo, hi = self._t_span
+        if ts.size and not (ts.min() >= lo and ts.max() <= hi):
+            _locate(self._t_span, ts)  # raises unless within its slack
+        t_a, t_b = self._fold
+        period = 2.0 * (t_b - t_a)
+        d = ts - t_a
+        k = np.floor(d / period)
+        d = d - k * period
+        back = d > 0.5 * period
+        return (k, t_a + np.where(back, period - d, d),
+                np.where(back, -1.0, 1.0))
 
     def eval_with_derivative(self, xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -424,21 +416,25 @@ class LiouvilleSolution:
         d1 = g.prime(xs)
         root = np.sqrt(d1)
         try:
-            rho, rho_t = self.rho.evaluate(g.value(xs))
+            _, s, sign = self._reduce(g.value(xs))
+            rho, rho_t = self.rho.evaluate(s)
         except OutOfRange as exc:  # name the interval in x, not in t
             raise OutOfRange(f"requested points outside "
                              f"[{self.domain[0]}, {self.domain[1]}]") from exc
         r = rho / root
-        return r, rho_t * root - 0.5 * r * g.second(xs) / d1
+        return r, sign * rho_t * root - 0.5 * r * g.second(xs) / d1
 
     def phase_integral(self, p: GPParams, x, x_ref: float):
         """The integral of c/r^2 dx = c/rho^2 dt from x_ref to x, in t = G(x):
         one cumulative pass of an 8-point Gauss-Legendre rule on every
-        interval between the points G(x), the t nodes of rho and G(x_ref)."""
+        interval between the reduced G(x) and G(x_ref), the t nodes of rho
+        and, if folded, t_a and t_b. A folded seed's integral from t_a to t
+        is then (k + back) 2 H + sign I(s), I(s) the pass's from t_a to s,
+        H = I(t_b) and back where sign is -1."""
         g = self._g
         tq = g.value(np.asarray(x, dtype=float))
-        t_ref = g.value(np.float64(x_ref))
-        ends = np.append(tq, t_ref)
+        k, s, sign = self._reduce(np.append(tq, g.value(np.float64(x_ref))))
+        ends = np.append(s, self._fold or ())
         nodes = self.rho.xs
         inside = (nodes > ends.min()) & (nodes < ends.max())
         knots = np.unique(np.concatenate([ends, nodes[inside]]))
@@ -450,8 +446,11 @@ class LiouvilleSolution:
         cum = np.concatenate([[0.0], np.cumsum(segments)])
         if not np.all(np.isfinite(cum)):
             raise NonFinite(f"phase integral from x_ref={x_ref} is not finite")
-        return (cum[np.searchsorted(knots, tq)]
-                - cum[np.searchsorted(knots, t_ref)])
+        at = cum[np.searchsorted(knots, s)]
+        if self._fold:
+            at_a, at_b = cum[np.searchsorted(knots, self._fold)]
+            at = (k + (sign < 0.0)) * 2.0 * (at_b - at_a) + sign * (at - at_a)
+        return (at[:-1] - at[-1]).reshape(np.shape(tq))
 
 
 def closed_form_residual(p: GPParams, xs) -> np.ndarray:

@@ -34,8 +34,9 @@ _SLIVER = 1e-12
 _AMPLITUDE_FLOOR = 1e-6
 # attempted steps per integration, about 1 s on a 2-vCPU VM: about 200 times
 # the most that any command on the shipped configs or the benchmark pools of
-# seeds 1-3 needs (484, solving a wave seed; periodic seeds are integrated
-# through one period only, see gp._folded)
+# seeds 1-3 needs (484, solving a wave seed; a folded seed integrates about
+# one period). Nor is a seed folded over more periods than this: its t may
+# then be coarser than a period, as at x = 1e100 with n = 1 (t = 1e200).
 _MAX_ATTEMPTS = 100_000
 # iterates of stationary_points: Newton converges in about 5, and the
 # bisection it falls back to halves the bracket 60 times, below one ulp

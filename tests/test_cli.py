@@ -311,6 +311,24 @@ def test_far_integrated_seed_exhausts_the_step_budget(tmp_path, capsys):
     assert not (tmp_path / "solution.csv").exists()
 
 
+def test_seed_over_hundreds_of_periods_folds(tmp_path):
+    """A seed spanning 273 periods of t at tolerance 1e-12 is read from
+    its stretch of 1.05 periods (1,060 nodes). A table tiled over the span
+    would hold one image of each node per period, past the integrator's
+    step budget, and integrating the span instead spent that budget."""
+    text = (far_seed_cfg(4, "2.183")
+            .replace("params.eta = 1.0", "params.eta = 1.976")
+            .replace("params.b = -1.0", "params.b = -0.424")
+            .replace("params.c = 1.0", "params.c = 1.091")
+            .replace("grid.x_min = 1.0", f"grid.x_min = {1 / 3!r}")
+            .replace("seed.x0 = 1.0", f"seed.x0 = {1 / 3!r}")
+            + "tolerances.ode_abs = 1e-12\ntolerances.ode_rel = 1e-12\n")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    table = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=1)
+    assert table.shape == (201, 3) and np.all(np.isfinite(table))
+
+
 @pytest.mark.parametrize("command", ["solve", "wavefunction"])
 def test_seed_near_its_turning_point_completes(tmp_path, command):
     """A seed started at r0 = 0.01, near its inner turning point, moves fast
@@ -513,7 +531,7 @@ def _run_all(cfg, out):
                                 "params.v = 5e-324"))
 @example(values=_shipped_values("generic_seed.cfg", "grid.x_min = 1.0",
                                 "grid.x_min = 1e-8"))
-def test_extreme_closed_form_configs_exit_cleanly(tmp_path_factory, values):
+def test_extreme_configs_exit_cleanly(tmp_path_factory, values):
     """Every subcommand ends in a documented exit code, whatever the values
     of a config of either seed kind, in range or at the edges of the double
     range. A command that exits 0 writes CSVs of finite floats, every JSON

@@ -475,6 +475,14 @@ def closed_form_seed(p, x0, x_lo, x_hi, tol=1e-10):
                              ToleranceSpec(tol, tol))
 
 
+def read_t(seed, ts):
+    """(rho, rho_t) of a LiouvilleSolution at ts, folded or not, through
+    its reducer: rho(s) and sign rho_t(s) from its only table."""
+    _, s, sign = seed._reduce(np.asarray(ts, dtype=float))
+    rho, rho_t = seed.rho.evaluate(s)
+    return rho, sign * rho_t
+
+
 class TestLiouvilleSolution:
     """rho = sqrt(G') r in t = G(x): the closed form is the equilibrium
     rho = v sqrt(n) and the transform is the translation t -> t + K."""
@@ -541,21 +549,34 @@ class TestLiouvilleSolution:
                                  x_hi, ToleranceSpec(1e-10, 1e-10))
         grid = transform(ShiftMap(p.g, K), seed, np.linspace(0.5, x_hi, 201))
         xs, gp = grid.xs, p.g.prime(grid.xs)
-        rho, rho_t = seed.rho.evaluate(p.g.value(xs) + K)
+        rho, rho_t = read_t(seed, p.g.value(xs) + K)
         r = rho / np.sqrt(gp)
         rp = rho_t * np.sqrt(gp) - r * p.g.second(xs) / (2.0 * gp)
         assert np.max(np.abs(grid.rs / r - 1.0)) < 1e-13
         assert np.max(np.abs(grid.rps - rp)) <= 1e-12 * np.max(np.abs(rp))
 
-    def test_seed_protocol_in_x(self):
-        p = GPParams.constrained(n=2, eta=0.5, c=1.0)
-        seed = closed_form_seed(p, 1.2, 0.9, 2.0)
-        assert seed.domain == (0.9, 2.0)
-        assert seed.meta["x0"] == 1.2 and seed.meta["frame"] == "t = G(x)"
-        r, rp = seed.eval_with_derivative(np.array([0.9, 2.0]))
+    @pytest.mark.parametrize("folded", [False, True],
+                             ids=["unfolded", "folded"])
+    def test_seed_protocol_in_x(self, folded):
+        """A folded seed reads its span through the reducer, not through a
+        table over the span, and fails closed as an unfolded one does."""
+        if folded:
+            _, seed, _, _ = TestFold.seed(1, 0.5, 0.1, 8.0, start=0.4)
+        else:
+            p = GPParams.constrained(n=2, eta=0.5, c=1.0)
+            seed = closed_form_seed(p, 1.2, 0.9, 2.0)
+            assert seed.domain == (0.9, 2.0) and seed.meta["x0"] == 1.2
+        lo, hi = seed.domain
+        assert ("turning_points" in seed.meta) == folded
+        assert seed.meta["frame"] == "t = G(x)"
+        r, rp = seed.eval_with_derivative(np.array([lo, hi]))
         assert r.shape == rp.shape == (2,)
-        with pytest.raises(OutOfRange, match=r"outside \[0\.9, 2\.0\]"):
-            seed.eval_with_derivative([2.5])
+        interval = re.escape(f"outside [{lo}, {hi}]")
+        for x in (hi + 0.5, lo - 0.1):
+            with pytest.raises(OutOfRange, match=interval):
+                seed.eval_with_derivative([lo, x])
+        with pytest.raises(NonFinite, match="query point 1 of 2 is nan"):
+            seed.eval_with_derivative([lo, math.nan])
 
     def test_overflowing_g_raises(self):
         p = GPParams.constrained(n=2, eta=0.5, c=1.0)
@@ -628,13 +649,16 @@ class TestFold:
         ode = SecondOrderODE(rhs=lambda t, rho: 1.0 / rho ** 3
                              + beta * rho ** 3, domain=(0.5 * t_lo, math.inf))
         t0 = float(g.value(x0))
-        ref = integrate_span(ode, t0, rho0, rho_t0, seed.rho.xs[0],
-                             seed.rho.xs[-1], ToleranceSpec(1e-14, 1e-14))
+        # over the seed's whole t span, not its table's: a folded seed's
+        # table is its stretch of about one period
+        ref = integrate_span(ode, t0, rho0, rho_t0, *seed._t_span,
+                             ToleranceSpec(1e-14, 1e-14))
         return p, seed, ref, period
 
     def assert_matches(self, seed, ref):
+        assert np.array_equal(ref.xs[[0, -1]], seed._t_span)
         ts = np.linspace(ref.xs[0], ref.xs[-1], 4001)
-        rho, rho_t = seed.rho.evaluate(ts)
+        rho, rho_t = read_t(seed, ts)
         want, want_t = ref.evaluate(ts)
         assert np.max(np.abs(rho - want)) < 20 * self.TOL
         assert np.max(np.abs(rho_t - want_t)) < 20 * self.TOL
@@ -650,7 +674,7 @@ class TestFold:
         read by the fold too."""
         _, seed, ref, period = self.seed(n, eta, sign * dev, periods, start)
         t_a, t_b = seed.meta["turning_points"]
-        assert seed.rho.xs[0] <= t_a < t_b
+        assert seed.rho.xs[0] <= t_a < t_b < seed.rho.xs[-1]
         assert abs(2.0 * (t_b - t_a) / period - 1.0) < 1e-6
         self.assert_matches(seed, ref)
 
@@ -663,7 +687,7 @@ class TestFold:
         0 and 2e-15 here)."""
         p, seed, _, period = self.seed(n, eta, dev, 6.5)
         t_a, t_b = seed.meta["turning_points"]
-        lo, hi = seed.rho.xs[0], seed.rho.xs[-1]
+        lo, hi = seed._t_span
         seams = t_a + (t_b - t_a) * np.arange(-3, 14)
         seams = seams[(seams > lo + 1e-3) & (seams < hi - 1e-3)]
         assert seams.size >= 10
@@ -675,23 +699,24 @@ class TestFold:
         for x, r, rp in ((sides[0], r_l, rp_l), (sides[1], r_r, rp_r)):
             assert np.max(np.abs(energy(p, x, r, rp) - e0)) < 2 * self.TOL
         (rho_l, rho_t_l), (rho_r, rho_t_r) = (
-            seed.rho.evaluate(seams + d) for d in (-1e-3, 1e-3))
+            read_t(seed, seams + d) for d in (-1e-3, 1e-3))
         assert np.max(np.abs(rho_l - rho_r)) < 1e-14
         assert np.max(np.abs(rho_t_l + rho_t_r)) < 1e-13
 
     def test_phase_matches_the_unfolded_seed(self, monkeypatch):
-        """gp.phase splits its integral at the t nodes of the folded table.
+        """gp.phase integrates a folded seed over its stretch only, from t_a
+        to t_b and to each reduced point, and adds whole half periods.
         Over 7.3 periods (theta spans 18.8 rad) the two phases were
         1.3e-9 apart; against the seed integrated at 1e-14 the folded one
         was off by 4.3e-10 and the unfolded one by 9.3e-10."""
-        p, seed, _, _ = self.seed(2, 0.7, -0.12, 7.3, start=0.3)
+        p, seed, _, period = self.seed(2, 0.7, -0.12, 7.3, start=0.3)
         monkeypatch.setattr(gp_module, "_FOLD_MIN_PERIODS", math.inf)
         meta = seed.meta
         flat = LiouvilleSolution(p, meta["x0"], meta["r0"], meta["rp0"],
                                  *seed.domain,
                                  ToleranceSpec(self.TOL, self.TOL))
         assert "turning_points" not in flat.meta
-        assert seed.rho.xs.size > 100
+        assert seed.rho.xs[-1] - seed.rho.xs[0] < 1.1 * period
         xs = np.linspace(*seed.domain, 301)
         theta = phase(p, xs, r_source=seed, x_ref=seed.domain[0])
         np.testing.assert_allclose(
@@ -736,14 +761,15 @@ class TestFold:
         assert t_end == pytest.approx(t0 + 1.05 * period, rel=1e-12)
 
     @pytest.mark.parametrize("case", ["no-turning-points", "not-transversal",
-                                      "node-cap"])
+                                      "period-cap"])
     def test_falls_back_to_integrate_span(self, case, monkeypatch):
         """Where the stretch holds no two turning points, or two of which
-        rho_tt has one sign (the first one twice here), or where the folded
-        table would outgrow the node cap, the seed is integrate_span over
-        the span, node for node, as an unfolded seed is."""
-        if case == "node-cap":
-            monkeypatch.setattr(gp_module, "_MAX_ATTEMPTS", 10)
+        rho_tt has one sign (the first one twice here), the seed is
+        integrate_span over the span, node for node, as an unfolded seed
+        is. So is a span of more than _MAX_ATTEMPTS periods (8 > 7 here),
+        which integrates no stretch first."""
+        if case == "period-cap":
+            monkeypatch.setattr(gp_module, "_MAX_ATTEMPTS", 7)
         else:
             monkeypatch.setattr(
                 gp_module, "stationary_points",
@@ -754,15 +780,15 @@ class TestFold:
         assert "turning_points" not in seed.meta
         t_lo, t_hi = seed.rho.xs[0], seed.rho.xs[-1]
         t0 = float(seed._g.value(seed.meta["x0"]))
-        assert spans[0][0] == t0
-        assert spans[0][1] == pytest.approx(t0 + 1.05 * period, rel=1e-12)
-        assert spans[1:] == [(t_lo, t_hi)]
+        stretch = [] if case == "period-cap" else \
+            [(t0, pytest.approx(t0 + 1.05 * period, rel=1e-12))]
+        assert spans == stretch + [(t_lo, t_hi)]
         monkeypatch.setattr(gp_module, "_FOLD_MIN_PERIODS", math.inf)
         meta = seed.meta
         flat = LiouvilleSolution(p, meta["x0"], meta["r0"], meta["rp0"],
                                  *seed.domain,
                                  ToleranceSpec(self.TOL, self.TOL))
-        assert spans[2:] == [(t_lo, t_hi)]
+        assert spans[len(stretch) + 1:] == [(t_lo, t_hi)]
         for name in ("xs", "rs", "rps"):
             assert np.array_equal(getattr(seed.rho, name),
                                   getattr(flat.rho, name))
