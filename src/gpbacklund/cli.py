@@ -402,7 +402,11 @@ def main(argv=None) -> int:
                 t_samples = _parse_t_samples(args.t_samples,
                                              cfg.grid.points)
             out_dir = Path(args.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create --out-dir {out_dir}: "
+                                  f"{exc.strerror}") from exc
             if args.command == "solve":
                 return cmd_solve(cfg, out_dir)
             if args.command == "transform":

@@ -198,6 +198,10 @@ def build_config(values: dict) -> ExperimentConfig:
     outputs = OutputPaths(solution_csv=get("outputs.solution_csv"),
                           wave_csv=get("outputs.wave_csv"),
                           report_json=get("outputs.report_json"))
+    for key, name in vars(outputs).items():
+        if name in ("", "..") or Path(name).name != name or "\0" in name:
+            raise ConfigError(f"outputs.{key} must be a plain file name in "
+                              f"--out-dir, got {name!r}")
 
     echo = {key: values.get(key, default) for key, (_, default) in _SCHEMA.items()}
     return ExperimentConfig(params=params, grid=grid, k_schedule=k_schedule,

@@ -1,15 +1,16 @@
 """Adaptive integration of r'' = rhs(x, r) with dense output, plus residual
 evaluation of sampled solutions.
 
-The integrator is an explicit embedded 5(4) pair on the first-order system
-(r, r'). Dense output is a per-step quintic Hermite interpolant matching
-(r, r', r'') at both step endpoints, which is what lets transformed
-solutions be evaluated at arbitrary off-node points. Each solution keeps a
-table of every step's polynomial coefficients in the local coordinate
-s in [0, 1], built on its first evaluation; a query gathers its step's
-column and evaluates r and r' in Horner form. A node gives back its stored
-r and r' bit for bit, and r' carries no cancellation between the step's end
-values, so it is accurate to about one eps of max|r'|.
+The integrator is the embedded Dormand-Prince 5(4) pair in Nystrom form (see
+_D): no rhs depends on r', so each stage computes only its amplitude. Dense
+output is a per-step quintic Hermite interpolant matching (r, r', r'') at
+both step endpoints, which is what lets transformed solutions be evaluated
+at arbitrary off-node points. Each solution keeps a table of every step's
+polynomial coefficients in the local coordinate s in [0, 1], built on its
+first evaluation; a query gathers its step's column and evaluates r and r'
+in Horner form. A node gives back its stored r and r' bit for bit, and r'
+carries no cancellation between the step's end values, so it is accurate to
+about one eps of max|r'|.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ _SLIVER = 1e-12
 _AMPLITUDE_FLOOR = 1e-6
 # attempted steps per integration, about 1 s on a 2-vCPU VM: about 200 times
 # the most that any command on the shipped configs or the benchmark pools of
-# seeds 1-3 needs (484, solving a wave seed; a folded seed integrates about
-# one period). Nor is a seed folded over more periods than this: its t may
-# then be coarser than a period, as at x = 1e100 with n = 1 (t = 1e200).
+# seeds 1-3 needs (489, a wave-pool wavefunction; a folded seed integrates
+# about one period). Nor is a seed folded over more periods than this: its t
+# may then be coarser than a period, as at x = 1e100 with n = 1 (t = 1e200).
 _MAX_ATTEMPTS = 100_000
 # iterates of stationary_points: Newton converges in about 5, and the
 # bisection it falls back to halves the bracket 60 times, below one ulp
@@ -101,20 +102,20 @@ class SolutionGrid:
         return int(self.xs.size)
 
 
-# Dormand-Prince 5(4) tableau.
+# Dormand-Prince 5(4) in Nystrom form (Hairer, Norsett & Wanner, Solving
+# ODEs I, II.14): r_i = r + h (c_i r' + h D_i . k) is stage i's amplitude and
+# stage 7's the new r; the new r' is r' + h b . k; the error is h^2 G . k in r
+# and h e . k in r', e the 5th less the embedded 4th order weights. D = A^2 and
+# G = e A for A the first-order tableau, whose row 7 is b (tests/test_ode.py).
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
+_D = ((), (), (9 / 200,), (-12 / 25, 4 / 5),
+      (-12248 / 6561, 7208 / 2187, -6784 / 6561),
+      (-533 / 264, 91 / 22, -56 / 33, 7 / 88),
+      (35 / 384, 0.0, 50 / 159, 25 / 192, -243 / 6784, 0.0))
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-# difference between 5th and embedded 4th order weights
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_G = (611 / 230400, 0.0, -514 / 83475, 391 / 38400, -4617 / 1356800,
+      -11 / 3360, 0.0)
 
 
 @dataclass(frozen=True)
@@ -221,13 +222,11 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
 
     An attempt whose rhs raises, or whose new state, last stage or error
     is not finite, is rejected. One test after the last stage serves every
-    stage: a non-finite k_i reaches rp_{i+1} through a_{i+1,i} (a32, a43,
-    a54, a65 are nonzero) and then r_new through b_{i+1} (b3-b6 are
-    nonzero), or reaches rp_new directly for k6; a non-finite rp_i reaches
-    r_new through b_i for i >= 3, and the stage amplitude r_i (and, through
-    r3, rp2) reaches the test through k_i = rhs(x_i, r_i). So an rhs that
-    is not finite where its amplitude is not, as every rhs of this package,
-    rejects exactly the attempts a test after each stage rejected.
+    stage: k3-k6 reach r'_new through b3-b6, k7 is tested itself, k2 reaches
+    r4 through D_42 = 4/5 and so k4, and r_i reaches k_i = rhs(x_i, r_i). So
+    an rhs not finite where its amplitude is not (every rhs of this package:
+    a term 0 * inf, at b = 0 or lin = 0, is nan) rejects exactly the
+    attempts a test after each stage rejected.
     """
     lo, hi = ode.domain
     if not (lo < x0 < hi and lo < x_end < hi):
@@ -243,11 +242,11 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
     atol, rtol = tol.atol, tol.rtol
     isfinite, inf = math.isfinite, math.inf
     _, c2, c3, c4, c5, _, _ = _C  # c6 = c7 = 1: those stages sit at x + h
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = _A[1:6]
-    # row 7 of A equals the 5th-order weights, so stage 7 is the new state
+    (d31,), (d41, d42), (d51, d52, d53), (d61, d62, d63, d64), \
+        (w1, _, w3, w4, w5, _) = _D[2:]
     b1, _, b3, b4, b5, b6, _ = _B5
     e1, _, e3, e4, e5, e6, e7 = _E
+    g1, _, g3, g4, g5, g6, _ = _G
 
     direction = 1.0 if x_end > x0 else -1.0
     span = abs(x_end - x0)
@@ -281,37 +280,29 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
                 f"step {h:.3e} underflowed at x={x:.6g}", at=x)
 
         # One attempt from (x, r, rp), where rhs is k1. Every sum starts at
-        # 0.0, adds left to right and skips the zero weights: that order
-        # fixes the rounding, and tests/test_ode.py pins it against a
-        # generic tableau loop.
+        # 0.0, adds left to right and skips zero weights; tests/test_ode.py
+        # pins that rounding against a generic loop over the rows of _D.
         try:
-            r2 = r + h * (0.0 + a21 * rp)
-            rp2 = rp + h * (0.0 + a21 * k1)
+            r2 = r + h * (c2 * rp)
             k2 = float(rhs(x + c2 * h, r2))
-            r3 = r + h * (0.0 + a31 * rp + a32 * rp2)
-            rp3 = rp + h * (0.0 + a31 * k1 + a32 * k2)
+            r3 = r + h * (c3 * rp + h * (0.0 + d31 * k1))
             k3 = float(rhs(x + c3 * h, r3))
-            r4 = r + h * (0.0 + a41 * rp + a42 * rp2 + a43 * rp3)
-            rp4 = rp + h * (0.0 + a41 * k1 + a42 * k2 + a43 * k3)
+            r4 = r + h * (c4 * rp + h * (0.0 + d41 * k1 + d42 * k2))
             k4 = float(rhs(x + c4 * h, r4))
-            r5 = r + h * (0.0 + a51 * rp + a52 * rp2 + a53 * rp3 + a54 * rp4)
-            rp5 = rp + h * (0.0 + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
+            r5 = r + h * (c5 * rp + h * (0.0 + d51 * k1 + d52 * k2 + d53 * k3))
             k5 = float(rhs(x + c5 * h, r5))
-            r6 = r + h * (0.0 + a61 * rp + a62 * rp2 + a63 * rp3 + a64 * rp4
-                          + a65 * rp5)
-            rp6 = rp + h * (0.0 + a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4
-                            + a65 * k5)
+            r6 = r + h * (rp + h * (0.0 + d61 * k1 + d62 * k2 + d63 * k3
+                                    + d64 * k4))
             k6 = float(rhs(x + h, r6))
-            r_new = r + h * (0.0 + b1 * rp + b3 * rp3 + b4 * rp4 + b5 * rp5
-                             + b6 * rp6)
+            r_new = r + h * (rp + h * (0.0 + w1 * k1 + w3 * k3 + w4 * k4
+                                       + w5 * k5))
             rp_new = rp + h * (0.0 + b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5
                                + b6 * k6)
             k7 = float(rhs(x + h, r_new))
         except _RHS_ERRORS:
             err = inf
         else:
-            er = 0.0 + e1 * rp + e3 * rp3 + e4 * rp4 + e5 * rp5 + e6 * rp6 \
-                + e7 * rp_new
+            er = h * (0.0 + g1 * k1 + g3 * k3 + g4 * k4 + g5 * k5 + g6 * k6)
             erp = 0.0 + e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 \
                 + e7 * k7
             q1 = h * er / (atol + rtol * max(abs(r), abs(r_new)))

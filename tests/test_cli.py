@@ -104,6 +104,43 @@ class TestSolve:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, name, command", [
+    ("solution_csv", "missing/sol.csv", "solve"),
+    ("solution_csv", "../sol.csv", "solve"),
+    ("solution_csv", "", "transform"),
+    ("solution_csv", ".", "solve"),
+    ("wave_csv", "..", "wavefunction"),
+    ("wave_csv", "{tmp}/wave.csv", "wavefunction"),
+    ("report_json", "report\0.json", "verify"),
+])
+def test_output_name_that_is_not_a_file_name_exits_2(tmp_path, capsys, key,
+                                                    name, command):
+    """outputs.* name files in --out-dir: a name that is not one plain path
+    component exits 2 and names its key, where it raised or wrote outside
+    --out-dir."""
+    name = name.format(tmp=tmp_path)
+    cfg = write_cfg(tmp_path, CLOSED_FORM_CFG + f"outputs.{key} = {name}\n")
+    assert main([command, "--config", cfg, "--out-dir",
+                 str(tmp_path / "out")]) == 2
+    assert (f"config error: outputs.{key} must be a plain file name in "
+            f"--out-dir, got {name!r}" in capsys.readouterr().err)
+    assert [p.name for p in tmp_path.rglob("*")] == ["exp.cfg"]
+
+
+@pytest.mark.parametrize("sub, reason", [("", "File exists"),
+                                         ("sub", "Not a directory")])
+def test_out_dir_that_cannot_be_created_exits_2(tmp_path, capsys, sub,
+                                                reason):
+    """An --out-dir that is a file, or lies under one, exits 2 naming it,
+    where creating it raised."""
+    cfg = write_cfg(tmp_path, CLOSED_FORM_CFG)
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / sub
+    assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert (f"config error: cannot create --out-dir {out}: {reason}"
+            in capsys.readouterr().err)
+
+
 OVERFLOW_CFG = CLOSED_FORM_CFG.replace("params.eta = 0.0",
                                       "params.eta = 1e300")
 OVERFLOW_N2_CFG = OVERFLOW_CFG.replace("params.n = 1", "params.n = 2").replace(

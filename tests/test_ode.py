@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from gpbacklund.errors import (AmplitudeCollapse, BlowUp, GridTooSmall,
                                StepSizeUnderflow)
 from gpbacklund.gp import (ClosedFormSolution, GPParams, LiouvilleSolution,
                            gp_rhs)
-from gpbacklund.ode import (_A, _B5, _C, _E, DenseSolution, SecondOrderODE,
+from gpbacklund.ode import (_B5, _C, _D, _E, _G, DenseSolution, SecondOrderODE,
                             SolutionGrid, ToleranceSpec, integrate,
                             integrate_span, residual, residual_max, sample,
                             stationary_points)
@@ -419,10 +420,10 @@ class TestResidual:
 
 
 # ---------------------------------------------------------------------------
-# Bit-for-bit pin of the straight-line FSAL step against the generic
-# tableau-driven Dormand-Prince loop it replaced. The oracle evaluates rhs
-# seven times per attempted step and walks the tableau with the same sum
-# order (start at 0.0, add left to right, skip zero weights).
+# Bit-for-bit pin of the straight-line FSAL step against a generic loop over
+# the Nystrom rows of ode._D. The oracle evaluates rhs seven times per
+# attempted step, tests each stage as it goes, and sums in the step's order
+# (start at 0.0, add left to right, skip zero weights).
 
 def _oracle_rhs(rhs, x, r):
     try:
@@ -431,15 +432,22 @@ def _oracle_rhs(rhs, x, r):
         return math.inf
 
 
+def _dot(weights, k):
+    acc = 0.0
+    for w, kj in zip(weights, k):
+        if w != 0.0:
+            acc += w * kj
+    return acc
+
+
 def reference_integrate(ode, x0, r0, rp0, x_end, tol=ToleranceSpec(),
                         amplitude_floor=1e-6):
-    """(xs, rs, rps, rpps, attempted steps) of the tableau-driven loop."""
+    """(xs, rs, rps, rpps, attempted steps) of the row-driven loop."""
     direction = 1.0 if x_end > x0 else -1.0
     span = abs(x_end - x0)
     x, r, rp = float(x0), float(r0), float(rp0)
     nodes = [(x, r, rp, _oracle_rhs(ode.rhs, x, r))]
     h = direction * min(0.01 * span, span)
-    k = [(0.0, 0.0)] * 7
     attempts = 0
     while (x_end - x) * direction > 0.0:
         last = (x + h - x_end) * direction >= 0.0
@@ -448,41 +456,24 @@ def reference_integrate(ode, x0, r0, rp0, x_end, tol=ToleranceSpec(),
         if abs(h) < 1e-14 * max(1.0, abs(x)) or x + h == x:
             raise StepSizeUnderflow(f"step {h:.3e} underflowed at x={x:.6g}")
         attempts += 1
-        k[0] = (rp, _oracle_rhs(ode.rhs, x, r))
-        bad = not math.isfinite(k[0][1])
+        k = [_oracle_rhs(ode.rhs, x, r)]
+        bad = not math.isfinite(k[0])
+        # stage i + 1 from row i of _D; stage 7's amplitude is the new r
         for i in range(1, 7):
             if bad:
                 break
-            sr = srp = 0.0
-            for j, aij in enumerate(_A[i]):
-                if aij != 0.0:
-                    sr += aij * k[j][0]
-                    srp += aij * k[j][1]
-            ri = r + h * sr
-            rpi = rp + h * srp
-            acc = _oracle_rhs(ode.rhs, x + _C[i] * h, ri)
-            if not (math.isfinite(ri) and math.isfinite(rpi)
-                    and math.isfinite(acc)):
-                bad = True
-                break
-            k[i] = (rpi, acc)
+            ri = r + h * (_C[i] * rp + h * _dot(_D[i], k))
+            k.append(_oracle_rhs(ode.rhs, x + _C[i] * h, ri))
+            bad = not (math.isfinite(ri) and math.isfinite(k[i]))
         if not bad:
-            dr = drp = er = erp = 0.0
-            for i in range(7):
-                if _B5[i] != 0.0:
-                    dr += _B5[i] * k[i][0]
-                    drp += _B5[i] * k[i][1]
-                if _E[i] != 0.0:
-                    er += _E[i] * k[i][0]
-                    erp += _E[i] * k[i][1]
-            r_new = r + h * dr
-            rp_new = rp + h * drp
+            r_new = ri
+            rp_new = rp + h * _dot(_B5, k)
             sc_r = tol.atol + tol.rtol * max(abs(r), abs(r_new))
             sc_rp = tol.atol + tol.rtol * max(abs(rp), abs(rp_new))
-            e1 = h * er / sc_r
-            e2 = h * erp / sc_rp
+            e1 = h * (h * _dot(_G, k)) / sc_r
+            e2 = h * _dot(_E, k) / sc_rp
             err = math.sqrt(0.5 * (e1 * e1 + e2 * e2))
-            bad = not math.isfinite(err)
+            bad = not (math.isfinite(rp_new) and math.isfinite(err))
         if bad:
             err = math.inf
         if err <= 1.0:
@@ -494,7 +485,7 @@ def reference_integrate(ode, x0, r0, rp0, x_end, tol=ToleranceSpec(),
                     f"at x={x:.6g}")
             if abs(r) > 1e12 or abs(rp) > 1e12:
                 raise BlowUp(f"state exceeded {1e12:.1e} at x={x:.6g}")
-            nodes.append((x, r, rp, k[6][1]))
+            nodes.append((x, r, rp, k[6]))
         factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         h *= factor
     xs, rs, rps, rpps = (np.array(col) for col in zip(*nodes))
@@ -603,17 +594,67 @@ class TestPinnedBits:
             "middle_stage_inf"])[4]
         assert dense.xs[1] == pytest.approx(1.0 + 0.2 * 0.02, rel=1e-15)
 
-    def test_failure_at_the_last_stage_only_rejects_the_step(self):
-        # call 1 is the initial point, calls 2-6 the stages of the first
-        # attempt and call 7 its last (FSAL) stage, the only one to fail
+    @pytest.mark.parametrize("call", range(2, 8))
+    def test_non_finite_stage_rejects_the_attempt(self, call):
+        # call 1 is the initial point and calls 2-7 the stages of the first
+        # attempt, 7 its last (FSAL) stage. Stage 2 has zero weight in the
+        # new state and both errors: it reaches the test through r4 and k4,
+        # because this rhs is not finite where its amplitude is not
         calls = [0]
 
         def rhs(x, r):
             calls[0] += 1
-            return math.inf if calls[0] == 7 else 0.0
+            return math.inf if calls[0] == call else 1.0 - r
 
         ode = SecondOrderODE(rhs=rhs, domain=(1e-3, 100.0))
         dense = integrate(ode, 1.0, 1.0, 0.0, 3.0, TOL)
         # the rejection shrinks the first step, 0.01 * span, by 0.2
         assert dense.xs[1] == pytest.approx(1.0 + 0.2 * 0.01 * 2.0, rel=1e-15)
-        assert np.all(dense.rs == 1.0)
+        assert np.all(dense.rs == 1.0) and np.all(dense.rps == 0.0)
+
+
+class TestNystromTableau:
+    """ode.py's rows follow exactly from the textbook Dormand-Prince 5(4)
+    tableau (Dormand & Prince 1980), held here as rationals."""
+
+    F = Fraction
+    C = (F(0), F(1, 5), F(3, 10), F(4, 5), F(8, 9), F(1), F(1))
+    A = ((),
+         (F(1, 5),),
+         (F(3, 40), F(9, 40)),
+         (F(44, 45), F(-56, 15), F(32, 9)),
+         (F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)),
+         (F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176),
+          F(-5103, 18656)),
+         (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784),
+          F(11, 84)))
+    B = (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784),
+         F(11, 84), F(0))
+    B_HAT = (F(5179, 57600), F(0), F(7571, 16695), F(393, 640),
+             F(-92097, 339200), F(187, 2100), F(1, 40))
+
+    E = tuple(b - b_hat for b, b_hat in zip(B, B_HAT))
+    MATRIX = [list(row) + [Fraction(0)] * (7 - len(row)) for row in A]
+
+    def times_a(self, v):
+        """The row vector v A."""
+        return [sum(v[m] * self.MATRIX[m][j] for m in range(7))
+                for j in range(7)]
+
+    def test_order_conditions_behind_the_nystrom_form(self):
+        for row, c in zip(self.A, self.C):
+            assert sum(row) == c
+        assert sum(self.B) == 1
+        assert sum(self.E) == 0
+        assert self.MATRIX[6] == list(self.B)
+
+    def test_literals_match_the_rationals(self):
+        assert _C == tuple(float(c) for c in self.C)
+        assert _B5 == tuple(float(b) for b in self.B)
+        assert _E == tuple(float(e) for e in self.E)
+        # D = A^2, whose row 7 is b A since row 7 of A is b; G = e A
+        for row, d_row in zip(self.MATRIX, _D):
+            d = self.times_a(row)
+            assert d_row == tuple(float(v) for v in d[:len(d_row)])
+            assert not any(d[len(d_row):])
+        assert _G == tuple(float(v) for v in self.times_a(self.E))
