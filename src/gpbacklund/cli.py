@@ -88,6 +88,18 @@ def _stage(name: str):
         raise type(exc)(f"[{name}] {exc}") from exc
 
 
+@contextmanager
+def _writing(path: Path):
+    """``path`` opened for binary writing. An OSError from the open or a
+    write, as for a directory at that name, becomes a ConfigError naming
+    the path and the OS's reason, so the run exits 2."""
+    try:
+        with path.open("wb") as out:
+            yield out
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write_rows(path: Path, header: list[str], table) -> None:
     """Write a numeric table as CSV; a non-finite value writes nothing."""
     table = np.asarray(table, dtype=float)
@@ -98,7 +110,7 @@ def _write_rows(path: Path, header: list[str], table) -> None:
               for i in range(0, rows, _BLOCK_ROWS))
     # block by block, the header with the first: a joined copy of every
     # block would add the whole file's bytes to the command's peak memory
-    with path.open("wb") as out:
+    with _writing(path) as out:
         out.write((",".join(header) + "\n").encode() + next(blocks, b""))
         out.writelines(blocks)
 
@@ -168,7 +180,8 @@ def _write_json(path: Path, payload: dict) -> None:
     """Write strict JSON: a NaN or an infinity is written as null."""
     text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
                       allow_nan=False)
-    path.write_text(text + "\n")
+    with _writing(path) as out:
+        out.write(text.encode() + b"\n")
 
 
 def _tolerances(cfg: ExperimentConfig) -> ToleranceSpec:

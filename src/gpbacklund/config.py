@@ -213,4 +213,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return build_config(parse_config_text(path.read_text(), source=str(path)))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: "
+                          f"{exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
+    return build_config(parse_config_text(text, source=str(path)))

@@ -37,19 +37,25 @@ _CONSTRAINT_RTOL = 1e-10
 # 8-point Gauss-Legendre rule on [-1, 1] for the phase integral
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # Seeds are integrated in t at the given tolerances divided by this. Against
-# integrate_span in x at 1e-14, on the 55 integrated seeds of the shipped
-# configs and the benchmark pools of seeds 1-3, the larger of the worst
-# relative error in r and the worst absolute error in r' was then at most
-# 0.88 times (median 0.43) that of integrating in x at the undivided
-# tolerance; dividing by 2 gave up to 1.32 times, and by 1 up to 2.66 times.
-_T_TOL_DIVISOR = 3.0
+# integrate_span in t at 1e-14 over the whole span, unfolded, on the 72
+# integrated seeds of the orbit and wave benchmark pools of seeds 1-3, the
+# worst errors of r, r' and the phase, each relative to its column's
+# largest value on the command's grid, were then orbit 1.2e-11, 3.4e-10 and
+# 2.2e-12, and wave 1.5e-12, 5.5e-11 and 4.7e-13: each at most that of the
+# Dormand-Prince 5(4) pair this replaced, at its divisor of 3 (orbit 5.0e-11,
+# 7.7e-10 and 2.0e-11; wave 5.1e-11, 8.4e-10 and 2.2e-11). At 15 and 25,
+# orbit's r' read 8.7e-10 and 1.1e-9, and at 3, 4.3e-9: its worst is a
+# folded seed's, whose error in the period grows with the periods it is
+# read over, and so does not fall steadily with the tolerance.
+_T_TOL_DIVISOR = 30.0
 # A periodic seed is folded only when its t span exceeds this many periods.
 # Folding integrates about 1.05 periods and searches them for two turning
 # points, so it saves steps on longer spans only: every orbit benchmark
 # seed spans at least 2.1 periods and is folded, and the wave benchmark's
 # seeds (0.68-1.76 periods) are not. Folding those as well, at 1.2 periods,
-# made a wave command 3% faster in-process (2.48 -> 2.41 ms, within the
-# spread of runs): too little to change their outputs for.
+# made the wave pool of seed 1 no faster in-process (the sum of each
+# command's best of 8 runs was 17.5 ms, and 18.0 ms folded): unfolded, its
+# seeds take only 7-62 steps.
 _FOLD_MIN_PERIODS = 2.0
 # Nor is it folded when u3 - u2, the swing of u = rho^2, is below this
 # fraction of the equilibrium's u: a seed started on the closed form sits

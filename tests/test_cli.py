@@ -285,8 +285,8 @@ def test_underflowing_closed_form_exits_3(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["solve", "transform", "wavefunction"])
 def test_tolerance_underflowing_in_t_exits_2(tmp_path, capsys, command):
-    """Seeds are integrated in t at the tolerances divided by 3, and
-    5e-324 / 3 is 0: the run exits 2 and names the tolerances, where
+    """Seeds are integrated in t at the tolerances divided by 30, and
+    5e-324 / 30 is 0: the run exits 2 and names the tolerances, where
     building the t-frame tolerances raised ValueError."""
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, _shipped("generic_seed.cfg",
@@ -294,7 +294,8 @@ def test_tolerance_underflowing_in_t_exits_2(tmp_path, capsys, command):
                                        "tolerances.ode_abs = 5e-324"))
     assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
     assert ("config error: tolerances.ode_abs = 4.94066e-324 or ode_rel = "
-            "1e-10 underflows to 0 divided by 3" in capsys.readouterr().err)
+            "1e-10 underflows to 0 divided by 30, as seeds are integrated "
+            "in t" in capsys.readouterr().err)
     assert not list(out.glob("*.csv"))
 
 
@@ -576,8 +577,9 @@ def test_extreme_configs_exit_cleanly(tmp_path_factory, values):
     and bytes."""
     tmp = tmp_path_factory.mktemp("extreme")
     cfg = write_cfg(tmp, _config_text(values))
-    # an attempt budget ten times the most any shipped or benchmark seed
-    # takes: a seed that spends it then costs 0.05 s a command, not 1 s
+    # an attempt budget about 80 times the most any shipped or benchmark
+    # seed takes (64): a seed that spends it then costs about 0.08 s a
+    # command, not 1.5 s
     with mock.patch.object(ode_module, "_MAX_ATTEMPTS", 5000), \
             mock.patch.object(gp_module, "_MAX_ATTEMPTS", 5000):
         first, second = _run_all(cfg, tmp / "a"), _run_all(cfg, tmp / "b")
@@ -591,6 +593,59 @@ def test_extreme_configs_exit_cleanly(tmp_path_factory, values):
             elif code == 0:
                 table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
                 assert np.all(np.isfinite(table)), (command, name)
+
+
+# what each subcommand writes on the shipped configs, whose k_schedule has
+# two elements, with the default outputs.* names
+_WRITES = {"solve": ["solution.csv"],
+           "transform": ["solution_k1.csv", "solution_k2.csv", "report.json"],
+           "verify": ["report.json"], "wavefunction": ["wave.csv"]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["fixed_point.cfg", "generic_seed.cfg"]),
+       command=st.sampled_from(sorted(_WRITES)),
+       blocked=st.sampled_from(sorted({n for v in _WRITES.values()
+                                       for n in v})),
+       garbage=st.sampled_from([None, b"\xff\xfe", b"\xc3\x28", b"\x80"]))
+@example(name="fixed_point.cfg", command="solve", blocked="solution.csv",
+         garbage=None)
+@example(name="fixed_point.cfg", command="verify", blocked="report.json",
+         garbage=None)
+@example(name="fixed_point.cfg", command="solve", blocked="report.json",
+         garbage=b"\xff\xfe")
+def test_filesystem_states_exit_cleanly(tmp_path_factory, name, command,
+                                        blocked, garbage):
+    """A directory at one output name, or a config line that is not UTF-8:
+    a config that does not decode exits 2 naming the config, and a command
+    that writes the blocked name exits 2 naming it, where both ended in a
+    traceback. The outputs written before the blocked one remain; any other
+    command exits 0."""
+    tmp = tmp_path_factory.mktemp("fs")
+    text = (CONFIGS / name).read_bytes()
+    cfg = tmp / "exp.cfg"
+    cfg.write_bytes(text if garbage is None else text + garbage + b" = 2\n")
+    out = tmp / "out"
+    (out / blocked).mkdir(parents=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(cfg), "--out-dir", str(out)])
+    writes = _WRITES[command]
+    if garbage is not None:
+        assert code == 2
+        assert f"config error: config {cfg} is not UTF-8: " in err.getvalue()
+        written = []
+    elif blocked in writes:
+        assert code == 2
+        assert (f"config error: cannot write {out / blocked}: Is a "
+                f"directory" in err.getvalue())
+        written = writes[:writes.index(blocked)]
+    else:
+        assert code == 0, err.getvalue()
+        written = writes
+    assert sorted(p.name for p in out.iterdir()) == sorted({*written, blocked})
+    assert all((out / n).is_file() for n in written)
 
 
 class TestTransform:

@@ -10,10 +10,11 @@ from gpbacklund.errors import (AmplitudeCollapse, BlowUp, GridTooSmall,
                                StepSizeUnderflow)
 from gpbacklund.gp import (ClosedFormSolution, GPParams, LiouvilleSolution,
                            gp_rhs)
-from gpbacklund.ode import (_B5, _C, _D, _E, _G, DenseSolution, SecondOrderODE,
-                            SolutionGrid, ToleranceSpec, integrate,
-                            integrate_span, residual, residual_max, sample,
-                            stationary_points)
+from gpbacklund.ode import (_A2, _A2_DENSE, _B, _BA, _C, _C_DENSE, _E3, _E3A,
+                            _E5, _E5A, _QUINTIC_THIRDS, _SEPTIC, _W,
+                            SecondOrderODE, SolutionGrid, ToleranceSpec,
+                            integrate, integrate_span, residual, residual_max,
+                            sample, stationary_points)
 
 TOL = ToleranceSpec(atol=1e-10, rtol=1e-10)
 
@@ -123,7 +124,8 @@ class TestIntegrate:
 
         wave = SecondOrderODE(rhs=rhs, domain=(1e-3, 100.0))
         integrate(wave, 1.0, 2.0, 1.0, 50.0, TOL)
-        attempts = (calls - 1) // 6  # one initial call, then 6 per attempt
+        # one initial call, 12 per attempt, then 3 for the dense output
+        attempts = (calls - 4) // 12
         assert attempts > 100
         monkeypatch.setattr(ode, "_MAX_ATTEMPTS", attempts)
         integrate(wave, 1.0, 2.0, 1.0, 50.0, TOL)
@@ -153,16 +155,22 @@ class TestIntegrate:
             integrate(FREE, 1.0, -1.0, 0.0, 2.0, TOL)
 
     def test_convergence_order(self):
-        """Endpoint error vs mean step size on the sine oracle: the slope
-        must sit in [4, 6] for an order-5 pair."""
+        """Endpoint error vs step size on the sine oracle r = 2 + sin(x)
+        over four periods, every step bounded by max_step at a tolerance
+        that never binds: the slope must sit in [7, 9] for an order-8 pair.
+        (A tolerance sweep says nothing here: it takes 4-8 steps.)"""
+        x0, span = 0.01, 8.0 * math.pi
         errs, steps = [], []
         for k in range(8):
-            tol = ToleranceSpec(atol=1e-7 * 4.0 ** -k, rtol=1e-7 * 4.0 ** -k)
-            dense = sine_problem(tol=tol)
-            errs.append(abs(dense.evaluate(math.pi / 2)[0] - 1.0))
-            steps.append((math.pi / 2 - 0.01) / dense.meta["steps"])
+            bounded = SecondOrderODE(rhs=lambda x, r: 2.0 - r,
+                                     domain=(1e-3, 100.0),
+                                     max_step=span / (16.0 * 1.25 ** k))
+            dense = integrate(bounded, x0, 2.0 + math.sin(x0), math.cos(x0),
+                              x0 + span, ToleranceSpec(1e-2, 1e-2))
+            errs.append(abs(dense.rs[-1] - 2.0 - math.sin(x0 + span)))
+            steps.append(span / dense.meta["steps"])
         slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
-        assert 4.0 <= slope <= 6.0
+        assert 7.0 <= slope <= 9.0
 
 
 class TestDenseOutput:
@@ -172,18 +180,20 @@ class TestDenseOutput:
         assert np.array_equal(rs, dense.rs)
         assert np.array_equal(rps, dense.rps)
 
-    def test_quintic_exactness(self):
-        # solution r = x^5 has vanishing sixth derivative: both the pair and
-        # the quintic interpolant reproduce it to rounding
-        ode = SecondOrderODE(rhs=lambda x, r: 20.0 * x ** 3, domain=(0.5, 10.0))
-        dense = integrate(ode, 1.0, 1.0, 5.0, 2.0, ToleranceSpec(1e-8, 1e-8))
+    def test_septic_exactness(self):
+        # solution r = x^7 has vanishing eighth derivative: the pair, its
+        # continuous extension and the septic interpolant reproduce it to
+        # rounding
+        ode = SecondOrderODE(rhs=lambda x, r: 42.0 * x ** 5,
+                             domain=(0.5, 10.0))
+        dense = integrate(ode, 1.0, 1.0, 7.0, 2.0, ToleranceSpec(1e-8, 1e-8))
         xq = np.linspace(1.0, 2.0, 37)
         rq, rpq = dense.evaluate(xq)
-        assert np.max(np.abs(rq - xq ** 5)) < 1e-10
-        assert np.max(np.abs(rpq - 5 * xq ** 4)) < 1e-9
+        assert np.max(np.abs(rq - xq ** 7)) < 1e-10
+        assert np.max(np.abs(rpq - 7 * xq ** 6)) < 1e-9
 
     def test_c1_continuity_at_nodes(self):
-        # adjacent quintics share value and first derivative at each node,
+        # adjacent septics share value and first derivative at each node,
         # so straddling evaluations differ only by the smooth 2*eps drift
         dense = sine_problem()
         eps = 1e-9
@@ -193,35 +203,83 @@ class TestDenseOutput:
             assert below[0] == pytest.approx(above[0], abs=1e-8)
             assert below[1] == pytest.approx(above[1], abs=1e-8)
 
+    @pytest.mark.parametrize("x0, x_end", [(0.5, 20.0), (20.0, 0.5)])
+    def test_c2_continuity_at_nodes(self, x0, x_end):
+        """The septic of each step ends with the r'' = rhs of its right
+        node, so r'' is continuous, to the rounding of c3..c7 (about 2e-13
+        of max|r''| here), in either direction of integration."""
+        dense = integrate(TestStationaryPoints.SHIFTED, x0, 2.0 + math.cos(x0),
+                          -math.sin(x0), x_end, TOL)
+        h, _, _, c2, c3, c4, c5, c6, c7, _ = dense._table[:, :-1]
+        rpp_end = (2.0 * c2 + 6.0 * c3 + 12.0 * c4 + 20.0 * c5 + 30.0 * c6
+                   + 42.0 * c7) / (h * h)
+        scale = np.max(np.abs(dense.rpps))
+        assert np.max(np.abs(rpp_end - dense.rpps[1:])) < 1e-11 * scale
+
+    @pytest.mark.parametrize("x0, x_end", [(0.5, 20.0), (20.0, 0.5)])
+    def test_thirds_are_the_extensions_r_prime(self, x0, x_end):
+        """r' at one and two thirds of every step is r' at its left node
+        plus ``thirds``, and within the tolerance of the exact r'."""
+        dense = integrate(TestStationaryPoints.SHIFTED, x0, 2.0 + math.cos(x0),
+                          -math.sin(x0), x_end, TOL)
+        h = np.diff(dense.xs)
+        for j in (1, 2):
+            xq = dense.xs[:-1] + j * h / 3.0
+            rp = dense.evaluate(xq)[1]
+            np.testing.assert_allclose(
+                rp, dense.rps[:-1] + dense.thirds[j - 1], rtol=0.0, atol=1e-14)
+            assert np.max(np.abs(rp + np.sin(xq))) < 1e-9
+
     def test_out_of_range(self):
         dense = sine_problem()
         with pytest.raises(OutOfRange):
             dense.evaluate(99.0)
 
 
-def _hermite5(s, h, y0, d0, a0, y1, d1, a1):
-    """Quintic Hermite basis matching value/1st/2nd derivative at both ends:
-    the evaluator's former form, the oracle here in np.longdouble."""
-    s2 = s * s
-    s3 = s2 * s
-    s4 = s3 * s
-    s5 = s4 * s
-    h00 = 1.0 - 10.0 * s3 + 15.0 * s4 - 6.0 * s5
-    h10 = s - 6.0 * s3 + 8.0 * s4 - 3.0 * s5
-    h20 = 0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5
-    h01 = 10.0 * s3 - 15.0 * s4 + 6.0 * s5
-    h11 = -4.0 * s3 + 7.0 * s4 - 3.0 * s5
-    h21 = 0.5 * s3 - s4 + 0.5 * s5
-    val = (h00 * y0 + h10 * h * d0 + h20 * h * h * a0
-           + h01 * y1 + h11 * h * d1 + h21 * h * h * a1)
-    g00 = -30.0 * s2 + 60.0 * s3 - 30.0 * s4
-    g10 = 1.0 - 18.0 * s2 + 32.0 * s3 - 15.0 * s4
-    g20 = s - 4.5 * s2 + 6.0 * s3 - 2.5 * s4
-    g01 = 30.0 * s2 - 60.0 * s3 + 30.0 * s4
-    g11 = -12.0 * s2 + 28.0 * s3 - 15.0 * s4
-    g21 = 1.5 * s2 - 4.0 * s3 + 2.5 * s4
-    der = (g00 * y0 + g01 * y1) / h + (g10 * d0 + g11 * d1) \
-        + (g20 * h * a0 + g21 * h * a1)
+def _inverse(rows):
+    """The inverse of a square matrix of Fractions, by Gauss-Jordan."""
+    n = len(rows)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if aug[i][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _slope(s):
+    """d/ds of s^3..s^7 at s, as Fractions."""
+    return [k * s ** (k - 1) for k in range(3, 8)]
+
+
+def _septic_inverse():
+    """The inverse of the matrix taking c3..c7 to what the septic adds to
+    its Taylor terms c0 + c1 s + c2 s^2 at s = 1 in r, h r' and h^2 r'',
+    and in h r' at s = 1/3 and 2/3: its entries are dyadic, so exact in
+    binary."""
+    one = Fraction(1)
+    return _inverse([[one] * 5, _slope(one),
+                     [k * (k - 1) for k in range(3, 8)],
+                     _slope(Fraction(1, 3)), _slope(Fraction(2, 3))])
+
+
+def _septic(s, h, y0, d0, a0, y1, d1, a1, t1, t2):
+    """The dense output's septic in power form, from its conditions on
+    c3..c7 by the exact inverse of their matrix: the evaluator's polynomial
+    by another route, the oracle here in np.longdouble."""
+    c = [y0, h * d0, h * h * a0 / 2]
+    cond = (y1 - c[0] - c[1] - c[2], h * d1 - c[1] - 2 * c[2],
+            h * h * a1 - 2 * c[2], h * t1 - 2 * c[2] / 3,
+            h * t2 - 4 * c[2] / 3)
+    for row in _septic_inverse():
+        c.append(sum(np.longdouble(float(w)) * v for w, v in zip(row, cond)))
+    val = sum(c[k] * s ** k for k in range(8))
+    der = sum(k * c[k] * s ** (k - 1) for k in range(1, 8)) / h
     return val, der
 
 
@@ -263,6 +321,16 @@ class TestStationaryPoints:
         k = np.searchsorted(dense.xs, roots) - 1
         assert np.all((dense.xs[k] <= roots) & (roots <= dense.xs[k + 1]))
 
+    def test_roots_of_a_backward_integration(self):
+        """The septic of a backward step takes its thirds in the other
+        order; its roots are the same to the tolerance."""
+        dense = integrate(self.SHIFTED, 20.0, 2.0 + math.cos(20.0),
+                          -math.sin(20.0), 0.5, TOL)
+        roots = stationary_points(dense)
+        np.testing.assert_allclose(roots, math.pi * np.arange(1, 7),
+                                   rtol=0.0, atol=1e-9)
+        assert np.max(np.abs(dense.evaluate(roots)[1])) < 1e-15
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_root_at_the_first_node_stays_in_its_step(self, sign):
         """Starting on a root (r' = 0 exactly, of either sign bit), that
@@ -282,9 +350,10 @@ class TestStationaryPoints:
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
                     reason="np.longdouble is no wider than binary64 here")
 class TestHornerAccuracy:
-    """The Horner form against the same quintic Hermite in np.longdouble.
-    The basis form it replaced took r' as (g00 y0 + g01 y1)/h, which
-    cancels: it was off by 300-1100 eps of max|r'| on these seeds."""
+    """The Horner form against the same septic in np.longdouble, built from
+    the exact inverse of its conditions on c3..c7. (A basis form of the quintic
+    this replaced took r' as (g00 y0 + g01 y1)/h, which cancels: it was off
+    by 300-1100 eps of max|r'| on these seeds.)"""
 
     @pytest.mark.parametrize("i", range(len(_ORBIT_LIKE)))
     def test_matches_longdouble_hermite(self, i):
@@ -294,11 +363,11 @@ class TestHornerAccuracy:
         r, rp = dense.evaluate(tq)
         k = np.clip(np.searchsorted(dense.xs, tq, side="right") - 1,
                     0, dense.xs.size - 2)
-        xs, rs, rps, rpps = (a.astype(np.longdouble) for a in
-                             (dense.xs, dense.rs, dense.rps, dense.rpps))
+        xs, rs, rps, rpps, t1, t2 = (a.astype(np.longdouble) for a in (
+            dense.xs, dense.rs, dense.rps, dense.rpps, *dense.thirds))
         h = xs[k + 1] - xs[k]
-        val, der = _hermite5((tq - xs[k]) / h, h, rs[k], rps[k], rpps[k],
-                             rs[k + 1], rps[k + 1], rpps[k + 1])
+        val, der = _septic((tq - xs[k]) / h, h, rs[k], rps[k], rpps[k],
+                           rs[k + 1], rps[k + 1], rpps[k + 1], t1[k], t2[k])
         eps = np.finfo(float).eps
         assert np.all(np.abs(r - val) <= 2.0 * eps * np.abs(val))
         assert np.max(np.abs(rp - der)) <= 8.0 * eps * np.max(np.abs(der))
@@ -420,10 +489,11 @@ class TestResidual:
 
 
 # ---------------------------------------------------------------------------
-# Bit-for-bit pin of the straight-line FSAL step against a generic loop over
-# the Nystrom rows of ode._D. The oracle evaluates rhs seven times per
-# attempted step, tests each stage as it goes, and sums in the step's order
-# (start at 0.0, add left to right, skip zero weights).
+# Bit-for-bit pin of integrate's FSAL step against a loop over the Nystrom
+# rows of ode._A2 that skips zero weights. The oracle evaluates rhs 13 times
+# per attempted step, tests each stage as it goes, and sums in the step's
+# order (start at 0.0, add left to right). Its dense-output stages are
+# scalar calls, one step at a time.
 
 def _oracle_rhs(rhs, x, r):
     try:
@@ -440,13 +510,26 @@ def _dot(weights, k):
     return acc
 
 
+def _oracle_thirds(rhs, step, node, k13, direction):
+    """The ``thirds`` of one accepted step from its (h, k1..k12), its start
+    node (x, r, r') and k13."""
+    h, k = step[0], [*step[1:], k13]
+    x, r, rp = node
+    for c, row in zip(_C_DENSE, _A2_DENSE):
+        k.append(float(rhs(x + c * h, r + h * (c * rp + h * _dot(row, k)))))
+    if direction > 0.0:
+        return [h * _dot(w, k) for w in _W]
+    return [h * (_dot(w, k) - _dot(_B, k)) for w in _W[::-1]]
+
+
 def reference_integrate(ode, x0, r0, rp0, x_end, tol=ToleranceSpec(),
                         amplitude_floor=1e-6):
-    """(xs, rs, rps, rpps, attempted steps) of the row-driven loop."""
+    """(xs, rs, rps, rpps, thirds, attempted steps) of the row-driven loop."""
     direction = 1.0 if x_end > x0 else -1.0
     span = abs(x_end - x0)
     x, r, rp = float(x0), float(r0), float(rp0)
     nodes = [(x, r, rp, _oracle_rhs(ode.rhs, x, r))]
+    steps = []
     h = direction * min(0.01 * span, span)
     attempts = 0
     while (x_end - x) * direction > 0.0:
@@ -458,25 +541,28 @@ def reference_integrate(ode, x0, r0, rp0, x_end, tol=ToleranceSpec(),
         attempts += 1
         k = [_oracle_rhs(ode.rhs, x, r)]
         bad = not math.isfinite(k[0])
-        # stage i + 1 from row i of _D; stage 7's amplitude is the new r
-        for i in range(1, 7):
+        # stage i + 1 from row i - 1 of _A2
+        for i in range(1, 12):
             if bad:
                 break
-            ri = r + h * (_C[i] * rp + h * _dot(_D[i], k))
-            k.append(_oracle_rhs(ode.rhs, x + _C[i] * h, ri))
+            c = _C[i - 1]
+            ri = r + h * (c * rp + h * _dot(_A2[i - 1], k))
+            k.append(_oracle_rhs(ode.rhs, x + c * h, ri))
             bad = not (math.isfinite(ri) and math.isfinite(k[i]))
         if not bad:
-            r_new = ri
-            rp_new = rp + h * _dot(_B5, k)
-            sc_r = tol.atol + tol.rtol * max(abs(r), abs(r_new))
-            sc_rp = tol.atol + tol.rtol * max(abs(rp), abs(rp_new))
-            e1 = h * (h * _dot(_G, k)) / sc_r
-            e2 = h * _dot(_E, k) / sc_rp
-            err = math.sqrt(0.5 * (e1 * e1 + e2 * e2))
-            bad = not (math.isfinite(rp_new) and math.isfinite(err))
-        if bad:
-            err = math.inf
+            r_new = r + h * (rp + h * _dot(_BA, k))
+            rp_new = rp + h * _dot(_B, k)
+            k13 = _oracle_rhs(ode.rhs, x + h, r_new)
+            sc_r = h * h / (tol.atol + tol.rtol * max(abs(r), abs(r_new)))
+            sc_rp = h / (tol.atol + tol.rtol * max(abs(rp), abs(rp_new)))
+            n5 = (_dot(_E5A, k) * sc_r) ** 2 + (_dot(_E5, k) * sc_rp) ** 2
+            n3 = (_dot(_E3A, k) * sc_r) ** 2 + (_dot(_E3, k) * sc_rp) ** 2
+            den = 2.0 * (n5 + 0.01 * n3)
+            bad = not (math.isfinite(r_new) and math.isfinite(rp_new)
+                       and math.isfinite(k13) and math.isfinite(den))
+        err = math.inf if bad else (n5 / math.sqrt(den) if n5 else 0.0)
         if err <= 1.0:
+            steps.append((h, *k))
             x = x_end if last else x + h
             r, rp = r_new, rp_new
             if r < amplitude_floor:
@@ -485,13 +571,17 @@ def reference_integrate(ode, x0, r0, rp0, x_end, tol=ToleranceSpec(),
                     f"at x={x:.6g}")
             if abs(r) > 1e12 or abs(rp) > 1e12:
                 raise BlowUp(f"state exceeded {1e12:.1e} at x={x:.6g}")
-            nodes.append((x, r, rp, k[6]))
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            nodes.append((x, r, rp, k13))
+        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
         h *= factor
+    thirds = np.array([_oracle_thirds(ode.rhs, step, node[:3], end[3],
+                                      direction)
+                       for step, node, end in zip(steps, nodes, nodes[1:])]).T
     xs, rs, rps, rpps = (np.array(col) for col in zip(*nodes))
     if direction < 0.0:
         xs, rs, rps, rpps = xs[::-1], rs[::-1], rps[::-1], rpps[::-1]
-    return xs, rs, rps, rpps, attempts
+        thirds = thirds[:, ::-1]
+    return xs, rs, rps, rpps, thirds, attempts
 
 
 def _counting(ode):
@@ -509,19 +599,23 @@ def _gp_ode(n, eta):
     return gp_rhs(GPParams(n=n, eta=eta, b=-1.0, c=1.0))
 
 
-# a unit oscillation about r = 1 under a square-wave force: every jump of
-# the force rejects a run of steps. The rhs raises ValueError above r = 1.6,
-# where some large trial steps overshoot, so those are rejected mid-step.
-KINKED = SecondOrderODE(
-    rhs=lambda x, r: ((1.0 - r) + (0.5 if math.sin(5.0 * x) > 0.0 else -0.5)
-                      + 0.0 * math.sqrt(1.6 - r)),
-    domain=(1e-3, 1e3))
+def _kinked(x, r):
+    """A unit oscillation about r = 1 under a square-wave force: every jump
+    of the force rejects a run of steps. A scalar call raises ValueError
+    above r = 1.6, where some large trial steps overshoot, so those are
+    rejected mid-step."""
+    if np.ndim(r) == 0:
+        math.sqrt(1.6 - r)
+    return (1.0 - r) + np.where(np.sin(5.0 * x) > 0.0, 0.5, -0.5)
+
+
+KINKED = SecondOrderODE(rhs=_kinked, domain=(1e-3, 1e3))
 
 # a unit oscillation about r = 1 whose rhs returns inf, without raising, at
-# the third stage of the first attempted step only, x = 1 + (3/10) 0.02
-MIDDLE_STAGE_X = 1.0 + 0.3 * (0.01 * 2.0)
+# the third stage of the first attempted step only, x = 1 + c3 0.02
+MIDDLE_STAGE_X = 1.0 + _C[1] * (0.01 * 2.0)
 MIDDLE_STAGE_INF = SecondOrderODE(
-    rhs=lambda x, r: math.inf if x == MIDDLE_STAGE_X else 1.0 - r,
+    rhs=lambda x, r: np.where(x == MIDDLE_STAGE_X, math.inf, 1.0 - r),
     domain=(1e-3, 1e3))
 
 # (ode, x0, r0, rp0, x_end, tol)
@@ -543,24 +637,29 @@ PINNED = {
 class TestPinnedBits:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_matches_tableau_loop(self, name):
+        """The nodes bit for bit; ``thirds``, from array calls of rhs and
+        numpy's sums in integrate, scalar calls and sums here, to 1e-14 of
+        its largest value."""
         ode, x0, r0, rp0, x_end, tol = PINNED[name]
         dense = integrate(ode, x0, r0, rp0, x_end, tol)
-        xs, rs, rps, rpps, attempts = reference_integrate(
+        xs, rs, rps, rpps, thirds, _ = reference_integrate(
             ode, x0, r0, rp0, x_end, tol)
         for got, want in ((dense.xs, xs), (dense.rs, rs), (dense.rps, rps),
                           (dense.rpps, rpps)):
             assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(dense.thirds, thirds, rtol=0.0,
+                                   atol=1e-14 * np.max(np.abs(thirds)))
 
     def test_many_rejections_case_rejects(self):
         ode, x0, r0, rp0, x_end, tol = PINNED["many_rejections"]
         counting, calls = _counting(ode)
         integrate(counting, x0, r0, rp0, x_end, tol)
-        xs, _, _, _, attempts = reference_integrate(ode, x0, r0, rp0, x_end,
-                                                    tol)
+        xs, _, _, _, _, attempts = reference_integrate(ode, x0, r0, rp0,
+                                                       x_end, tol)
         accepted = xs.size - 1
         assert attempts - accepted > accepted
         # some rejected steps stop early at a stage that raised
-        assert calls[0] < 1 + 6 * attempts
+        assert calls[0] < 1 + 12 * attempts + 3
 
     @pytest.mark.parametrize("rhs, x_end, tol, error", [
         (lambda x, r: 100.0 * r, 10.0, ToleranceSpec(1e-6, 1e-6), BlowUp),
@@ -577,12 +676,14 @@ class TestPinnedBits:
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("name", ["gp_n1_forward", "gp_n2_backward"])
-    def test_six_rhs_calls_per_attempt(self, name):
+    def test_twelve_rhs_calls_per_attempt(self, name):
+        """One call at the initial point, 12 per attempt, then one array
+        call for each of the three dense-output stages."""
         ode, x0, r0, rp0, x_end, tol = PINNED[name]
         counting, calls = _counting(ode)
         integrate(counting, x0, r0, rp0, x_end, tol)
-        attempts = reference_integrate(ode, x0, r0, rp0, x_end, tol)[4]
-        assert calls[0] == 1 + 6 * attempts
+        attempts = reference_integrate(ode, x0, r0, rp0, x_end, tol)[5]
+        assert calls[0] == 1 + 12 * attempts + 3
 
     def test_non_finite_middle_stage_rejects_the_step(self):
         ode, x0, r0, rp0, x_end, tol = PINNED["middle_stage_inf"]
@@ -590,16 +691,17 @@ class TestPinnedBits:
         dense = integrate(counting, x0, r0, rp0, x_end, tol)
         # the first attempt runs all its stages, and is rejected: the first
         # step, 0.01 * span, shrinks by 0.2
-        assert calls[0] == 1 + 6 * reference_integrate(*PINNED[
-            "middle_stage_inf"])[4]
+        assert calls[0] == 1 + 12 * reference_integrate(*PINNED[
+            "middle_stage_inf"])[5] + 3
         assert dense.xs[1] == pytest.approx(1.0 + 0.2 * 0.02, rel=1e-15)
 
-    @pytest.mark.parametrize("call", range(2, 8))
+    @pytest.mark.parametrize("call", range(2, 14))
     def test_non_finite_stage_rejects_the_attempt(self, call):
-        # call 1 is the initial point and calls 2-7 the stages of the first
-        # attempt, 7 its last (FSAL) stage. Stage 2 has zero weight in the
-        # new state and both errors: it reaches the test through r4 and k4,
-        # because this rhs is not finite where its amplitude is not
+        # call 1 is the initial point and calls 2-13 the stages of the first
+        # attempt, 13 its last (FSAL) stage. Stages 2-5 have zero weight in
+        # the new r' and the error in r'; k4 and k5 reach the error in r,
+        # and k2 and k3 reach r5 and so k5, because this rhs is not finite
+        # where its amplitude is not
         calls = [0]
 
         def rhs(x, r):
@@ -613,48 +715,320 @@ class TestPinnedBits:
         assert np.all(dense.rs == 1.0) and np.all(dense.rps == 0.0)
 
 
+def _nystrom_trees(n):
+    """Every special Nystrom tree of n vertices (Hairer, Norsett & Wanner,
+    II.14): a tuple of the meagre children of its fat root, each () for a
+    leaf or (t,) for one carrying the fat tree t, sorted."""
+    if n == 1:
+        return [()]
+    trees = set()
+
+    def extend(rest, children):
+        if rest == 0:
+            trees.add(tuple(sorted(children)))
+            return
+        for m in range(1, rest + 1):
+            for child in ([()] if m == 1 else
+                          [(t,) for t in _nystrom_trees(m - 1)]):
+                extend(rest - m, children + [child])
+
+    extend(n - 1, [])
+    return sorted(trees)
+
+
+def _order(tree):
+    return 1 + sum(1 if not m else 1 + _order(m[0]) for m in tree)
+
+
+def _gamma(tree):
+    g = _order(tree)
+    for m in tree:
+        if m:
+            g *= (1 + _order(m[0])) * _gamma(m[0])
+    return g
+
+
 class TestNystromTableau:
-    """ode.py's rows follow exactly from the textbook Dormand-Prince 5(4)
-    tableau (Dormand & Prince 1980), held here as rationals."""
+    """ode.py's literals follow from DOP853's published 30-digit decimals
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.6; those of
+    scipy's dop853_coefficients.py), held here as strings and read as exact
+    rationals. The decimals meet the order conditions to about 1e-28, not
+    exactly, so a derived weight below ZERO is a rounding of 0."""
 
-    F = Fraction
-    C = (F(0), F(1, 5), F(3, 10), F(4, 5), F(8, 9), F(1), F(1))
-    A = ((),
-         (F(1, 5),),
-         (F(3, 40), F(9, 40)),
-         (F(44, 45), F(-56, 15), F(32, 9)),
-         (F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)),
-         (F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176),
-          F(-5103, 18656)),
-         (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784),
-          F(11, 84)))
-    B = (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784),
-         F(11, 84), F(0))
-    B_HAT = (F(5179, 57600), F(0), F(7571, 16695), F(393, 640),
-             F(-92097, 339200), F(187, 2100), F(1, 40))
+    C = ("0.0", "0.526001519587677318785587544488e-01",
+         "0.789002279381515978178381316732e-01",
+         "0.118350341907227396726757197510",
+         "0.281649658092772603273242802490",
+         "0.333333333333333333333333333333", "0.25",
+         "0.307692307692307692307692307692",
+         "0.651282051282051282051282051282", "0.6",
+         "0.857142857142857142857142857142", "1.0", "1.0", "0.1",
+         "0.2", "0.777777777777777777777777777778")
+    A = {  # row: {column: a}
+        1: {0: "5.26001519587677318785587544488e-2"},
+        2: {0: "1.97250569845378994544595329183e-2",
+            1: "5.91751709536136983633785987549e-2"},
+        3: {0: "2.95875854768068491816892993775e-2",
+            2: "8.87627564304205475450678981324e-2"},
+        4: {0: "2.41365134159266685502369798665e-1",
+            2: "-8.84549479328286085344864962717e-1",
+            3: "9.24834003261792003115737966543e-1"},
+        5: {0: "3.7037037037037037037037037037e-2",
+            3: "1.70828608729473871279604482173e-1",
+            4: "1.25467687566822425016691814123e-1"},
+        6: {0: "3.7109375e-2", 3: "1.70252211019544039314978060272e-1",
+            4: "6.02165389804559606850219397283e-2", 5: "-1.7578125e-2"},
+        7: {0: "3.70920001185047927108779319836e-2",
+            3: "1.70383925712239993810214054705e-1",
+            4: "1.07262030446373284651809199168e-1",
+            5: "-1.53194377486244017527936158236e-2",
+            6: "8.27378916381402288758473766002e-3"},
+        8: {0: "6.24110958716075717114429577812e-1",
+            3: "-3.36089262944694129406857109825",
+            4: "-8.68219346841726006818189891453e-1",
+            5: "2.75920996994467083049415600797e1",
+            6: "2.01540675504778934086186788979e1",
+            7: "-4.34898841810699588477366255144e1"},
+        9: {0: "4.77662536438264365890433908527e-1",
+            3: "-2.48811461997166764192642586468",
+            4: "-5.90290826836842996371446475743e-1",
+            5: "2.12300514481811942347288949897e1",
+            6: "1.52792336328824235832596922938e1",
+            7: "-3.32882109689848629194453265587e1",
+            8: "-2.03312017085086261358222928593e-2"},
+        10: {0: "-9.3714243008598732571704021658e-1",
+            3: "5.18637242884406370830023853209",
+            4: "1.09143734899672957818500254654",
+            5: "-8.14978701074692612513997267357",
+            6: "-1.85200656599969598641566180701e1",
+            7: "2.27394870993505042818970056734e1",
+            8: "2.49360555267965238987089396762",
+            9: "-3.0467644718982195003823669022"},
+        11: {0: "2.27331014751653820792359768449",
+            3: "-1.05344954667372501984066689879e1",
+            4: "-2.00087205822486249909675718444",
+            5: "-1.79589318631187989172765950534e1",
+            6: "2.79488845294199600508499808837e1",
+            7: "-2.85899827713502369474065508674",
+            8: "-8.87285693353062954433549289258",
+            9: "1.23605671757943030647266201528e1",
+            10: "6.43392746015763530355970484046e-1"},
+        12: {0: "5.42937341165687622380535766363e-2",
+            5: "4.45031289275240888144113950566",
+            6: "1.89151789931450038304281599044",
+            7: "-5.8012039600105847814672114227",
+            8: "3.1116436695781989440891606237e-1",
+            9: "-1.52160949662516078556178806805e-1",
+            10: "2.01365400804030348374776537501e-1",
+            11: "4.47106157277725905176885569043e-2"},
+        13: {0: "5.61675022830479523392909219681e-2",
+            6: "2.53500210216624811088794765333e-1",
+            7: "-2.46239037470802489917441475441e-1",
+            8: "-1.24191423263816360469010140626e-1",
+            9: "1.5329179827876569731206322685e-1",
+            10: "8.20105229563468988491666602057e-3",
+            11: "7.56789766054569976138603589584e-3", 12: "-8.298e-3"},
+        14: {0: "3.18346481635021405060768473261e-2",
+            5: "2.83009096723667755288322961402e-2",
+            6: "5.35419883074385676223797384372e-2",
+            7: "-5.49237485713909884646569340306e-2",
+            10: "-1.08347328697249322858509316994e-4",
+            11: "3.82571090835658412954920192323e-4",
+            12: "-3.40465008687404560802977114492e-4",
+            13: "1.41312443674632500278074618366e-1"},
+        15: {0: "-4.28896301583791923408573538692e-1",
+            5: "-4.69762141536116384314449447206",
+            6: "7.68342119606259904184240953878",
+            7: "4.06898981839711007970213554331",
+            8: "3.56727187455281109270669543021e-1",
+            12: "-1.39902416515901462129418009734e-3",
+            13: "2.9475147891527723389556272149",
+            14: "-9.15095847217987001081870187138"},
+    }
+    # the embedded 3rd order formula's weights, nonzero on k1, k9, k12:
+    # E3 = b - B_HAT3
+    B_HAT3 = {0: "0.244094488188976377952755905512",
+              8: "0.733846688281611857341361741547",
+              11: "0.220588235294117647058823529412e-1"}
+    # the weights of the 5th order error estimate
+    E5 = {0: "0.1312004499419488073250102996e-1",
+          5: "-0.1225156446376204440720569753e+1",
+          6: "-0.4957589496572501915214079952",
+          7: "0.1664377182454986536961530415e+1",
+          8: "-0.3503288487499736816886487290",
+          9: "0.3341791187130174790297318841",
+          10: "0.8192320648511571246570742613e-1",
+          11: "-0.2235530786388629525884427845e-1"}
+    D = (  # the continuous extension's F3..F6 weights: {stage: d}
+        {0: "-0.84289382761090128651353491142e+1",
+         5: "0.56671495351937776962531783590",
+         6: "-0.30689499459498916912797304727e+1",
+         7: "0.23846676565120698287728149680e+1",
+         8: "0.21170345824450282767155149946e+1",
+         9: "-0.87139158377797299206789907490",
+         10: "0.22404374302607882758541771650e+1",
+         11: "0.63157877876946881815570249290",
+         12: "-0.88990336451333310820698117400e-1",
+         13: "0.18148505520854727256656404962e+2",
+         14: "-0.91946323924783554000451984436e+1",
+         15: "-0.44360363875948939664310572000e+1"},
+        {0: "0.10427508642579134603413151009e+2",
+         5: "0.24228349177525818288430175319e+3",
+         6: "0.16520045171727028198505394887e+3",
+         7: "-0.37454675472269020279518312152e+3",
+         8: "-0.22113666853125306036270938578e+2",
+         9: "0.77334326684722638389603898808e+1",
+         10: "-0.30674084731089398182061213626e+2",
+         11: "-0.93321305264302278729567221706e+1",
+         12: "0.15697238121770843886131091075e+2",
+         13: "-0.31139403219565177677282850411e+2",
+         14: "-0.93529243588444783865713862664e+1",
+         15: "0.35816841486394083752465898540e+2"},
+        {0: "0.19985053242002433820987653617e+2",
+         5: "-0.38703730874935176555105901742e+3",
+         6: "-0.18917813819516756882830838328e+3",
+         7: "0.52780815920542364900561016686e+3",
+         8: "-0.11573902539959630126141871134e+2",
+         9: "0.68812326946963000169666922661e+1",
+         10: "-0.10006050966910838403183860980e+1",
+         11: "0.77771377980534432092869265740",
+         12: "-0.27782057523535084065932004339e+1",
+         13: "-0.60196695231264120758267380846e+2",
+         14: "0.84320405506677161018159903784e+2",
+         15: "0.11992291136182789328035130030e+2"},
+        {0: "-0.25693933462703749003312586129e+2",
+         5: "-0.15418974869023643374053993627e+3",
+         6: "-0.23152937917604549567536039109e+3",
+         7: "0.35763911791061412378285349910e+3",
+         8: "0.93405324183624310003907691704e+2",
+         9: "-0.37458323136451633156875139351e+2",
+         10: "0.10409964950896230045147246184e+3",
+         11: "0.29840293426660503123344363579e+2",
+         12: "-0.43533456590011143754432175058e+2",
+         13: "0.96324553959188282948394950600e+2",
+         14: "-0.39177261675615439165231486172e+2",
+         15: "-0.14972683625798562581422125276e+3"},
+    )
 
-    E = tuple(b - b_hat for b, b_hat in zip(B, B_HAT))
-    MATRIX = [list(row) + [Fraction(0)] * (7 - len(row)) for row in A]
+    ZERO = Fraction(1, 10 ** 25)
 
-    def times_a(self, v):
-        """The row vector v A."""
-        return [sum(v[m] * self.MATRIX[m][j] for m in range(7))
-                for j in range(7)]
+    @classmethod
+    def rationals(cls):
+        """c, the 16 x 16 A, b, the E5 and E3 weights over k1..k12."""
+        F = Fraction
+        c = [F(v) for v in cls.C]
+        a = [[F(0)] * 16 for _ in range(16)]
+        for i, row in cls.A.items():
+            for j, v in row.items():
+                a[i][j] = F(v)
+        b = a[12][:12]
+        e5 = [F(cls.E5.get(j, "0")) for j in range(12)]
+        e3 = [b[j] - F(cls.B_HAT3.get(j, "0")) for j in range(12)]
+        return c, a, b, e5, e3
+
+    @staticmethod
+    def times(v, a):
+        """The row vector v A over the first len(v) rows of A."""
+        return [sum((v[m] * a[m][j] for m in range(len(v))), Fraction(0))
+                for j in range(16)]
+
+    def expect(self, values):
+        return tuple(0.0 if abs(v) < self.ZERO else float(v) for v in values)
+
+    def extension(self, theta, b):
+        """W with r'(theta) = r' + h W . k over the 16 stages: the velocity
+        of DOP853's continuous extension, y0 + theta (F0 + (1 - theta) (F1
+        + theta (F2 + ...))) with F0 = h b . k, F1 = h k1 - F0,
+        F2 = 2 F0 - h (k13 + k1) and F3..F6 = h D . k."""
+        unit = [[Fraction(int(i == j)) for j in range(16)] for i in (0, 12)]
+        f0 = list(b) + [Fraction(0)] * 4
+        fs = [f0, [u - v for u, v in zip(unit[0], f0)],
+              [2 * v - u - w for v, u, w in zip(f0, *unit)]]
+        fs += [[Fraction(row.get(j, "0")) for j in range(16)]
+               for row in self.D]
+        w = [Fraction(0)] * 16
+        for i, f in enumerate(reversed(fs)):
+            factor = theta if i % 2 == 0 else 1 - theta
+            w = [(u + v) * factor for u, v in zip(w, f)]
+        return w
 
     def test_order_conditions_behind_the_nystrom_form(self):
-        for row, c in zip(self.A, self.C):
-            assert sum(row) == c
-        assert sum(self.B) == 1
-        assert sum(self.E) == 0
-        assert self.MATRIX[6] == list(self.B)
+        """Each row of A sums to its c, which is what lets a stage take
+        c_i h r' for h sum_j a_ij r'; E5 and E3 sum to 0, which makes their
+        error in r h^2 EA . k. Then with the Nystrom rows D = A^2 and the
+        r weights bA: sum_i b_i Phi_i(t) = 1/gamma(t) on every special
+        Nystrom tree t of up to 8 vertices, and sum_i (bA)_i Phi_i(t) =
+        1/((rho(t) + 1) gamma(t)) on those of up to 7, to the decimals'
+        precision: the step is of order 8, and not 9."""
+        c, a, b, e5, e3 = self.rationals()
+        for row, ci in zip(a, c):
+            assert abs(sum(row) - ci) < 1e-28
+        assert abs(sum(e5)) < 1e-27 and abs(sum(e3)) < 1e-27
+        d = [self.times(row, a)[:12] for row in a[:12]]
+        ba = self.times(b, a)[:12]
+        phis = {}
+
+        def phi(tree):
+            if tree not in phis:
+                v = [Fraction(1)] * 12
+                for m in tree:
+                    if m:
+                        sub = phi(m[0])
+                        f = [sum(di[j] * sub[j] for j in range(12))
+                             for di in d]
+                    else:
+                        f = c[:12]
+                    v = [x * y for x, y in zip(v, f)]
+                phis[tree] = v
+            return phis[tree]
+
+        # 1, 1, 2, 3, 6, 10, 20 and 36 trees of 1 to 8 vertices
+        assert [len(_nystrom_trees(n)) for n in range(1, 9)] == [
+            1, 1, 2, 3, 6, 10, 20, 36]
+        for n in range(1, 9):
+            for tree in _nystrom_trees(n):
+                p, gamma = phi(tree), _gamma(tree)
+                assert abs(sum(x * y for x, y in zip(b, p))
+                           - Fraction(1, gamma)) < 1e-25
+                if n <= 7:
+                    assert abs(sum(x * y for x, y in zip(ba, p))
+                               - Fraction(1, (n + 1) * gamma)) < 1e-25
+        ninth = sum(x * y ** 8 for x, y in zip(b, c))
+        assert abs(ninth - Fraction(1, 9)) > 1e-6
 
     def test_literals_match_the_rationals(self):
-        assert _C == tuple(float(c) for c in self.C)
-        assert _B5 == tuple(float(b) for b in self.B)
-        assert _E == tuple(float(e) for e in self.E)
-        # D = A^2, whose row 7 is b A since row 7 of A is b; G = e A
-        for row, d_row in zip(self.MATRIX, _D):
-            d = self.times_a(row)
-            assert d_row == tuple(float(v) for v in d[:len(d_row)])
-            assert not any(d[len(d_row):])
-        assert _G == tuple(float(v) for v in self.times_a(self.E))
+        c, a, b, e5, e3 = self.rationals()
+        a2 = [self.times(row, a) for row in a]
+        assert _C == tuple(float(v) for v in c[1:12])
+        # row i of A^2 for stage i + 1 weighs k1..k(i-1)
+        for i, row in enumerate(_A2, start=1):
+            assert row == self.expect(a2[i][:i - 1])
+        for i, row in enumerate(_A2_DENSE, start=13):
+            assert row == self.expect(a2[i][:i - 1])
+        assert _C_DENSE == tuple(float(v) for v in c[13:16])
+        ba = self.times(b, a)
+        assert ba[11] == 0 and _BA == self.expect(ba[:12])
+        assert _B == tuple(float(v) for v in b)
+        assert _E5 == tuple(float(v) for v in e5)
+        assert _E3 == tuple(float(v) for v in e3)
+        for literal, e in ((_E5A, e5), (_E3A, e3)):
+            ea = self.times(e, a)
+            assert ea[11] == 0 and literal == self.expect(ea[:12])
+        thirds = [self.extension(Fraction(j, 3), b) for j in (1, 2)]
+        assert _W == tuple(self.expect(w) for w in thirds)
+        # the extension starts at r' and ends at the step's new r'
+        assert not any(self.extension(Fraction(0), b))
+        assert self.extension(Fraction(1), b) == list(b) + [0] * 4
+
+    def test_septic_weights_are_the_exact_inverse(self):
+        """_SEPTIC after _QUINTIC_THIRDS, applied to (delta, dd, aa, p1, p2),
+        is the inverse of the septic's conditions on c3..c7, exactly."""
+        quintic = [[Fraction(w) / 81 for w in row] for row in _QUINTIC_THIRDS]
+        for col, want in enumerate(zip(*_septic_inverse())):
+            unit = [Fraction(int(i == col)) for i in range(5)]
+            # e_j = p_j - (quintic_j . (delta, dd, aa))
+            cond = unit[:3] + [unit[3 + j] - sum(
+                w * v for w, v in zip(quintic[j], unit[:3])) for j in (0, 1)]
+            got = [sum(Fraction(w) * v for w, v in zip(row, cond))
+                   for row in _SEPTIC]
+            assert got == list(want)
