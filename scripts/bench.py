@@ -50,14 +50,11 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-from gpbacklund import cli, config, gp  # noqa: E402
-from gpbacklund.ode import (SecondOrderODE, ToleranceSpec,  # noqa: E402
-                            integrate_span)
 from perfbench import workloads  # noqa: E402
 from perfbench.hostclock import reference_s  # noqa: E402
 
 SEED = 1
-REFERENCE_TOL = ToleranceSpec(1e-14, 1e-14)
+REFERENCE_TOL = 1e-14
 # 8-point Gauss-Legendre rule on [-1, 1] for the reference phase
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -79,6 +76,7 @@ def reference(p, x0: float, r0: float, rp0: float, domain, xs,
     """(r, r', theta - theta0) on xs of the seed from (x0, r0, rp0),
     integrated in t = G(x) at REFERENCE_TOL over all of ``domain``, with
     steps bounded as LiouvilleSolution bounds them; theta from x_ref."""
+    from gpbacklund.ode import SecondOrderODE, ToleranceSpec, integrate_span
     g = p.g
     c2, beta = p.c * p.c, p.b / p.n ** 3
     t_lo, t0, t_hi = g.value(np.array([domain[0], x0, domain[1]]))
@@ -91,7 +89,8 @@ def reference(p, x0: float, r0: float, rp0: float, domain, xs,
                          domain=(0.5 * t_lo, math.inf),
                          max_step=1.0 / omega if omega > 0.0 else math.inf)
     dense = integrate_span(ode, float(t0), float(rho0), float(rho_t0),
-                           float(t_lo), float(t_hi), REFERENCE_TOL)
+                           float(t_lo), float(t_hi),
+                           ToleranceSpec(REFERENCE_TOL, REFERENCE_TOL))
     ts = g.value(xs)
     rho, rho_t = dense.evaluate(ts)
     d1 = g.prime(xs)
@@ -115,6 +114,9 @@ def accuracy(workload: str, seed: int = SEED) -> dict:
     """The accuracy block of one workload's pool: the number of integrated
     seeds and the worst error of r, r' and theta over them, each relative
     to its column's largest |value| on the command's grid."""
+    # imported here: the cache state is read and every run made before
+    # this process imports the package, writes its bytecode and grows
+    from gpbacklund import cli, config, gp
     worst = {"r": 0.0, "rp": 0.0, "theta": 0.0}
     seeds = 0
     with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):

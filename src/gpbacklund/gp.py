@@ -40,22 +40,23 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # integrate_span in t at 1e-14 over the whole span, unfolded, on the 72
 # integrated seeds of the orbit and wave benchmark pools of seeds 1-3, the
 # worst errors of r, r' and the phase, each relative to its column's
-# largest value on the command's grid, were then orbit 1.2e-11, 3.4e-10 and
-# 2.2e-12, and wave 1.5e-12, 5.5e-11 and 4.7e-13: each at most that of the
+# largest value on the command's grid, were then orbit 1.9e-11, 3.5e-10 and
+# 3.3e-12, and wave 7.6e-13, 5.7e-11 and 2.2e-13: each below that of the
 # Dormand-Prince 5(4) pair this replaced, at its divisor of 3 (orbit 5.0e-11,
-# 7.7e-10 and 2.0e-11; wave 5.1e-11, 8.4e-10 and 2.2e-11). At 15 and 25,
-# orbit's r' read 8.7e-10 and 1.1e-9, and at 3, 4.3e-9: its worst is a
-# folded seed's, whose error in the period grows with the periods it is
-# read over, and so does not fall steadily with the tolerance.
-_T_TOL_DIVISOR = 30.0
+# 7.7e-10 and 2.0e-11; wave 5.1e-11, 8.4e-10 and 2.2e-11). The divisor was
+# chosen on seeds 1-9 and held on seeds 10-15 (orbit r' 4.8e-10, against
+# 8.6e-10). At 30, orbit's r' read 1.0e-9 on seed 9: its worst is the dense
+# output's r' late in a folded stretch's longest step, about ten times its
+# nodes' error, and it falls with the tolerance only as the steps shift.
+_T_TOL_DIVISOR = 60.0
 # A periodic seed is folded only when its t span exceeds this many periods.
 # Folding integrates about 1.05 periods and searches them for two turning
 # points, so it saves steps on longer spans only: every orbit benchmark
 # seed spans at least 2.1 periods and is folded, and the wave benchmark's
 # seeds (0.68-1.76 periods) are not. Folding those as well, at 1.2 periods,
 # made the wave pool of seed 1 no faster in-process (the sum of each
-# command's best of 8 runs was 17.5 ms, and 18.0 ms folded): unfolded, its
-# seeds take only 7-62 steps.
+# command's best of 8 runs was 17.5 ms, and 18.0 ms folded, at a divisor
+# of 30): unfolded, its seeds take only 7-66 steps.
 _FOLD_MIN_PERIODS = 2.0
 # Nor is it folded when u3 - u2, the swing of u = rho^2, is below this
 # fraction of the equilibrium's u: a seed started on the closed form sits

@@ -37,7 +37,7 @@ _SLIVER = 1e-12
 _AMPLITUDE_FLOOR = 1e-6
 # attempted steps per integration, about 1.5 s on a 2-vCPU VM: about 1,500
 # times the most that any command on the shipped configs or the benchmark
-# pools of seeds 1-3 needs (64, a wave-pool wavefunction; a folded seed
+# pools of seeds 1-3 needs (66, a wave-pool wavefunction; a folded seed
 # integrates about one period). Nor is a seed folded over more periods than
 # this: its t may then be coarser than a period, as at x = 1e100 with n = 1
 # (t = 1e200).
@@ -449,8 +449,11 @@ def integrate(ode: SecondOrderODE, x0: float, r0: float, rp0: float,
         else:
             sc_r = h * h / (atol + rtol * max(abs(r), abs(r_new)))
             sc_rp = h / (atol + rtol * max(abs(rp), abs(rp_new)))
-            n5 = (e5r * sc_r) ** 2 + (e5 * sc_rp) ** 2
-            n3 = (e3r * sc_r) ** 2 + (e3 * sc_rp) ** 2
+            # squared by multiplying: a float ** 2 past 1e154 raises
+            # OverflowError, a product overflows to inf and fails the test
+            q5r, q5, q3r, q3 = e5r * sc_r, e5 * sc_rp, e3r * sc_r, e3 * sc_rp
+            n5 = q5r * q5r + q5 * q5
+            n3 = q3r * q3r + q3 * q3
             den = 2.0 * (n5 + 0.01 * n3)
             err = n5 / math.sqrt(den) if n5 else 0.0
             if not (isfinite(r_new) and isfinite(rp_new) and isfinite(k13)

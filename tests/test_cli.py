@@ -285,8 +285,8 @@ def test_underflowing_closed_form_exits_3(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["solve", "transform", "wavefunction"])
 def test_tolerance_underflowing_in_t_exits_2(tmp_path, capsys, command):
-    """Seeds are integrated in t at the tolerances divided by 30, and
-    5e-324 / 30 is 0: the run exits 2 and names the tolerances, where
+    """Seeds are integrated in t at the tolerances divided by 60, and
+    5e-324 / 60 is 0: the run exits 2 and names the tolerances, where
     building the t-frame tolerances raised ValueError."""
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, _shipped("generic_seed.cfg",
@@ -294,8 +294,26 @@ def test_tolerance_underflowing_in_t_exits_2(tmp_path, capsys, command):
                                        "tolerances.ode_abs = 5e-324"))
     assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
     assert ("config error: tolerances.ode_abs = 4.94066e-324 or ode_rel = "
-            "1e-10 underflows to 0 divided by 30, as seeds are integrated "
+            "1e-10 underflows to 0 divided by 60, as seeds are integrated "
             "in t" in capsys.readouterr().err)
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["solve", "transform", "wavefunction"])
+def test_tiny_tolerances_fail_the_step_and_exit_3(tmp_path, capsys, command):
+    """At ode_abs = ode_rel = 1e-300 the scaled error of an ordinary step
+    passes 1e154, where squaring a float with ** raised OverflowError: its
+    square overflows to inf instead, the attempt is rejected, and the step
+    shrinks until it underflows."""
+    out = tmp_path / "out"
+    text = _shipped("generic_seed.cfg", "tolerances.ode_abs = 1e-10",
+                    "tolerances.ode_abs = 1e-300")
+    cfg = write_cfg(tmp_path, text.replace("tolerances.ode_rel = 1e-10",
+                                           "tolerances.ode_rel = 1e-300"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) == 3
+    assert "StepSizeUnderflow: [seed integration]" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
 
 
@@ -577,8 +595,8 @@ def test_extreme_configs_exit_cleanly(tmp_path_factory, values):
     and bytes."""
     tmp = tmp_path_factory.mktemp("extreme")
     cfg = write_cfg(tmp, _config_text(values))
-    # an attempt budget about 80 times the most any shipped or benchmark
-    # seed takes (64): a seed that spends it then costs about 0.08 s a
+    # an attempt budget about 75 times the most any shipped or benchmark
+    # seed takes (66): a seed that spends it then costs about 0.08 s a
     # command, not 1.5 s
     with mock.patch.object(ode_module, "_MAX_ATTEMPTS", 5000), \
             mock.patch.object(gp_module, "_MAX_ATTEMPTS", 5000):

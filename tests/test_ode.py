@@ -555,8 +555,10 @@ def reference_integrate(ode, x0, r0, rp0, x_end, tol=ToleranceSpec(),
             k13 = _oracle_rhs(ode.rhs, x + h, r_new)
             sc_r = h * h / (tol.atol + tol.rtol * max(abs(r), abs(r_new)))
             sc_rp = h / (tol.atol + tol.rtol * max(abs(rp), abs(rp_new)))
-            n5 = (_dot(_E5A, k) * sc_r) ** 2 + (_dot(_E5, k) * sc_rp) ** 2
-            n3 = (_dot(_E3A, k) * sc_r) ** 2 + (_dot(_E3, k) * sc_rp) ** 2
+            q5r, q5 = _dot(_E5A, k) * sc_r, _dot(_E5, k) * sc_rp
+            q3r, q3 = _dot(_E3A, k) * sc_r, _dot(_E3, k) * sc_rp
+            n5 = q5r * q5r + q5 * q5
+            n3 = q3r * q3r + q3 * q3
             den = 2.0 * (n5 + 0.01 * n3)
             bad = not (math.isfinite(r_new) and math.isfinite(rp_new)
                        and math.isfinite(k13) and math.isfinite(den))
