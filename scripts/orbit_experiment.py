@@ -43,14 +43,12 @@ def main() -> None:
     k_schedule = [float(tok) for tok in args.k_schedule.split(",")]
     p = GPParams.constrained(n=args.n, eta=args.eta, c=args.c, v=args.v)
     ode = gp_rhs(p)
-    exact = ClosedFormSolution(p)
+    (r0,), (rp0,) = ClosedFormSolution(p).eval_with_derivative(args.x_lo)
 
     cover_hi = float(ShiftMap(p.g, sum(k for k in k_schedule if k > 0))
                      .f(args.x_hi)) + 0.05
     # as the CLI builds an integrated seed: in t = G(x), read back in x
-    seed = LiouvilleSolution(p, args.x_lo,
-                             args.bump * float(exact.value(args.x_lo)),
-                             args.bump * float(exact.derivative(args.x_lo)),
+    seed = LiouvilleSolution(p, args.x_lo, args.bump * r0, args.bump * rp0,
                              args.x_lo, cover_hi,
                              ToleranceSpec(args.tol, args.tol))
     xs = np.linspace(args.x_lo, args.x_hi, args.points)

@@ -9,9 +9,12 @@ prints its path and the largest relative change of its numbers,
 |a - b| / max(|a|, |b|), taken over the numbers in the same places, or
 inf where a number became or ceased to be nan or inf; a file whose text
 differs outside its numbers, or that only one tree holds, is named as
-such. Then one line per kind of file, a subcommand (the end of
+such. The first line of a ``console.txt``, the command's exit code, is
+compared as text: where it differs, the file is named with both codes.
+Then one line per kind of file, a subcommand (the end of
 each directory name) with a file name whose digits read '#', gives the
-count of differing files and their largest change. A line per column of
+count of differing files, for consoles the count of changed exit codes,
+and their largest change. A line per column of
 every kind of CSV file follows: the largest change of that column in a
 differing file, |a - b| relative to the column's largest finite |value| in
 that file, so that values crossing zero do not swamp it, or inf where a
@@ -48,6 +51,13 @@ def _drift(a: bytes, b: bytes):
             return math.inf  # a number became or ceased to be nan or inf
         worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
     return worst
+
+
+def _exit_codes(a: bytes, b: bytes):
+    """(code in a, code in b): the first lines of two consoles, as text,
+    or None where they agree."""
+    code_a, code_b = (d.partition(b"\n")[0].decode() for d in (a, b))
+    return None if code_a == code_b else (code_a, code_b)
 
 
 def _column_drift(a: bytes, b: bytes):
@@ -88,9 +98,13 @@ def main() -> int:
              for root in (args.a, args.b) for p in root.rglob("*")
              if p.is_file()}
     kinds: dict[str, list] = {}
+    flips: dict[str, int] = {}  # changed exit codes per console kind
     columns: dict[tuple[str, str], float] = {}
     for rel in sorted(files):
         pa, pb = args.a / rel, args.b / rel
+        command, name = rel.split("/", 1)
+        kind = f"{command.rsplit('_', 1)[-1]} {re.sub(r'[0-9]+', '#', name)}"
+        codes = None
         if not (pa.is_file() and pb.is_file()):
             change = None
             shown = f"only in {args.a if pa.is_file() else args.b}"
@@ -98,11 +112,14 @@ def main() -> int:
             da, db = pa.read_bytes(), pb.read_bytes()
             if da == db:
                 continue
-            change = _drift(da, db)
-            shown = "text differs" if change is None else f"{change:.3e}"
+            if name == "console.txt":
+                codes = _exit_codes(da, db)
+                flips[kind] = flips.get(kind, 0) + (codes is not None)
+            change = None if codes else _drift(da, db)
+            shown = ("exit code {} -> {}".format(*codes) if codes
+                     else "text differs" if change is None
+                     else f"{change:.3e}")
         print(f"{rel} {shown}")
-        command, name = rel.split("/", 1)
-        kind = f"{command.rsplit('_', 1)[-1]} {re.sub(r'[0-9]+', '#', name)}"
         kinds.setdefault(kind, []).append(change)
         if change is not None and rel.endswith(".csv"):
             for name, col in (_column_drift(da, db) or {}).items():
@@ -110,8 +127,10 @@ def main() -> int:
     for kind, changes in sorted(kinds.items()):
         numeric = [c for c in changes if c is not None]
         worst = f"{max(numeric):.3e}" if numeric else "none numeric"
-        print(f"{kind}: {len(changes)} differ, largest relative change "
-              f"{worst}")
+        flipped = f", {flips[kind]} exit codes changed" \
+            if kind in flips else ""
+        print(f"{kind}: {len(changes)} differ{flipped}, largest relative "
+              f"change {worst}")
     for (kind, name), col in sorted(columns.items()):
         print(f"{kind} column {name}: largest change {col:.3e} of its "
               f"largest |value|")

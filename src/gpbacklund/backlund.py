@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainEscape, NegativeJacobian, NonFinite, NumericalError
-from .functional import PolyG, ShiftMap
+from .functional import PolyG, ShiftMap, _half_density
 from .ode import SolutionGrid
 
 _FIXED_POINT_TOL = 1e-10
@@ -80,9 +80,7 @@ def transform(shift: ShiftMap, seed, xs) -> TransformedGrid:
     f2 = shift.f_second(kept, f, fp)
 
     r0, r0p = seed.eval_with_derivative(f)
-    root = np.sqrt(fp)
-    r1 = r0 / root
-    r1p = r0p * root - 0.5 * r0 * f2 / (fp * root)
+    r1, r1p = _half_density(r0, r0p, fp, f2)
     if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(r1p))):
         raise NonFinite("r1 or r1' is not finite on the kept points: the "
                         "seed or f's derivatives are not finite there")

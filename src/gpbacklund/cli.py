@@ -238,19 +238,15 @@ def _grid_residual(cfg: ExperimentConfig, grid: SolutionGrid) -> float:
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     xs = cfg.grid.linspace()
+    seed = _build_seed(cfg, (cfg.grid.x_min, cfg.grid.x_max))
+    with _stage("sampling"):
+        grid = sample(seed, xs)
     if cfg.seed.kind == "closed_form":
-        seed = _closed_form(cfg)
-        with _stage("closed-form evaluation"):
-            rs, rps = seed.eval_with_derivative(xs)
-        grid = SolutionGrid(xs=xs, rs=rs, rps=rps, meta=seed.meta)
         with _stage("residual evaluation"):
             res = float(np.max(np.abs(closed_form_residual(cfg.params, xs))))
             if not np.isfinite(res):
                 raise NonFinite("closed-form residual is not finite")
     else:
-        dense = _build_seed(cfg, (cfg.grid.x_min, cfg.grid.x_max))
-        with _stage("sampling"):
-            grid = sample(dense, xs)
         res = _grid_residual(cfg, grid)
     path = out_dir / cfg.outputs.solution_csv
     write_solution_csv(path, grid)

@@ -189,6 +189,17 @@ class ShiftMap:
         return SmoothMap(eval=self.f, domain=(self.x_min, math.inf))
 
 
+def _half_density(u, du, d1, d2):
+    """(r, r') = (u/sqrt(d1), u' sqrt(d1) - r d2/(2 d1)): u and its
+    derivative du, read at the image of each point under a map with
+    derivatives d1 > 0 and d2 there, pulled back as a density of weight
+    -1/2. This is the transform r1 = r0(f)/sqrt(f') and the read of
+    rho(t) at t = G(x) into r(x) alike."""
+    root = np.sqrt(d1)
+    r = u / root
+    return r, du * root - 0.5 * r * d2 / d1
+
+
 def solve_f(shift: ShiftMap, x):
     """The positive root f with its derivative, as a pair (f, fprime)."""
     f = shift.f(x)

@@ -7,14 +7,16 @@ reduces the cubic Schrodinger equation to
     L(x) = (n^2-1)/(4x^2) + 3 x^(2n-2) eta^2 n^2 / (1 + 2 eta x^n)^2.
 
 L equals -(1/2) {G, x} for G(x) = x^n (1 + eta x^n), which is what ties the
-equation to the translation-map transformation machinery. The closed-form
-amplitude r = v / sqrt(x^(n-1)(1 + 2 eta x^n)) solves the equation exactly
-when b v^6 + c^2 = 0 and is a fixed point of the transformation.
+equation to the translation-map transformation machinery.
 
 In the Liouville variables rho = sqrt(G') r, t = G(x) the equation is the
-autonomous rho_tt = c^2/rho^3 + beta rho^3 with beta = b/n^3, the
-transformation is the translation t -> t + K, and the closed form is the
-equilibrium rho = v sqrt(n). Integrated seeds are integrated there.
+autonomous rho_tt = c^2/rho^3 + beta rho^3 with beta = b/n^3, and the
+transformation is the translation t -> t + K. Integrated seeds are
+integrated there. The closed form is the equilibrium rho = v sqrt(n), which
+exists when b v^6 + c^2 = 0; read in x it is r = v / sqrt(x^(n-1)(1 + 2 eta
+x^n)), a fixed point of the transformation. Both seeds are read in x, as
+the transformation reads its seed, by one pull-back of a density of weight
+-1/2, ``functional._half_density``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .calculus import schwarzian
 from .errors import (AmplitudeCollapse, ConstraintViolated, DomainError,
                      NonFinite, NumericalError, OutOfRange)
-from .functional import PolyG
+from .functional import PolyG, _half_density
 from .ode import (_AMPLITUDE_FLOOR, _MAX_ATTEMPTS, SecondOrderODE,
                   ToleranceSpec, _locate, integrate_span, stationary_points)
 
@@ -163,29 +165,21 @@ def linear_coefficient_check(p: GPParams, x):
     return linear_coefficient(p, x) + 0.5 * schwarzian(g_map, z)
 
 
-def _shape(p: GPParams, x):
-    """s(x) = x^(n-1) (1 + 2 eta x^n) and its first two derivatives; the
-    closed form is defined for x > 0 only."""
-    if np.any(np.asarray(x) <= 0.0):
-        raise DomainError("closed-form amplitude is defined for x > 0")
-    n, eta = p.n, p.eta
-    s = x ** (n - 1) + 2.0 * eta * x ** (2 * n - 1)
-    s1 = (n - 1) * x ** (n - 2) + 2.0 * eta * (2 * n - 1) * x ** (2 * n - 2)
-    s2 = ((n - 1) * (n - 2) * x ** (n - 3)
-          + 2.0 * eta * (2 * n - 1) * (2 * n - 2) * x ** (2 * n - 3))
-    return s, s1, s2
+def _equilibrium(p: GPParams, xs, d1):
+    """The closed form's (r, r') at xs > 0, where G' = d1: the equilibrium
+    rho = v sqrt(n), rho_t = 0 in t = G(x), read in x."""
+    return _half_density(p.v * math.sqrt(p.n), 0.0, d1, p.g.second(xs))
 
 
 @dataclass(frozen=True)
 class ClosedFormSolution:
-    """Closed-form amplitude with exact derivatives, usable as a transform seed."""
+    """Closed-form amplitude r = v/sqrt(G'/n), usable as a transform seed."""
 
     params: GPParams
-    warn: bool = True
 
     def __post_init__(self) -> None:
         p = self.params
-        if self.warn and not p.satisfies_constraint():
+        if not p.satisfies_constraint():
             warnings.warn(ConstraintViolated(
                 f"b*v^6 + c^2 = {p.constraint_residual:.3e}: the closed form "
                 f"does not solve the amplitude equation for these parameters"))
@@ -200,30 +194,17 @@ class ClosedFormSolution:
         return {"kind": "closed_form", "n": p.n, "eta": p.eta, "v": p.v,
                 "b": p.b, "c": p.c}
 
-    def value(self, x):
-        s, _, _ = _shape(self.params, x)
-        return self.params.v / np.sqrt(s)
-
-    def derivative(self, x):
-        s, s1, _ = _shape(self.params, x)
-        return -0.5 * self.params.v * s1 * s ** -1.5
-
-    def second_derivative(self, x):
-        s, s1, s2 = _shape(self.params, x)
-        v = self.params.v
-        return -0.5 * v * s2 * s ** -1.5 + 0.75 * v * s1 * s1 * s ** -2.5
-
     def eval_with_derivative(self, xs):
-        s, s1, _ = _shape(self.params, np.asarray(xs, dtype=float))
-        if not np.all(np.isfinite(s)):
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        d1 = self.params.g.prime(xs)
+        if not np.all(np.isfinite(d1)):
             raise NonFinite("x^(n-1) (1 + 2 eta x^n) overflows on the "
                             "requested points")
-        v = self.params.v
-        r = v / np.sqrt(s)
+        r, rp = _equilibrium(self.params, xs, d1)
         if not np.all(r > 0.0):
             raise NonFinite(f"the closed-form amplitude v/sqrt(s) underflows "
-                            f"to 0 for v={v:g}")
-        return np.atleast_1d(r), np.atleast_1d(-0.5 * v * s1 * s ** -1.5)
+                            f"to 0 for v={self.params.v:g}")
+        return r, rp
 
     def phase_integral(self, p: GPParams, x, x_ref: float):
         """c (G(x) - G(x_ref))/(n v^2); x_ref may be 0, where G vanishes."""
@@ -420,16 +401,13 @@ class LiouvilleSolution:
     def eval_with_derivative(self, xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         g = self._g
-        d1 = g.prime(xs)
-        root = np.sqrt(d1)
         try:
             _, s, sign = self._reduce(g.value(xs))
             rho, rho_t = self.rho.evaluate(s)
         except OutOfRange as exc:  # name the interval in x, not in t
             raise OutOfRange(f"requested points outside "
                              f"[{self.domain[0]}, {self.domain[1]}]") from exc
-        r = rho / root
-        return r, sign * rho_t * root - 0.5 * r * g.second(xs) / d1
+        return _half_density(rho, sign * rho_t, g.prime(xs), g.second(xs))
 
     def phase_integral(self, p: GPParams, x, x_ref: float):
         """The integral of c/r^2 dx = c/rho^2 dt from x_ref to x, in t = G(x):
@@ -463,14 +441,14 @@ class LiouvilleSolution:
 def closed_form_residual(p: GPParams, xs) -> np.ndarray:
     """Residual of the closed form against the equation, with exact curvature.
 
-    Uses the analytic second derivative, so the result measures the
-    algebraic identity itself (machine-precision zero under the constraint)
-    rather than any differencing error.
+    As rho is constant at the equilibrium, r = rho/sqrt(G') has
+    r'' = -(1/2){G, x} r, with {G, x} exact from the derivatives of G: the
+    result measures the algebraic identity itself (machine-precision zero
+    under the constraint) rather than any differencing error.
     """
     xs = np.asarray(xs, dtype=float)
-    sol = ClosedFormSolution(p, warn=False)
-    ode = gp_rhs(p)
-    return sol.second_derivative(xs) - ode.rhs(xs, sol.value(xs))
+    r = _equilibrium(p, xs, p.g.prime(xs))[0]
+    return -0.5 * p.g.schwarzian(xs) * r - gp_rhs(p).rhs(xs, r)
 
 
 def phase(p: GPParams, x, r_source, x_ref: float):

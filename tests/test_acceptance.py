@@ -46,11 +46,9 @@ def generic_seeds():
         p = GPParams.constrained(n=n, eta=eta, c=1.0, v=1.0)
         exact = ClosedFormSolution(p)
         cover_hi = float(ShiftMap(p.g, max(K_VALUES)).f(2.3)) + 0.05
-        dense = LiouvilleSolution(
-            p, 1.0,
-            1.12 * float(exact.value(1.0)),
-            1.12 * float(exact.derivative(1.0)),
-            1.0, cover_hi, SEED_TOL)
+        (r0,), (rp0,) = exact.eval_with_derivative(1.0)
+        dense = LiouvilleSolution(p, 1.0, 1.12 * r0, 1.12 * rp0, 1.0,
+                                  cover_hi, SEED_TOL)
         seeds[(n, eta)] = (p, dense)
     return seeds
 
@@ -139,7 +137,11 @@ def test_criterion_9_boundedness():
     worst_rel = 0.0
     for n in (1, 2, 3):
         p = GPParams.constrained(n=n, eta=0.0, c=1.0, v=1.0)
-        r = ClosedFormSolution(p, warn=False).value
+        cf = ClosedFormSolution(p)
+
+        def r(x):
+            return cf.eval_with_derivative(x)[0][0]
+
         # r(x) ~ v x^(-(n-1)/2) as x -> 0+: bounded at the origin iff n <= 1
         assert (r(1e-6) == pytest.approx(r(1e-2))) == (n <= 1)
         worst_rel = max(worst_rel,

@@ -29,10 +29,8 @@ def two_read_fixed_point(shift, seed, xs):
 def integrated_seed(n=1, eta=1.0, bump=1.15, x0=1.0, x_hi=3.3):
     """Generic solution: closed-form slope, amplitude off by ``bump``."""
     p = GPParams.constrained(n=n, eta=eta, c=1.0, v=1.0)
-    exact = ClosedFormSolution(p)
-    return p, LiouvilleSolution(p, x0, bump * float(exact.value(x0)),
-                                bump * float(exact.derivative(x0)), x0, x_hi,
-                                TOL)
+    (r0,), (rp0,) = ClosedFormSolution(p).eval_with_derivative(x0)
+    return p, LiouvilleSolution(p, x0, bump * r0, bump * rp0, x0, x_hi, TOL)
 
 
 class TestTransform:
@@ -41,8 +39,9 @@ class TestTransform:
         xs = np.linspace(1.0, 2.5, 101)
         shift = ShiftMap(PolyG(1, 1.0), 0.0)
         grid = transform(shift, seed, xs)
-        assert np.allclose(grid.rs, seed.value(xs), rtol=0, atol=1e-13)
-        assert np.allclose(grid.rps, seed.derivative(xs), rtol=0, atol=1e-13)
+        rs, rps = seed.eval_with_derivative(xs)
+        assert np.allclose(grid.rs, rs, rtol=0, atol=1e-13)
+        assert np.allclose(grid.rps, rps, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("K", [0.25, 0.5, 1.0, 2.0])
     def test_closed_form_is_reproduced(self, K):
@@ -50,7 +49,8 @@ class TestTransform:
         xs = np.linspace(0.5, 3.0, 201)
         shift = ShiftMap(PolyG(1, 1.0), K)
         grid = transform(shift, seed, xs)
-        assert np.max(np.abs(grid.rs - seed.value(grid.xs))) < 1e-10
+        rs = seed.eval_with_derivative(grid.xs)[0]
+        assert np.max(np.abs(grid.rs - rs)) < 1e-10
 
     def test_transforms_generic_solution_to_solution(self):
         p, dense = integrated_seed()
@@ -80,8 +80,8 @@ class TestTransform:
         # seed known only on [1, 2]: the transform must keep f(x) inside
         seed = closed_form()
         p = seed.params
-        dense = LiouvilleSolution(p, 1.0, float(seed.value(1.0)),
-                                  float(seed.derivative(1.0)), 1.0, 2.0, TOL)
+        (r0,), (rp0,) = seed.eval_with_derivative(1.0)
+        dense = LiouvilleSolution(p, 1.0, r0, rp0, 1.0, 2.0, TOL)
         shift = ShiftMap(p.g, 1.0)
         xs = np.linspace(0.5, 2.0, 301)
         grid = transform(shift, dense, xs)
@@ -118,8 +118,9 @@ class TestOrbit:
         xs = np.linspace(1.0, 2.0, 51)
         grids = orbit(PolyG(1, 1.0), [0.0, 0.0, 0.0], seed, xs)
         assert len(grids) == 3
+        rs = seed.eval_with_derivative(xs)[0]
         for g in grids:
-            assert np.allclose(g.rs, seed.value(xs), rtol=0, atol=1e-13)
+            assert np.allclose(g.rs, rs, rtol=0, atol=1e-13)
 
     def test_constant_solution_eta_zero(self):
         # n=1, eta=0: f(x) = x + K, f' = 1, so constants are fixed
@@ -242,9 +243,9 @@ def test_check_from_the_transform_equals_the_two_read_check(n, eta, k, factor,
     points at the top for K > 0 and at the bottom for K < 0."""
     p = GPParams.constrained(n=n, eta=eta, c=1.0, v=factor if closed else 1.0)
     exact = ClosedFormSolution(p)
+    (r0,), (rp0,) = exact.eval_with_derivative(1.0)
     seed = exact if closed else LiouvilleSolution(
-        p, 1.0, factor * float(exact.value(1.0)),
-        factor * float(exact.derivative(1.0)), 0.95, 2.05, TOL)
+        p, 1.0, factor * r0, factor * rp0, 0.95, 2.05, TOL)
     shift = ShiftMap(p.g, k)
     xs = np.linspace(1.0, 2.0, 201)
     grid = transform(shift, seed, xs)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -132,13 +133,13 @@ class TestClosedForm:
     ])
     def test_values(self, n, eta, v, x, expected):
         p = GPParams.constrained(n=n, eta=eta, c=1.0, v=v)
-        assert ClosedFormSolution(p).value(x) == pytest.approx(expected,
-                                                               rel=1e-14)
+        (r,), _ = ClosedFormSolution(p).eval_with_derivative(x)
+        assert r == pytest.approx(expected, rel=1e-14)
 
     def test_positive_everywhere(self):
         p = GPParams.constrained(n=3, eta=1.0, c=1.0)
         xs = np.logspace(-3, 1, 40)
-        assert np.all(ClosedFormSolution(p).value(xs) > 0.0)
+        assert np.all(ClosedFormSolution(p).eval_with_derivative(xs)[0] > 0.0)
 
     def test_warns_when_constraint_broken(self):
         p = GPParams(n=1, eta=0.0, b=-0.99, c=1.0, v=1.0)
@@ -150,25 +151,35 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             ClosedFormSolution(p).eval_with_derivative([1.0, 0.0])
 
-    @pytest.mark.parametrize("method", ["value", "derivative",
-                                        "second_derivative"])
+    # r and r' are read by eval_with_derivative, r'' by the residual
+    READS = {"value": lambda sol, x: sol.eval_with_derivative(x)[0],
+             "derivative": lambda sol, x: sol.eval_with_derivative(x)[1],
+             "second_derivative": lambda sol, x: closed_form_residual(
+                 sol.params, x)}
+
+    @pytest.mark.parametrize("method", list(READS))
     @pytest.mark.parametrize("x", [-1.0, 0.0])
     def test_pointwise_domain_guard(self, method, x):
         # no nan, complex value or bare ZeroDivisionError off the domain
         sol = ClosedFormSolution(GPParams.constrained(n=2, eta=0.5, c=1.0))
         with pytest.raises(DomainError):
-            getattr(sol, method)(x)
+            self.READS[method](sol, x)
 
     def test_derivatives_match_finite_differences(self):
+        """r' of eval_with_derivative and r'' = -(1/2){G, x} r, the
+        curvature closed_form_residual takes, against differences of r."""
         p = GPParams.constrained(n=2, eta=0.7, c=1.0)
         sol = ClosedFormSolution(p)
         for x in (0.6, 1.1, 2.4):
             h = 1e-6 * x
-            fd1 = (sol.value(x + h) - sol.value(x - h)) / (2 * h)
-            assert sol.derivative(x) == pytest.approx(fd1, rel=1e-8)
+            (r_lo, r, r_hi), (_, rp, _) = sol.eval_with_derivative(
+                [x - h, x, x + h])
+            assert rp == pytest.approx((r_hi - r_lo) / (2 * h), rel=1e-8)
             h = 1e-4 * x  # second difference needs a larger step
-            fd2 = (sol.value(x + h) - 2 * sol.value(x) + sol.value(x - h)) / h ** 2
-            assert sol.second_derivative(x) == pytest.approx(fd2, rel=1e-6)
+            r_lo, r, r_hi = sol.eval_with_derivative([x - h, x, x + h])[0]
+            fd2 = (r_hi - 2 * r + r_lo) / h ** 2
+            rpp = -0.5 * p.g.schwarzian(x) * r
+            assert rpp == pytest.approx(fd2, rel=1e-6)
 
     @pytest.mark.parametrize("n,eta", SWEEP)
     def test_residual_vanishes_under_constraint(self, n, eta):
@@ -187,9 +198,8 @@ class TestClosedForm:
         # region where the sixth derivative stays small
         p = GPParams.constrained(n=1, eta=1.0, c=1.0, v=1.0)
         xs = np.linspace(1.0, 5.0, 401)
-        sol = ClosedFormSolution(p)
-        from gpbacklund.ode import SolutionGrid
-        grid = SolutionGrid(xs=xs, rs=sol.value(xs), rps=sol.derivative(xs))
+        rs, rps = ClosedFormSolution(p).eval_with_derivative(xs)
+        grid = SolutionGrid(xs, rs, rps)
         assert residual_max(gp_rhs(p), grid) < 1e-8
 
     def test_closed_form_is_transform_fixed_point(self):
@@ -200,6 +210,11 @@ class TestClosedForm:
         res = is_fixed_point(seed.eval_with_derivative(grid.xs)[0],
                              grid.r0_f, grid.f_prime)
         assert res.is_fixed and res.deviation < 1e-10
+
+
+def closed_r(p):
+    """The closed form of p as a function of one point."""
+    return lambda x: ClosedFormSolution(p).eval_with_derivative(x)[0][0]
 
 
 def closed_phase(p, x, x_ref=0.0):
@@ -234,8 +249,11 @@ class TestPhase:
     def test_underflowing_v_squared_raises(self):
         # v^2 = 0: the closed form's phase c G(x)/(n v^2) is not finite
         p = GPParams(n=1, eta=1.0, b=-1.0, c=1.0, v=5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConstraintViolated)
+            seed = ClosedFormSolution(p)
         with pytest.raises(NonFinite, match=r"v\^2, which underflows"):
-            phase(p, [1.0], ClosedFormSolution(p, warn=False), 0.0)
+            phase(p, [1.0], seed, 0.0)
 
     def test_closed_form_antiderivative(self):
         # c G(x)/(n v^2) at n=1, eta=1, x=1: G(1) = 2
@@ -258,8 +276,8 @@ class TestPhase:
                 p.g.value(xs) - p.g.value(x_ref))
             cf = ClosedFormSolution(p)
             assert np.array_equal(phase(p, xs, cf, x_ref), want)
-            seed = LiouvilleSolution(p, 0.5, float(cf.value(0.5)),
-                                     float(cf.derivative(0.5)), 0.5, 3.0,
+            (r0,), (rp0,) = cf.eval_with_derivative(0.5)
+            seed = LiouvilleSolution(p, 0.5, r0, rp0, 0.5, 3.0,
                                      ToleranceSpec(1e-10, 1e-10))
             got = phase(p, xs, r_source=seed, x_ref=x_ref)
             assert np.max(np.abs(got - want)) < 1e-13
@@ -283,9 +301,8 @@ class TestPhase:
         (n = 2). The phase itself moves by 4 to 5 rad.
         """
         p = GPParams(n=n, eta=eta, b=-1.0, c=1.0)
-        exact = ClosedFormSolution(p)
-        seed = LiouvilleSolution(p, 1.0, 1.15 * float(exact.value(1.0)),
-                                 1.15 * float(exact.derivative(1.0)), 1.0,
+        (r0,), (rp0,) = ClosedFormSolution(p).eval_with_derivative(1.0)
+        seed = LiouvilleSolution(p, 1.0, 1.15 * r0, 1.15 * rp0, 1.0,
                                  3.5, ToleranceSpec(1e-10, 1e-10))
         shift = ShiftMap(p.g, k)
         xs = np.linspace(1.0, 2.0, 201)
@@ -459,19 +476,22 @@ class TestMobiusImage:
         p = GPParams.constrained(n=n, eta=eta, c=1.0)
         cf = ClosedFormSolution(p)
         xs = self.XS
+
+        def r0(x):
+            return cf.eval_with_derivative(x)[0]
+
         for m in self.MOBIUS:
-            assert self.residual(p, xs, self.image(p, cf.value, m, xs)) > 1.0
+            assert self.residual(p, xs, self.image(p, r0, m, xs)) > 1.0
         for K in (0.3, 1.7):
-            r1 = self.image(p, cf.value, Mobius(1.0, K, 0.0, 1.0), xs)
-            assert np.max(np.abs(r1 / cf.value(xs) - 1.0)) < 4 * EPS
+            r1 = self.image(p, r0, Mobius(1.0, K, 0.0, 1.0), xs)
+            assert np.max(np.abs(r1 / r0(xs) - 1.0)) < 4 * EPS
             assert self.residual(p, xs, r1) < 1e-8
 
 
 def closed_form_seed(p, x0, x_lo, x_hi, tol=1e-10):
     """A seed integrated in t from the closed form's data at x0."""
-    cf = ClosedFormSolution(p)
-    return LiouvilleSolution(p, x0, float(cf.value(x0)),
-                             float(cf.derivative(x0)), x_lo, x_hi,
+    (r0,), (rp0,) = ClosedFormSolution(p).eval_with_derivative(x0)
+    return LiouvilleSolution(p, x0, r0, rp0, x_lo, x_hi,
                              ToleranceSpec(tol, tol))
 
 
@@ -493,10 +513,10 @@ class TestLiouvilleSolution:
         seed = closed_form_seed(p, 1.0, 1.0, x_hi)
         xs = np.linspace(1.0, x_hi, 501)
         r, rp = seed.eval_with_derivative(xs)
-        cf = ClosedFormSolution(p)
+        r_cf, rp_cf = ClosedFormSolution(p).eval_with_derivative(xs)
         assert seed.meta["steps"] <= 10
-        assert np.max(np.abs(r / cf.value(xs) - 1.0)) < 1e-14
-        assert np.max(np.abs(rp - cf.derivative(xs))) < 1e-13
+        assert np.max(np.abs(r / r_cf - 1.0)) < 1e-14
+        assert np.max(np.abs(rp - rp_cf)) < 1e-13
 
     def test_closed_form_start_over_a_long_span(self):
         """A t span of 1120 is about 360 periods of the linearised
@@ -506,8 +526,8 @@ class TestLiouvilleSolution:
         seed = closed_form_seed(p, 1.1, 0.8, 3.0)
         xs = np.linspace(0.8, 3.0, 2001)
         r = seed.eval_with_derivative(xs)[0]
-        assert np.max(np.abs(r / ClosedFormSolution(p).value(xs) - 1.0)) \
-            < 1e-14
+        r_cf = ClosedFormSolution(p).eval_with_derivative(xs)[0]
+        assert np.max(np.abs(r / r_cf - 1.0)) < 1e-14
 
     def test_no_less_accurate_than_integrating_in_x(self):
         """An orbit seed of the benchmark (orbit pool of seed 2, case
@@ -541,11 +561,10 @@ class TestLiouvilleSolution:
         of it.
         """
         p = GPParams.constrained(n=n, eta=eta, c=1.0)
-        cf = ClosedFormSolution(p)
         x_hi = float(p.g.inverse(p.g.value(0.5) + 10.0))
         x0 = 0.5 * (0.5 + x_hi)
-        seed = LiouvilleSolution(p, x0, factor * float(cf.value(x0)),
-                                 factor * float(cf.derivative(x0)), 0.5,
+        (r0,), (rp0,) = ClosedFormSolution(p).eval_with_derivative(x0)
+        seed = LiouvilleSolution(p, x0, factor * r0, factor * rp0, 0.5,
                                  x_hi, ToleranceSpec(1e-10, 1e-10))
         grid = transform(ShiftMap(p.g, K), seed, np.linspace(0.5, x_hi, 201))
         xs, gp = grid.xs, p.g.prime(grid.xs)
@@ -634,9 +653,9 @@ class TestFold:
         # the period of the closed form's data is 2 pi/omega; the seed's own
         # sets the span
         x0 = float(g.inverse(t_lo + start * periods * 2.0))
-        r0 = (1.0 + dev) * float(cf.value(x0))
-        rp0 = (1.0 + dev) * float(cf.derivative(x0)) if rp0 is None \
-            else rp0(p, x0, r0)
+        (r_cf,), (rp_cf,) = cf.eval_with_derivative(x0)
+        r0 = (1.0 + dev) * r_cf
+        rp0 = (1.0 + dev) * rp_cf if rp0 is None else rp0(p, x0, r0)
         root = math.sqrt(float(g.prime(x0)))
         rho0 = root * r0
         rho_t0 = (rp0 + 0.5 * float(g.second(x0)) * r0 / float(g.prime(x0))) \
@@ -800,7 +819,7 @@ class TestEnergy:
         p = GPParams.constrained(n=2, eta=0.5, c=1.3, v=0.8)
         cf = ClosedFormSolution(p)
         xs = np.linspace(0.5, 3.0, 11)
-        e = energy(p, xs, cf.value(xs), cf.derivative(xs))
+        e = energy(p, xs, *cf.eval_with_derivative(xs))
         want = p.c ** 2 / (2 * 2 * 0.8 ** 2) - p.b * 0.8 ** 4 / (4 * 2)
         np.testing.assert_allclose(e, want, rtol=1e-14)
 
@@ -878,7 +897,7 @@ class TestBoundedness:
     def test_bounded_iff_n_le_1(self):
         for n in (1, 2, 3):
             p = GPParams.constrained(n=n, eta=0.0, c=1.0, v=1.0)
-            r = ClosedFormSolution(p, warn=False).value
+            r = closed_r(p)
             assert (r(1e-6) == pytest.approx(r(1e-2))) == (n <= 1)
             assert math.log(r(1e-6) / r(1e-4)) / math.log(1e-2) == \
                 pytest.approx(-(n - 1) / 2.0)
@@ -886,6 +905,6 @@ class TestBoundedness:
     @pytest.mark.parametrize("n,expected", [(1, 1.0), (2, 10.0), (3, 100.0)])
     def test_eta_zero_ratios(self, n, expected):
         p = GPParams.constrained(n=n, eta=0.0, c=1.0, v=1.0)
-        r = ClosedFormSolution(p, warn=False).value
+        r = closed_r(p)
         assert r(1e-4) / r(1e-2) == pytest.approx(expected, rel=1e-6)
         assert r(1e-6) / r(1e-4) == pytest.approx(expected, rel=1e-6)

@@ -409,8 +409,9 @@ class TestSample:
         seed = ClosedFormSolution(GPParams.constrained(n=2, eta=0.5, c=1.0))
         xs = np.array([0.5, 1.0, 2.0])
         grid = sample(seed, xs)
-        assert np.array_equal(grid.rs, seed.value(xs))
-        assert np.array_equal(grid.rps, seed.derivative(xs))
+        rs, rps = seed.eval_with_derivative(xs)
+        assert np.array_equal(grid.rs, rs)
+        assert np.array_equal(grid.rps, rps)
         assert grid.meta == seed.meta
 
     def test_empty(self):

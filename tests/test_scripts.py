@@ -49,6 +49,30 @@ class TestOutputDrift:
                 b = a.replace(old, new)
                 assert columns(a, b) == {"x": 0.0, "r": math.inf}
 
+    def test_names_a_changed_exit_code(self, tmp_path):
+        """A console's first line, its exit code, is compared as text,
+        not as one more number; a console whose code holds reports the
+        drift of its numbers."""
+        consoles = {"a": ("0\nsolve: residual max 1.0e-10\n",
+                          "0\nverify: deviation 2.0e-10\n"),
+                    "b": ("3\nerror: [sampling] NonFinite\n",
+                          "0\nverify: deviation 2.5e-10\n")}
+        for tree, texts in consoles.items():
+            for command, text in zip(("x_solve", "x_verify"), texts):
+                (tmp_path / tree / command).mkdir(parents=True)
+                (tmp_path / tree / command / "console.txt").write_text(text)
+        run = subprocess.run([sys.executable, str(SCRIPTS / "output_drift.py"),
+                              str(tmp_path / "a"), str(tmp_path / "b")],
+                             capture_output=True, text=True)
+        assert run.returncode == 1
+        assert run.stdout.splitlines() == [
+            "x_solve/console.txt exit code 0 -> 3",
+            "x_verify/console.txt 2.000e-01",
+            "solve console.txt: 1 differ, 1 exit codes changed, largest "
+            "relative change none numeric",
+            "verify console.txt: 1 differ, 0 exit codes changed, largest "
+            "relative change 2.000e-01"]
+
     def test_reports_and_exits_1_on_non_finite_drift(self, tmp_path):
         for tree, value in (("a", "0.5"), ("b", "nan")):
             (tmp_path / tree / "x_solve").mkdir(parents=True)
