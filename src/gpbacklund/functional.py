@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import SmoothMap
+from .calculus import SmoothMap, _schwarzian_of
 from .errors import DomainError, NonFinite, NoRealRoot, NumericalError, Pole
 
 _ROOT_RTOL = 1e-12
@@ -75,9 +75,7 @@ class PolyG:
 
     def schwarzian(self, x):
         """{G, x} = G'''/G' - (3/2)(G''/G')^2, in closed form."""
-        prime = self.prime(x)
-        ratio = self.second(x) / prime
-        return self.third(x) / prime - 1.5 * ratio * ratio
+        return _schwarzian_of(self.prime(x), self.second(x), self.third(x))
 
     def inverse(self, y):
         """Unique positive root of G(x) = y for y > 0."""

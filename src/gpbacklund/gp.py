@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import schwarzian
+from .calculus import _schwarzian_of, schwarzian
 from .errors import (AmplitudeCollapse, ConstraintViolated, DomainError,
                      NonFinite, NumericalError, OutOfRange)
 from .functional import PolyG, _half_density
@@ -165,10 +165,10 @@ def linear_coefficient_check(p: GPParams, x):
     return linear_coefficient(p, x) + 0.5 * schwarzian(g_map, z)
 
 
-def _equilibrium(p: GPParams, xs, d1):
-    """The closed form's (r, r') at xs > 0, where G' = d1: the equilibrium
-    rho = v sqrt(n), rho_t = 0 in t = G(x), read in x."""
-    return _half_density(p.v * math.sqrt(p.n), 0.0, d1, p.g.second(xs))
+def _equilibrium(p: GPParams, d1, d2):
+    """The closed form's (r, r') where G' = d1 and G'' = d2: the
+    equilibrium rho = v sqrt(n), rho_t = 0 in t = G(x), read in x."""
+    return _half_density(p.v * math.sqrt(p.n), 0.0, d1, d2)
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ class ClosedFormSolution:
         if not np.all(np.isfinite(d1)):
             raise NonFinite("x^(n-1) (1 + 2 eta x^n) overflows on the "
                             "requested points")
-        r, rp = _equilibrium(self.params, xs, d1)
+        r, rp = _equilibrium(self.params, d1, self.params.g.second(xs))
         if not np.all(r > 0.0):
             raise NonFinite(f"the closed-form amplitude v/sqrt(s) underflows "
                             f"to 0 for v={self.params.v:g}")
@@ -447,8 +447,10 @@ def closed_form_residual(p: GPParams, xs) -> np.ndarray:
     under the constraint) rather than any differencing error.
     """
     xs = np.asarray(xs, dtype=float)
-    r = _equilibrium(p, xs, p.g.prime(xs))[0]
-    return -0.5 * p.g.schwarzian(xs) * r - gp_rhs(p).rhs(xs, r)
+    d1, d2 = p.g.prime(xs), p.g.second(xs)
+    r = _equilibrium(p, d1, d2)[0]
+    q = _schwarzian_of(d1, d2, p.g.third(xs))
+    return -0.5 * q * r - gp_rhs(p).rhs(xs, r)
 
 
 def phase(p: GPParams, x, r_source, x_ref: float):

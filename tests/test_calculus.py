@@ -9,6 +9,7 @@ from gpbacklund.calculus import (SmoothMap, compose, default_stencil,
                                  derivative, fd_weights, schwarzian)
 from gpbacklund.errors import CriticalPoint, DomainError, NonFinite
 from gpbacklund.functional import Mobius, PolyG, ShiftMap
+from gpbacklund.verify import _fits
 
 
 def smooth(fn, **kw):
@@ -90,8 +91,9 @@ class TestDerivative:
 
 class TestStencil:
     def test_default_step_scales_with_z(self):
-        points, h1 = default_stencil(1, 0.0)
-        assert default_stencil(1, 100.0) == (points, pytest.approx(100.0 * h1))
+        h1 = default_stencil(0.0)
+        assert h1 == np.finfo(float).eps ** (1.0 / 8.0)
+        assert default_stencil(100.0) == pytest.approx(100.0 * h1)
 
 
 class TestSchwarzian:
@@ -129,9 +131,9 @@ class TestSchwarzian:
 
 
 class TestSharedStencil:
-    """f' and f'' share one evaluation of the map on their stencil."""
+    """f', f'' and f''' share one evaluation of the map on their stencil."""
 
-    def test_two_evaluations_per_schwarzian(self):
+    def test_one_evaluation_per_schwarzian(self):
         calls = []
 
         def ev(z):
@@ -139,8 +141,8 @@ class TestSharedStencil:
             return np.exp(z)
 
         schwarzian(smooth(ev), np.array([0.1, 0.7]))
-        # one for orders 1 and 2, one for the 7-point order 3
-        assert calls == [(2, 2, 5), (2, 2, 7)]
+        # two points, two Richardson steps, seven nodes each
+        assert calls == [(2, 2, 7)]
 
     @pytest.mark.parametrize("m, zs", [
         (Mobius(1.2, 0.3, 0.2, 0.9).as_smooth_map(), [-1.0, 0.4, 2.0]),
@@ -158,18 +160,18 @@ class TestSharedStencil:
         assert (schwarzian(m, np.array(zs)).tobytes()
                 == from_derivatives(np.array(zs)).tobytes())
 
-    # (map, points, error and message); the messages are those raised
-    # when each order was evaluated on its own, first order first
+    # (map, points, error and message), with the half-width and |f'| of
+    # the shared 7-point stencil
     @pytest.mark.parametrize("m, z, error, message", [
         (smooth(np.log, domain=(0.0, math.inf)), 1e-3, DomainError,
-         "stencil of half-width 4.922e-03 around z=0.001 exits the declared "
+         "stencil of half-width 3.315e-02 around z=0.001 exits the declared "
          "domain (0.0, inf)"),
         (smooth(np.log, domain=(0.0, math.inf)), [1.0, 2e-3, 1e-3],
-         DomainError, "stencil of half-width 4.922e-03 around z=0.002 exits "
+         DomainError, "stencil of half-width 3.315e-02 around z=0.002 exits "
          "the declared domain (0.0, inf)"),
         (smooth(np.sqrt), [[1.0, 2.0], [3.0, -0.5]], NonFinite,
          "map returned a non-finite value near z=-0.5"),
-        (SQUARE, 0.0, CriticalPoint, "|f'(0.0)| = 8.584e-20 is numerically "
+        (SQUARE, 0.0, CriticalPoint, "|f'(0.0)| = 2.175e-19 is numerically "
          "zero"),
         (SQUARE, [1.0, 1e-12], CriticalPoint, "|f'(1e-12)| = 2.000e-12 is "
          "numerically zero"),
@@ -180,6 +182,19 @@ class TestSharedStencil:
             with pytest.raises(error) as raised:
                 schwarzian(m, np.array(z) if isinstance(z, list) else z)
         assert str(raised.value) == message
+
+    # critical points whose stencil, of half-width 3.3e-2, leaves the
+    # domain (z = 0.01) or meets a NaN (z = 1): the stencil's error is
+    # raised, not CriticalPoint
+    @pytest.mark.parametrize("m, z, error", [
+        (smooth(lambda z: (z - 0.01) ** 2, domain=(0.0, math.inf)), 0.01,
+         DomainError),
+        (smooth(lambda z: np.where(z < 0.985, np.nan, (z - 1.0) ** 2)), 1.0,
+         NonFinite),
+    ], ids=["domain", "non_finite"])
+    def test_stencil_errors_come_before_critical_point(self, m, z, error):
+        with pytest.raises(error):
+            schwarzian(m, z)
 
 
 class TestCompose:
@@ -307,6 +322,48 @@ def test_array_calls_equal_scalar_calls(case):
         assert derivative(m, order, np.array(zs)).tobytes() == each.tobytes()
     each = np.array([schwarzian(m, z) for z in zs])
     assert schwarzian(m, np.array(zs)).tobytes() == each.tobytes()
+
+
+@st.composite
+def exact_schwarzians(draw):
+    """(map, points, its exact Schwarzian there, rtol, atol), one of:
+
+    - G = x^n (1 + eta x^n) against PolyG.schwarzian; atol covers the
+      rounding floor of f''' (about 4e-9) where {G, x} nearly vanishes
+      (n = 1, eta near 0);
+    - exp(a z), whose Schwarzian is -a^2/2; f''' rounds to about 1e-9/|a|
+      of f' (3.0e-8 at worst over 150,000 draws);
+    - a Mobius map with points conditioned by verify's rule, whose
+      Schwarzian vanishes (3.9e-8 at worst over the pools of 300 seeds).
+    """
+    def points(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=1,
+                                      max_size=8)))
+
+    kind = draw(st.sampled_from(["poly", "exp", "mobius"]))
+    if kind == "poly":
+        g = PolyG(draw(st.integers(1, 4)), draw(st.floats(0.0, 2.0)))
+        xs = points(0.2, 5.0)
+        return g.as_smooth_map(), xs, g.schwarzian(xs), 1e-7, 1e-8
+    zs = points(-2.0, 2.0)
+    if kind == "exp":
+        a = draw(st.floats(0.1, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        exp = smooth(lambda z: np.exp(a * z))
+        return exp, zs, np.full(zs.shape, -a * a / 2), 0.0, 1e-7
+    coef = np.array([[draw(st.floats(-1.5, 1.5)) for _ in range(4)]])
+    a, b, c, d = coef[0]
+    assume(abs(a * d - b * c) >= 0.5)
+    zs = zs[_fits(coef, zs[None])[0]]
+    assume(zs.size)
+    return Mobius(a, b, c, d).as_smooth_map(), zs, np.zeros(zs.shape), 0.0, 1e-7
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=exact_schwarzians())
+def test_one_stencil_schwarzian_matches_exact_values(case):
+    """The Schwarzian from one stencil against three closed forms."""
+    m, zs, exact, rtol, atol = case
+    np.testing.assert_allclose(schwarzian(m, zs), exact, rtol=rtol, atol=atol)
 
 
 BAD_POINTS = [
