@@ -75,13 +75,13 @@ def transform(shift: ShiftMap, seed, xs) -> TransformedGrid:
     Raises NonFinite where r1 or r1' is not finite, as where the seed is.
     """
     kept, f, fp = _pull_back(shift, seed, xs, least=2)
-    if np.any(fp <= 0.0):
+    if (fp <= 0.0).any():
         raise NegativeJacobian("f'(x) <= 0 on the transform domain")
     f2 = shift.f_second(kept, f, fp)
 
     r0, r0p = seed.eval_with_derivative(f)
     r1, r1p = _half_density(r0, r0p, fp, f2)
-    if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(r1p))):
+    if not (np.isfinite(r1).all() and np.isfinite(r1p).all()):
         raise NonFinite("r1 or r1' is not finite on the kept points: the "
                         "seed or f's derivatives are not finite there")
 

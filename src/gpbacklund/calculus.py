@@ -82,7 +82,7 @@ def _fd_derivatives(f: SmoothMap, orders: tuple[int, ...], z: np.ndarray, h):
     ends = nodes[..., :1, ::_POINTS - 1]
     lo, hi = f.domain
     outside = ~((lo < ends) & (ends < hi))
-    if np.any(outside):
+    if outside.any():
         half_width = np.broadcast_to(
             _POINTS // 2 * steps[..., :1, None], outside.shape)
         near = np.broadcast_to(z[..., None, None], outside.shape)
@@ -92,7 +92,7 @@ def _fd_derivatives(f: SmoothMap, orders: tuple[int, ...], z: np.ndarray, h):
             f"({lo!r}, {hi!r})")
     vals = f.eval(nodes)
     finite = np.isfinite(vals)
-    if not np.all(finite):
+    if not finite.all():
         near = np.broadcast_to(z[..., None, None], nodes.shape)
         raise NonFinite(f"map returned a non-finite value near "
                         f"z={_first(near, ~finite)!r}")
@@ -134,7 +134,7 @@ def schwarzian(f: SmoothMap, z):
     h = default_stencil(z)
     f1, f2, f3 = _fd_derivatives(f, (1, 2, 3), z, h)
     critical = np.abs(f1) < _CRITICAL_TOL * np.fmax(1.0, np.abs(f2) * h)
-    if np.any(critical):
+    if critical.any():
         raise CriticalPoint(f"|f'({_first(z, critical)!r})| = "
                             f"{_first(np.abs(f1), critical):.3e} is "
                             f"numerically zero")

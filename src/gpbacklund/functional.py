@@ -21,9 +21,34 @@ _ROOT_RTOL = 1e-12
 
 
 def _require_positive(x, what: str = "x"):
-    if np.any(np.asarray(x) <= 0.0):
+    if (np.asarray(x) <= 0.0).any():
         raise DomainError(f"{what} must be positive")
     return x
+
+
+def _degree(n):
+    """The degree n as an int or, given an array of ndim > 0, as an int
+    array; raises ValueError unless every entry is a positive integer."""
+    if not isinstance(n, np.ndarray) or n.ndim == 0:
+        if int(n) != n or n < 1:
+            raise ValueError("n must be a positive integer")
+        return int(n)
+    if not (np.isfinite(n) & (n >= 1) & (n == np.trunc(n))).all():
+        raise ValueError("n must be a positive integer")
+    return n.astype(int)
+
+
+def _power(x, e):
+    """x ** e, where an int array e rounds as each of its ints would.
+
+    numpy squares for a scalar exponent 2, where its array pow may round
+    differently, so the array form squares where e == 2. The other scalar
+    exponent that numpy treats apart, -1, occurs only in PolyG's terms
+    with a zero coefficient.
+    """
+    if isinstance(e, np.ndarray):
+        return np.where(e == 2, x * x, x ** e)
+    return x ** e
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,21 +56,20 @@ class PolyG:
     """The strictly increasing polynomial G(x) = x^n (1 + eta x^n), x > 0.
 
     ``eta`` is a float, or an array of them that broadcasts against the
-    points, so one G evaluates a whole family sharing its degree n. With
-    array parameters value equality is ambiguous, so instances compare and
-    hash by identity.
+    points, so one G evaluates a whole family. ``n`` is an int, or an
+    integer array that broadcasts as ``eta`` does; each point then rounds
+    as it would under its own int degree. With array parameters value
+    equality is ambiguous, so instances compare and hash by identity.
     """
 
-    n: int
+    n: int | np.ndarray
     eta: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError("n must be a positive integer")
+        object.__setattr__(self, "n", _degree(self.n))
         eta = np.asarray(self.eta, dtype=float)
-        if not np.all(eta >= 0.0):
+        if not (eta >= 0.0).all():
             raise ValueError("eta must be nonnegative")
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "eta", float(eta) if eta.ndim == 0 else eta)
 
     def value(self, x):
@@ -57,21 +81,23 @@ class PolyG:
 
     # unguarded forms, for points already known positive
     def _value(self, x):
-        xn = x ** self.n
+        xn = _power(x, self.n)
         return xn * (1.0 + self.eta * xn)
 
     def _prime(self, x):
-        return self.n * x ** (self.n - 1) * (1.0 + 2.0 * self.eta * x ** self.n)
+        n = self.n
+        return n * _power(x, n - 1) * (1.0 + 2.0 * self.eta * _power(x, n))
 
     def second(self, x):
         n, eta = self.n, self.eta
-        return (n * (n - 1) * x ** (n - 2)
-                + 2.0 * n * (2 * n - 1) * eta * x ** (2 * n - 2))
+        return (n * (n - 1) * _power(x, n - 2)
+                + 2.0 * n * (2 * n - 1) * eta * _power(x, 2 * n - 2))
 
     def third(self, x):
         n, eta = self.n, self.eta
-        return (n * (n - 1) * (n - 2) * x ** (n - 3)
-                + 2.0 * n * (2 * n - 1) * (2 * n - 2) * eta * x ** (2 * n - 3))
+        return (n * (n - 1) * (n - 2) * _power(x, n - 3)
+                + 2.0 * n * (2 * n - 1) * (2 * n - 2) * eta
+                * _power(x, 2 * n - 3))
 
     def schwarzian(self, x):
         """{G, x} = G'''/G' - (3/2)(G''/G')^2, in closed form."""
@@ -84,7 +110,12 @@ class PolyG:
         # conjugate form of the quadratic root: stable as eta -> 0, and
         # exactly y at eta = 0
         u = 2.0 * y / (1.0 + np.sqrt(1.0 + 4.0 * self.eta * y))
-        x = u ** (1.0 / self.n)
+        if isinstance(self.n, np.ndarray):
+            # numpy takes a scalar exponent 1/2 by sqrt, which an array's
+            # pow may round differently from
+            x = np.where(self.n == 2, np.sqrt(u), u ** (1.0 / self.n))
+        else:
+            x = u ** (1.0 / self.n)
         for _ in range(2):
             x = x - (self._value(x) - y) / self._prime(x)
         # an even-degree G also has a negative root, and Newton's steps may
@@ -109,7 +140,7 @@ class Mobius:
     d: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if np.any(self.det == 0.0):
+        if (np.asarray(self.det) == 0.0).any():
             raise ValueError("Mobius transformation requires ad - bc != 0")
 
     @property
@@ -119,7 +150,7 @@ class Mobius:
     def _denominator(self, w):
         denom = self.c * w + self.d
         scale = np.abs(self.c * w) + abs(self.d)
-        if np.any(np.abs(denom) <= 1e-12 * scale):
+        if (np.abs(denom) <= 1e-12 * scale).any():
             raise Pole(f"evaluation too close to the pole of {self!r}")
         return denom
 
@@ -154,9 +185,9 @@ class ShiftMap:
 
     def _target(self, x):
         t = self.g.value(x) + self.K
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise NonFinite(f"G(x) + K is not finite for K={self.K}")
-        if np.any(1.0 + 4.0 * self.g.eta * t <= 0.0):
+        if (np.asarray(1.0 + 4.0 * self.g.eta * t) <= 0.0).any():
             raise NoRealRoot(
                 f"discriminant 1 + 4*eta*(G(x)+K) <= 0 for K={self.K}")
         return t
@@ -165,8 +196,8 @@ class ShiftMap:
         t = self._target(x)
         val = self.g.inverse(t)
         resid = np.abs(self.g._value(val) - t)
-        if not np.all(resid <= _ROOT_RTOL * np.maximum(1.0, np.abs(t))):
-            if np.any(np.isnan(resid)):  # G(x) + K overflows the solver
+        if not (resid <= _ROOT_RTOL * np.maximum(1.0, np.abs(t))).all():
+            if np.isnan(resid).any():  # G(x) + K overflows the solver
                 raise NonFinite(f"root of G(f) = G(x) + K is not finite "
                                 f"for K={self.K}")
             raise NumericalError(

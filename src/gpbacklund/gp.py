@@ -24,13 +24,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .calculus import _schwarzian_of, schwarzian
 from .errors import (AmplitudeCollapse, ConstraintViolated, DomainError,
                      NonFinite, NumericalError, OutOfRange)
-from .functional import PolyG, _half_density
+from .functional import PolyG, _degree, _half_density, _power
 from .ode import (_AMPLITUDE_FLOOR, _MAX_ATTEMPTS, SecondOrderODE,
                   ToleranceSpec, _locate, integrate_span, stationary_points)
 
@@ -76,11 +77,12 @@ class GPParams:
 
     ``b`` is the cubic coefficient as it appears in the expanded equation
     (the representation-level coefficient is b/n^3);
-    ``c`` is the angular-momentum constant from r^2 theta' = c. ``eta`` may
-    be an array, as in PolyG, and GPParams compares and hashes by identity.
+    ``c`` is the angular-momentum constant from r^2 theta' = c. ``n`` and
+    ``eta`` may be arrays, as in PolyG, and GPParams compares and hashes by
+    identity. ``g`` is built once per parameter set.
     """
 
-    n: int
+    n: int | np.ndarray
     eta: float | np.ndarray
     b: float
     c: float
@@ -89,15 +91,13 @@ class GPParams:
     theta0: float = 0.0
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError("n must be a positive integer")
+        object.__setattr__(self, "n", _degree(self.n))
         if not (np.asarray(self.eta) >= 0.0).all():
             raise ValueError("eta must be nonnegative")
         if not self.v > 0.0:
             raise ValueError("v must be positive")
-        object.__setattr__(self, "n", int(self.n))
 
-    @property
+    @cached_property
     def g(self) -> PolyG:
         return PolyG(n=self.n, eta=self.eta)
 
@@ -126,8 +126,8 @@ def linear_coefficient(p: GPParams, x):
     """The printed coefficient of the linear term."""
     n, eta = p.n, p.eta
     return ((n * n - 1) / (4.0 * x * x)
-            + 3.0 * x ** (2 * n - 2) * eta * eta * n * n
-            / (1.0 + 2.0 * eta * x ** n) ** 2)
+            + 3.0 * _power(x, 2 * n - 2) * eta * eta * n * n
+            / (1.0 + 2.0 * eta * _power(x, n)) ** 2)
 
 
 def gp_rhs(p: GPParams) -> SecondOrderODE:
@@ -138,11 +138,11 @@ def gp_rhs(p: GPParams) -> SecondOrderODE:
     two_eta, p_lin, p_cubic = 2.0 * eta, 2 * n - 2, 3 * n - 3
 
     def rhs(x, r):
-        xn = x ** n
+        xn = _power(x, n)
         s = 1.0 + two_eta * xn
-        lin = lin_a / (x * x) + lin_b * x ** p_lin / (s * s)
+        lin = lin_a / (x * x) + lin_b * _power(x, p_lin) / (s * s)
         r3 = r ** 3
-        return c2 / r3 + lin * r + b * x ** p_cubic * s ** 3 * r3
+        return c2 / r3 + lin * r + b * _power(x, p_cubic) * s ** 3 * r3
 
     return SecondOrderODE(rhs=rhs, domain=(_X_FLOOR, math.inf))
 
@@ -157,11 +157,13 @@ def linear_coefficient_check(p: GPParams, x):
     broadcasts against the stencil's two trailing axes, at the points
     broadcast to the result's shape.
     """
-    if not np.all(np.asarray(x) > 0.0):
+    if not (np.asarray(x) > 0.0).all():
         raise DomainError("linear coefficient is defined for x > 0")
-    eta = np.asarray(p.eta)
-    g_map = PolyG(p.n, eta[..., None, None]).as_smooth_map()
-    z = np.broadcast_to(x, np.broadcast_shapes(eta.shape, np.shape(x)))
+    n, eta = p.n, np.asarray(p.eta)
+    g_map = PolyG(n if isinstance(n, int) else n[..., None, None],
+                  eta[..., None, None]).as_smooth_map()
+    z = np.broadcast_to(x, np.broadcast_shapes(np.shape(n), eta.shape,
+                                               np.shape(x)))
     return linear_coefficient(p, x) + 0.5 * schwarzian(g_map, z)
 
 
@@ -197,11 +199,11 @@ class ClosedFormSolution:
     def eval_with_derivative(self, xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         d1 = self.params.g.prime(xs)
-        if not np.all(np.isfinite(d1)):
+        if not np.isfinite(d1).all():
             raise NonFinite("x^(n-1) (1 + 2 eta x^n) overflows on the "
                             "requested points")
         r, rp = _equilibrium(self.params, d1, self.params.g.second(xs))
-        if not np.all(r > 0.0):
+        if not (r > 0.0).all():
             raise NonFinite(f"the closed-form amplitude v/sqrt(s) underflows "
                             f"to 0 for v={self.params.v:g}")
         return r, rp
@@ -295,7 +297,7 @@ def _folded(ode: SecondOrderODE, t0: float, rho0: float, rho_t0: float,
     points, or None where it holds fewer or rho_tt has one sign at both."""
     stretch = integrate_span(ode, t0, rho0, rho_t0, t0,
                              t0 + _FOLD_REACH * estimate, tol)
-    turns = stationary_points(stretch)[:2]
+    turns = stationary_points(stretch, 2)
     if turns.size < 2 or not np.prod(
             ode.rhs(turns, stretch.evaluate(turns)[0])) < 0.0:
         return None
@@ -324,7 +326,7 @@ class LiouvilleSolution:
         self._g = g = p.g
         t_lo, t0, t_hi = g.value(np.array([x_lo, x0, x_hi], dtype=float))
         rho0, rho_t0 = _liouville(g, np.float64(x0), r0, rp0)
-        if not np.all(np.isfinite([t_lo, t_hi, rho0, rho_t0])):
+        if not np.isfinite([t_lo, t_hi, rho0, rho_t0]).all():
             raise NonFinite(f"t = G(x) or the initial data in t overflow on "
                             f"[{x_lo:g}, {x_hi:g}]")
         if not 0.0 < t_lo < t_hi:
@@ -429,7 +431,7 @@ class LiouvilleSolution:
         rho = self.rho.evaluate(pts.ravel())[0].reshape(pts.shape)
         segments = half * ((p.c / (rho * rho)) @ _GL_WEIGHTS)
         cum = np.concatenate([[0.0], np.cumsum(segments)])
-        if not np.all(np.isfinite(cum)):
+        if not np.isfinite(cum).all():
             raise NonFinite(f"phase integral from x_ref={x_ref} is not finite")
         at = cum[np.searchsorted(knots, s)]
         if self._fold:

@@ -23,6 +23,11 @@ from .gp import (ClosedFormSolution, GPParams, closed_form_residual,
 SWEEP_ETAS = (0.0, 0.5, 1.0)
 # the swept etas as a column, one row each against a row of points
 _ETA_ROWS = np.array(SWEEP_ETAS)[:, None]
+# the swept (n, eta) pairs as two such columns
+_SWEEP_ROWS = np.array([(n, eta) for n in (1, 2, 3)
+                        for eta in SWEEP_ETAS]).T[..., None]
+# q_identity's (n, eta) pairs
+_Q_PAIRS = ((1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0), (3, 0.5))
 
 # double-precision floor of the absolute translation criterion: the computed
 # residual G(f) - G(x) - K cannot beat ~eps * |G| however exact the root is
@@ -120,7 +125,7 @@ def check_mobius_kernel(rng: np.random.Generator) -> CheckResult:
     # two stencil axes of the finite differences
     m = Mobius(*coef.T.reshape(4, -1, 1, 1, 1))
     devs = np.abs(schwarzian(m.as_smooth_map(), points))
-    return _result("mobius_schwarzian_kernel", np.max(devs), 1e-7)
+    return _result("mobius_schwarzian_kernel", devs.max(), 1e-7)
 
 
 # The composition law's pool of smooth maps, one entry per kind: the map
@@ -188,7 +193,7 @@ def check_composition_law(rng: np.random.Generator) -> CheckResult:
     devs = np.abs(schwarzian(compose(g_map, f_map), z)
                   - fp * fp * schwarzian(g_map, f_map.eval(z))
                   - schwarzian(f_map, z))
-    return _result("schwarzian_composition", np.max(devs), 1e-6)
+    return _result("schwarzian_composition", devs.max(), 1e-6)
 
 
 def _rows(rng: np.random.Generator, lo: int, hi: int, ranges, count: int,
@@ -225,37 +230,31 @@ def check_translation_property(rng: np.random.Generator) -> CheckResult:
     """|G(f(x)) - G(x) - K| stays below the absolute tolerance.
 
     All 400 (n, eta, x, K) samples are drawn first, with those outside the
-    target discarded; each degree n then takes one ShiftMap with arrays of
-    eta and K.
+    target discarded; one ShiftMap with arrays of n, eta and K then takes
+    them all.
     """
     n, eta, x, k = _rows(rng, 1, 4, [(0.0, 2.0), (0.1, 10.0), (-2.0, 3.0)],
                          400, accept=_in_target).T
-    devs = np.empty_like(x)
-    for deg in (1, 2, 3):
-        at = n == deg
-        g = PolyG(deg, eta[at])
-        f = ShiftMap(g, k[at]).f(x[at])
-        devs[at] = np.abs(g.value(f) - g.value(x[at]) - k[at])
-    return _result("translation_property", np.max(devs), 1e-10)
+    g = PolyG(n, eta)
+    f = ShiftMap(g, k).f(x)
+    return _result("translation_property",
+                   np.abs(g.value(f) - g.value(x) - k).max(), 1e-10)
 
 
 def check_semigroup(rng: np.random.Generator) -> CheckResult:
     """f_{K1} o f_{K2} = f_{K1+K2} pointwise.
 
-    All 200 samples are drawn first; each degree n then takes one ShiftMap
-    per side with arrays of eta and K.
+    All 200 samples are drawn first; one ShiftMap per side, with arrays of
+    n, eta and K, then takes them all.
     """
     n, eta, x, k1, k2 = _rows(
         rng, 1, 4, [(0.0, 2.0), (0.2, 5.0), (0.0, 2.0), (0.0, 2.0)],
         200).T
-    devs = np.empty_like(x)
-    for deg in (1, 2, 3):
-        at = n == deg
-        g = PolyG(deg, eta[at])
-        chained = ShiftMap(g, k1[at]).f(ShiftMap(g, k2[at]).f(x[at]))
-        direct = ShiftMap(g, k1[at] + k2[at]).f(x[at])
-        devs[at] = np.abs(chained - direct)
-    return _result("translation_semigroup", np.max(devs), 1e-9)
+    g = PolyG(n, eta)
+    chained = ShiftMap(g, k1).f(ShiftMap(g, k2).f(x))
+    direct = ShiftMap(g, k1 + k2).f(x)
+    return _result("translation_semigroup", np.abs(chained - direct).max(),
+                   1e-9)
 
 
 def check_q_identity(k_values=(0.5, 1.0)) -> CheckResult:
@@ -263,34 +262,32 @@ def check_q_identity(k_values=(0.5, 1.0)) -> CheckResult:
     (PolyG.schwarzian) and {f, x} taken by finite differences of the
     pointwise solver.
 
-    Each degree takes one PolyG and one ShiftMap, with a row of 12 points
-    from max(0.8, x_min + 0.2) to 3 per (eta, K) pair and the parameters
+    One PolyG and one ShiftMap take every (n, eta, K) row, with a row of
+    12 points from max(0.8, x_min + 0.2) to 3 each and the parameters
     shaped (rows, 1, 1, 1) against the stencil nodes of {f, x}.
     """
-    devs = []
-    for n, etas in [(1, (0.5, 1.0)), (2, (0.5, 1.0)), (3, (0.5,))]:
-        eta, k = np.meshgrid(etas, k_values, indexing="ij")
-        g = PolyG(n, eta.reshape(-1, 1, 1, 1))
-        shift = ShiftMap(g, k.reshape(-1, 1, 1, 1))
-        xs = np.linspace(np.maximum(0.8, shift.x_min.ravel() + 0.2), 3.0, 12,
-                         axis=-1)
-        at = xs[..., None, None]  # the points with the nodes' two axes
-        f, fp = solve_f(shift, at)
-        devs.append(np.max(np.abs(
-            g.schwarzian(at) - fp * fp * g.schwarzian(f)
-            - schwarzian(shift.as_smooth_map(), xs)[..., None, None])))
-    return _result("q_identity", np.max(devs), 1e-5)
+    n, eta, k = np.array([(n, eta, k) for n, eta in _Q_PAIRS
+                          for k in k_values]).T.reshape(3, -1, 1, 1, 1)
+    g = PolyG(n, eta)
+    shift = ShiftMap(g, k)
+    xs = np.linspace(np.maximum(0.8, shift.x_min.ravel() + 0.2), 3.0, 12,
+                     axis=-1)
+    at = xs[..., None, None]  # the points with the nodes' two axes
+    f, fp = solve_f(shift, at)
+    devs = np.abs(g.schwarzian(at) - fp * fp * g.schwarzian(f)
+                  - schwarzian(shift.as_smooth_map(), xs)[..., None, None])
+    return _result("q_identity", devs.max(), 1e-5)
 
 
 def check_linear_coefficient() -> CheckResult:
     """The equation's linear coefficient equals -(1/2){G, x}.
 
-    Each degree takes one call, with a row of 19 points per swept eta.
+    One call takes a row of 19 points per swept (n, eta).
     """
-    xs = np.linspace(0.5, 5.0, 19)
-    devs = [np.max(np.abs(linear_coefficient_check(
-        GPParams(n=n, eta=_ETA_ROWS, b=-1.0, c=1.0), xs))) for n in (1, 2, 3)]
-    return _result("linear_coefficient", np.max(devs), 1e-6)
+    n, eta = _SWEEP_ROWS
+    devs = np.abs(linear_coefficient_check(
+        GPParams(n=n, eta=eta, b=-1.0, c=1.0), np.linspace(0.5, 5.0, 19)))
+    return _result("linear_coefficient", devs.max(), 1e-6)
 
 
 def check_closed_form_residual(c: float = 1.0, v: float = 1.0) -> CheckResult:
@@ -299,8 +296,8 @@ def check_closed_form_residual(c: float = 1.0, v: float = 1.0) -> CheckResult:
     Each degree takes one call, with a row of points per swept eta.
     """
     xs = np.linspace(0.5, 5.0, 401)
-    devs = [np.max(np.abs(closed_form_residual(
-        GPParams.constrained(n=n, eta=_ETA_ROWS, c=c, v=v), xs)))
+    devs = [np.abs(closed_form_residual(
+        GPParams.constrained(n=n, eta=_ETA_ROWS, c=c, v=v), xs)).max()
         for n in (1, 2, 3)]
     return _result("closed_form_residual", np.max(devs), 1e-7)
 
@@ -316,8 +313,8 @@ def check_constraint_activity(c: float = 1.0, v: float = 1.0) -> CheckResult:
     xs = np.linspace(0.5, 5.0, 401)
     # numpy's power gives inf or 0 where Python's raises for an extreme v
     b = -(c * c) / np.float64(v) ** 6 + 0.01
-    devs = [np.max(np.abs(closed_form_residual(
-        GPParams(n=n, eta=_ETA_ROWS, b=b, c=c, v=v), xs)), axis=-1)
+    devs = [np.abs(closed_form_residual(
+        GPParams(n=n, eta=_ETA_ROWS, b=b, c=c, v=v), xs)).max(axis=-1)
         for n in (1, 2, 3)]
     return _result("constraint_activity", np.min(devs), 1e-3,
                    higher_is_better=True)
@@ -338,7 +335,7 @@ def check_fixed_point_for(params: GPParams, k_values, xs) -> float:
     p = GPParams.constrained(n=params.n, eta=etas, c=params.c, v=params.v)
     shift, seed = ShiftMap(p.g, ks), ClosedFormSolution(p)
     try:
-        if not np.all(p.g.value(xs) + ks > 0.0):
+        if not (p.g.value(xs) + ks > 0.0).all():
             shift.f(xs)
         kept, f, fp = _pull_back(shift, seed, xs)
         return is_fixed_point(seed.eval_with_derivative(kept)[0],

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gpbacklund.calculus import derivative, schwarzian
 from gpbacklund.errors import DomainError, NonFinite, NoRealRoot, Pole
 from gpbacklund.functional import Mobius, PolyG, ShiftMap, solve_f
-from gpbacklund.gp import GPParams
+from gpbacklund.gp import GPParams, gp_rhs, linear_coefficient
 
 
 class TestPolyG:
@@ -53,6 +53,54 @@ class TestPolyG:
     def test_scalar_eta_stays_a_float(self):
         assert type(PolyG(1, np.float64(0.5)).eta) is float
         assert PolyG(1, [0.5, 1.0]).eta.shape == (2,)
+
+    def test_scalar_degree_stays_an_int(self):
+        for n in (2, 2.0, np.int64(2), np.array(2)):
+            assert type(PolyG(n).n) is int
+            assert type(GPParams(n=n, eta=0.5, b=-1.0, c=1.0).n) is int
+        assert PolyG(np.array([1.0, 3.0])).n.dtype.kind == "i"
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, math.nan, math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda n: PolyG(n, 0.5),
+        lambda n: GPParams(n=n, eta=0.5, b=-1.0, c=1.0),
+    ], ids=["PolyG", "GPParams"])
+    def test_rejects_bad_degree_arrays(self, make, bad):
+        with pytest.raises(ValueError, match="positive integer"):
+            make(np.array([1.0, 2.0, bad]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63), size=st.integers(1, 300))
+    def test_array_degree_matches_scalar_degrees(self, seed, size):
+        """A PolyG with an array n equals, bit for bit, each point's own
+        int-degree PolyG: numpy rounds the scalar exponents 2 (squared)
+        and 1/2 (sqrt) apart from its array pow. So do GPParams' linear
+        coefficient and right-hand side, and GPParams builds its G once."""
+        rng = np.random.default_rng(seed)
+        n = rng.integers(1, 5, size)
+        eta, x = rng.uniform(0.0, 2.0, size), rng.uniform(0.05, 20.0, size)
+        r = rng.uniform(0.1, 5.0, size)
+        b, c = rng.uniform(-2.0, 2.0, 2)
+        p = GPParams(n=n, eta=eta, b=b, c=c)
+        assert p.g is p.g
+
+        def per_degree(method):
+            out = np.empty(size)
+            for deg in (1, 2, 3, 4):
+                at = n == deg
+                out[at] = method(GPParams(n=deg, eta=eta[at], b=b, c=c),
+                                 at)
+            return out
+
+        for name in ("value", "prime", "second", "third", "schwarzian",
+                     "inverse"):
+            expected = per_degree(lambda q, at: getattr(q.g, name)(x[at]))
+            assert getattr(p.g, name)(x).tobytes() == expected.tobytes(), \
+                name
+        expected = per_degree(lambda q, at: linear_coefficient(q, x[at]))
+        assert linear_coefficient(p, x).tobytes() == expected.tobytes()
+        expected = per_degree(lambda q, at: gp_rhs(q).rhs(x[at], r[at]))
+        assert gp_rhs(p).rhs(x, r).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_inverse_matches_deleted_branches(self, n):

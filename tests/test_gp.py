@@ -790,10 +790,11 @@ class TestFold:
         if case == "period-cap":
             monkeypatch.setattr(gp_module, "_MAX_ATTEMPTS", 7)
         else:
-            monkeypatch.setattr(
-                gp_module, "stationary_points",
-                lambda dense: np.empty(0) if case == "no-turning-points"
-                else np.repeat(stationary_points(dense)[:1], 2))
+            def two_turns(dense, limit):
+                assert limit == 2  # the fold asks for its two turns only
+                return np.empty(0) if case == "no-turning-points" \
+                    else np.repeat(stationary_points(dense, 1), 2)
+            monkeypatch.setattr(gp_module, "stationary_points", two_turns)
         spans = recorded_spans(monkeypatch)
         p, seed, _, period = self.seed(1, 0.5, 0.1, 8.0, start=0.4)
         assert "turning_points" not in seed.meta
