@@ -321,16 +321,15 @@ def cmd_transform(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     report_path = out_dir / cfg.outputs.report_json
-    checks = []
     try:
         with _stage("verify"):
             results = run_identity_checks(cfg.params, cfg.k_schedule,
                                           cfg.grid.linspace(), cfg.rng_seed)
-        checks = [r.as_dict() for r in results]
     except NumericalError:
-        _write_json(report_path, {"checks": checks, "params": cfg.raw,
+        _write_json(report_path, {"checks": [], "params": cfg.raw,
                                   "complete": False})
         raise
+    checks = [r.as_dict() for r in results]
     _write_json(report_path, {"checks": checks, "params": cfg.raw,
                               "complete": True})
     ok = all(c["pass"] for c in checks)

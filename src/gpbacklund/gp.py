@@ -293,11 +293,12 @@ def _period(c2: float, beta: float, rho: float, rho_t: float) -> float:
 def _folded(ode: SecondOrderODE, t0: float, rho0: float, rho_t0: float,
             tol: ToleranceSpec, estimate: float) -> tuple | None:
     """(stretch, (t_a, t_b)): rho integrated forward from t0 to
-    t0 + _FOLD_REACH ``estimate`` (of the period) and its first two turning
-    points, or None where it holds fewer or rho_tt has one sign at both."""
+    t0 + _FOLD_REACH ``estimate`` (of the period) and the first two of its
+    two or three turning points, or None where it holds fewer or rho_tt has
+    one sign at both."""
     stretch = integrate_span(ode, t0, rho0, rho_t0, t0,
                              t0 + _FOLD_REACH * estimate, tol)
-    turns = stationary_points(stretch, 2)
+    turns = stationary_points(stretch)[:2]
     if turns.size < 2 or not np.prod(
             ode.rhs(turns, stretch.evaluate(turns)[0])) < 0.0:
         return None

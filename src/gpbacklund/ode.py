@@ -42,12 +42,9 @@ _AMPLITUDE_FLOOR = 1e-6
 # this: its t may then be coarser than a period, as at x = 1e100 with n = 1
 # (t = 1e200).
 _MAX_ATTEMPTS = 100_000
-# iterations of a turning point's search (_turning_point), counting the one
-# whose iterate repeats. Newton does not always converge in a few: of the
-# 72 turning points of the orbit benchmark pools of seeds 1-6, 52 took 3-6
-# iterations, 16 took 13-18 and 4 ended at this cap, whose 60 halvings of
-# the bracket reach below one ulp
-_ROOT_ITERATIONS = 60
+# halvings of a turning point's search (_turning_point): 2^-64 of a step is
+# below any t the reads resolve
+_ROOT_ITERATIONS = 64
 
 
 @dataclass(frozen=True)
@@ -573,41 +570,35 @@ def _turning_point(c, rising: bool) -> float:
     s 7 c7)) vanishes, for c = (c1, ..., c7) in Python floats and a root
     where h r' rises through 0 (``rising``) or falls.
 
-    Newton's method, inside the bracket [0, 1] that shrinks with every
-    iterate: an iterate that leaves it is replaced by the bracket's
-    midpoint, so no root leaves its step. It stops when an iterate
-    repeats, which it then does at every later iteration.
+    Bisection of [0, 1], each end keeping its sign of h r', so no root
+    leaves its step. It returns the midpoint where h r' is 0 there, where
+    it rounds onto an end (the ends are then neighbouring floats), or
+    after _ROOT_ITERATIONS halvings, within 2^-64 of the root.
     """
     c1, c2, c3, c4, c5, c6, c7 = c
-    lo, hi, s = 0.0, 1.0, 0.5
+    lo, hi = 0.0, 1.0
     for _ in range(_ROOT_ITERATIONS):
+        s = 0.5 * (lo + hi)
+        if s == lo or s == hi:
+            break
         f = c1 + s * (2.0 * c2 + s * (3.0 * c3 + s * (4.0 * c4 + s * (
             5.0 * c5 + s * (6.0 * c6 + 7.0 * c7 * s)))))
-        df = 2.0 * c2 + s * (6.0 * c3 + s * (12.0 * c4 + s * (
-            20.0 * c5 + s * (30.0 * c6 + 42.0 * c7 * s))))
+        if f == 0.0:
+            break
         if (f < 0.0) == rising:  # the root lies above s
             lo = s
         else:
             hi = s
-        if f == 0.0:
-            break
-        # where df is 0 or NaN, s - f/df would be infinite or NaN: bisect
-        newton = s - f / df if df else math.nan
-        nxt = newton if lo < newton < hi else 0.5 * (lo + hi)
-        if nxt == s:
-            break
-        s = nxt
     return s
 
 
-def stationary_points(dense: DenseSolution,
-                      limit: int | None = None) -> np.ndarray:
-    """The first ``limit`` (by default every) x, in increasing order, where
-    r' = 0 inside a step whose end values of r' differ in sign (r' > 0 at
-    one end only), each found by ``_turning_point`` in its step.
+def stationary_points(dense: DenseSolution) -> np.ndarray:
+    """Every x, in increasing order, where r' = 0 inside a step whose end
+    values of r' differ in sign (r' > 0 at one end only), each found by
+    ``_turning_point`` in its step.
     """
     rps = dense.rps
-    steps = np.flatnonzero((rps[:-1] > 0.0) != (rps[1:] > 0.0))[:limit]
+    steps = np.flatnonzero((rps[:-1] > 0.0) != (rps[1:] > 0.0))
     table = dense._table[:, steps]
     s = [_turning_point(c, not r > 0.0)
          for c, r in zip(table[2:9].T.tolist(), rps[steps].tolist())]

@@ -697,6 +697,28 @@ class TestFold:
         assert abs(2.0 * (t_b - t_a) / period - 1.0) < 1e-6
         self.assert_matches(seed, ref)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), eta=st.floats(0.0, 2.0),
+           dev=st.floats(0.02, 0.2), sign=st.sampled_from([-1.0, 1.0]),
+           periods=st.floats(2.1, 12.0),
+           start=st.one_of(st.just(0.0), st.floats(0.01, 0.5)))
+    def test_turning_values_are_the_roots_of_p(self, n, eta, dev, sign,
+                                               periods, start):
+        """rho^2 at t_a and t_b are the roots u2 < u3 of P(u) = 2 beta u^3
+        + 8 E u - 4 c^2, with E from the seed's data, and rho_t is 0 there.
+        Over 1,400 random draws the turning values were off by at most
+        1.9e-12 of u3, and |rho_t| was at most 2.2e-15 of the stretch's
+        largest; the bounds are about five times those."""
+        p, seed, _, _ = self.seed(n, eta, sign * dev, periods, start)
+        meta = seed.meta
+        e = float(energy(p, meta["x0"], meta["r0"], meta["rp0"]))
+        beta = p.b / n ** 3
+        _, u2, u3 = np.sort(np.roots([2.0 * beta, 0.0, 8.0 * e,
+                                      -4.0 * p.c * p.c]).real)
+        rho, rho_t = seed.rho.evaluate(np.array(meta["turning_points"]))
+        assert np.max(np.abs(np.sort(rho * rho) - [u2, u3])) < 1e-11 * u3
+        assert np.max(np.abs(rho_t)) < 1e-14 * np.max(np.abs(seed.rho.rps))
+
     @pytest.mark.parametrize("n, eta, dev", [(1, 0.5, 0.15), (2, 1.0, -0.1),
                                              (3, 0.2, 0.05)])
     def test_energy_is_constant_across_seams(self, n, eta, dev):
@@ -790,10 +812,9 @@ class TestFold:
         if case == "period-cap":
             monkeypatch.setattr(gp_module, "_MAX_ATTEMPTS", 7)
         else:
-            def two_turns(dense, limit):
-                assert limit == 2  # the fold asks for its two turns only
+            def two_turns(dense):
                 return np.empty(0) if case == "no-turning-points" \
-                    else np.repeat(stationary_points(dense, 1), 2)
+                    else np.repeat(stationary_points(dense)[:1], 2)
             monkeypatch.setattr(gp_module, "stationary_points", two_turns)
         spans = recorded_spans(monkeypatch)
         p, seed, _, period = self.seed(1, 0.5, 0.1, 8.0, start=0.4)

@@ -349,48 +349,6 @@ class TestStationaryPoints:
         dense = integrate(FREE, 1.0, 1.0, 0.5, 3.0, TOL)
         assert stationary_points(dense).size == 0
 
-    def test_searches_only_the_first_limit(self, monkeypatch):
-        """With three sign changes of r', a limit of two searches two roots,
-        the first two of the full search."""
-        dense = integrate(self.SHIFTED, 0.5, 2.0 + math.cos(0.5),
-                          -math.sin(0.5), 10.0, TOL)
-        every = stationary_points(dense)
-        searched = []
-
-        def counted(c, rising):
-            searched.append(c)
-            return _turning_point(c, rising)
-
-        monkeypatch.setattr(ode, "_turning_point", counted)
-        first = stationary_points(dense, 2)
-        assert len(searched) == 2 and every.size == 3
-        assert first.tobytes() == every[:2].tobytes()
-
-
-def reference_turning_points(c, rising):
-    """Every root's s in one array pass, as stationary_points searched them
-    before it took one root at a time in Python floats, kept as the
-    reference: the loop stops only when every iterate repeats. ``c`` holds
-    rows c1..c7 with one column per root. Returns (s, iterations run)."""
-    c1, c2, c3, c4, c5, c6, c7 = c
-    lo, hi = np.zeros(c1.size), np.ones(c1.size)
-    s = np.full(c1.size, 0.5)
-    for it in range(1, _ROOT_ITERATIONS + 1):
-        f = c1 + s * (2.0 * c2 + s * (3.0 * c3 + s * (4.0 * c4 + s * (
-            5.0 * c5 + s * (6.0 * c6 + 7.0 * c7 * s)))))
-        df = 2.0 * c2 + s * (6.0 * c3 + s * (12.0 * c4 + s * (
-            20.0 * c5 + s * (30.0 * c6 + 42.0 * c7 * s))))
-        left = (f < 0.0) == rising  # the root lies above s
-        lo, hi = np.where(left, s, lo), np.where(left, hi, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = s - f / df
-        nxt = np.where(f == 0.0, s, np.where((newton > lo) & (newton < hi),
-                                             newton, 0.5 * (lo + hi)))
-        if np.array_equal(nxt, s):
-            break
-        s = nxt
-    return s, it
-
 
 def _septic_columns(rng, size):
     """Random columns c1..c7 of h r' = c1 + 2 c2 s + ... + 7 c7 s^6 whose
@@ -403,50 +361,62 @@ def _septic_columns(rng, size):
     return c, ~(c[0] > 0.0)
 
 
-# one column each: h r' vanishes at the first iterate s = 1/2; its
-# derivative vanishes there, so the first step bisects; and one that runs
-# to the iteration cap without an iterate repeating
+def _h_r_prime(c, s):
+    c1, c2, c3, c4, c5, c6, c7 = c
+    return c1 + s * (2.0 * c2 + s * (3.0 * c3 + s * (4.0 * c4 + s * (
+        5.0 * c5 + s * (6.0 * c6 + 7.0 * c7 * s)))))
+
+
+def assert_crossing(c, rising, s):
+    """s lies in [0, 1], and h r' is 0 at s, or it and the other end of the
+    search's last bracket straddle 0 in the direction ``rising`` says. That
+    end is s's neighbouring float, or s -+ 2^-64 where the cap of 64
+    halvings ends the search first (for roots below 2^-12)."""
+    assert 0.0 <= s <= 1.0
+    f = _h_r_prime(c, s)
+    if f == 0.0:
+        return
+    toward = 0.0 if (f < 0.0) != rising else 1.0  # where the root lies
+    other = math.nextafter(s, toward)
+    if abs(other - s) < 2.0 ** -_ROOT_ITERATIONS:
+        other = s + math.copysign(2.0 ** -_ROOT_ITERATIONS, toward - s)
+    below, above = sorted((s, other))
+    sign = 1.0 if rising else -1.0
+    assert sign * _h_r_prime(c, below) < 0.0 < sign * _h_r_prime(c, above)
+
+
+# one column each, rising through 0: h r' vanishes at the first midpoint
+# s = 1/2; its derivative vanishes there; and two roots at s = 0 and below
+# 1e-300, whose search the cap ends at the midpoint 2^-64
 SPECIAL_COLUMNS = {
     "f-zero-at-half": [-1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     "df-zero-at-half": [-0.5, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0],
-    "iteration-cap": [-15.341097190154466, 1.109414206673355,
-                      0.4677195872995764, 0.09147259902643909,
-                      0.04752131583445648, 0.03337501654263461,
-                      15.542737725026402],
+    "root-at-zero": [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    "root-below-1e-300": [-2e-300, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
 }
 
 
 class TestTurningPoint:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 63), size=st.integers(0, 40))
-    def test_matches_the_array_loop(self, seed, size):
-        """Each root alone, in Python floats, is the array loop's root over
-        the whole batch bit for bit. Every batch holds the special columns,
-        so its other roots run on to the cap past their own repeats: an
-        iterate that repeats does so at every later iteration, so stopping
-        a root there moves nothing."""
+    def test_returns_a_crossing(self, seed, size):
+        """Every root of a column whose ends differ in sign is a crossing
+        in the requested direction, to one float or 2^-64."""
         c, rising = _septic_columns(np.random.default_rng(seed), size)
-        c = np.concatenate([c, np.array(list(SPECIAL_COLUMNS.values())).T],
-                           axis=1)
-        rising = np.append(rising, [True] * len(SPECIAL_COLUMNS))
-        batch, runs = reference_turning_points(c, rising)
-        alone = [_turning_point(col, r)
-                 for col, r in zip(c.T.tolist(), rising.tolist())]
-        assert runs == _ROOT_ITERATIONS
-        assert np.array(alone).tobytes() == batch.tobytes()
+        for col, r in zip(c.T.tolist(), rising.tolist()):
+            assert_crossing(col, r, _turning_point(col, r))
 
     @pytest.mark.parametrize("name", SPECIAL_COLUMNS)
     def test_special_columns(self, name):
         column = SPECIAL_COLUMNS[name]
-        assert column[0] < 0.0  # each rises through 0
-        expected, runs = reference_turning_points(np.array(column)[:, None],
-                                                  np.array([True]))
+        assert column[0] <= 0.0  # each rises through 0
         s = _turning_point(column, True)
-        assert np.float64(s).tobytes() == expected.tobytes()
-        assert 0.0 < s < 1.0
-        assert (runs == _ROOT_ITERATIONS) == (name == "iteration-cap")
         if name == "f-zero-at-half":
-            assert s == 0.5 and runs == 1
+            assert s == 0.5
+        elif name == "df-zero-at-half":
+            assert_crossing(column, True, s)
+        else:
+            assert s == 2.0 ** -_ROOT_ITERATIONS
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
